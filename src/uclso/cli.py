@@ -14,6 +14,7 @@ import csv
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -21,14 +22,16 @@ import numpy as np
 from .arff_io import ArffError, write_mulan
 from .clustering import kmeans
 from .config import ConfigError, ExperimentConfig, load_config
-from .dataset import DatasetError, compute_stats, filter_labels, make_fold_plan
+from .dataset import (
+    DatasetError,
+    compute_stats,
+    filter_labels,
+    make_fold_plan,
+    scale_min_max,
+)
 from .experiment import MethodSpec, run_cv
 from .metrics import MetricError
-from .oversample import (
-    LabelUnusableError,
-    OversampleError,
-    augment_all,
-)
+from .oversample import LabelUnusableError, OversampleError, iter_augments
 from .ranking import average_ranks, critical_difference_rows, friedman
 
 STATS_COLUMNS = [
@@ -92,8 +95,6 @@ def cmd_stats(cfg: ExperimentConfig) -> int:
     for source in cfg.datasets:
         ds = source.load()
         if cfg.scale == "minmax":
-            from .dataset import scale_min_max
-
             ds = scale_min_max(ds)
         rows.append(_stats_row(source.name, ds, "raw"))
         try:
@@ -144,44 +145,27 @@ def cmd_oversample(cfg: ExperimentConfig) -> int:
             assign = kmeans(
                 ds.features, cfg.oversample.k_clusters, seed=cfg.oversample.seed
             )
+        header = ["label", "cluster", "r", "parent_u", "parent_v"] + [
+            f"feature_{j}" for j in range(ds.d)
+        ]
         manifest = []
-        for l, name in enumerate(ds.label_names):
-            try:
-                if cfg.oversample.mode == "uclso":
-                    from .oversample import uclso_augment
-
-                    aug = uclso_augment(ds, assign, l, cfg.oversample)
-                else:
-                    from .oversample import smote_augment
-
-                    aug = smote_augment(ds, l, cfg.oversample)
-            except LabelUnusableError as exc:
-                print(f"warning: skipping label {name!r}: {exc}", file=sys.stderr)
+        for l, aug in enumerate(iter_augments(ds, cfg.oversample, assign)):
+            name = ds.label_names[l]
+            if isinstance(aug, LabelUnusableError):
+                print(f"warning: skipping label {name!r}: {aug}", file=sys.stderr)
                 continue
-            header = ["label", "cluster", "r", "parent_u", "parent_v"] + [
-                f"feature_{j}" for j in range(ds.d)
-            ]
-            rows = [
+            rows = (
                 [name, prov.cluster, prov.r, prov.parent_u, prov.parent_v]
                 + [float(v) for v in point]
                 for prov, point in zip(aug.extra.provenance, aug.extra.points)
-            ]
-            _write_rows(
-                os.path.join(
-                    cfg.out_dir, f"{source.name}__label_{l}__synthetic.csv"
-                ),
-                cfg,
-                header,
-                rows,
             )
-            counts: dict[int, int] = {}
-            for prov in aug.extra.provenance:
-                counts[prov.cluster] = counts.get(prov.cluster, 0) + 1
+            path = os.path.join(cfg.out_dir, f"{source.name}__label_{l}__synthetic.csv")
+            _write_rows(path, cfg, header, rows)
+            counts = Counter(prov.cluster for prov in aug.extra.provenance)
             if not counts:
                 manifest.append([name, -1, 0])
-            else:
-                for cl in sorted(counts):
-                    manifest.append([name, cl, counts[cl]])
+            for cl in sorted(counts):
+                manifest.append([name, cl, counts[cl]])
         _write_rows(
             os.path.join(cfg.out_dir, f"{source.name}__manifest.csv"),
             cfg,
@@ -191,7 +175,7 @@ def cmd_oversample(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_experiment(cfg: ExperimentConfig, threads: int = 1) -> int:
+def cmd_experiment(cfg: ExperimentConfig) -> int:
     os.makedirs(cfg.out_dir, exist_ok=True)
     methods = [
         MethodSpec(name, replace(cfg.oversample, mode=name)) for name in cfg.methods
@@ -201,7 +185,7 @@ def cmd_experiment(cfg: ExperimentConfig, threads: int = 1) -> int:
     for di, source in enumerate(cfg.datasets):
         ds = cfg.prepare(source.load())
         plan = make_fold_plan(ds.n, cfg.cv_reps, cfg.cv_folds, cfg.seed)
-        reports = run_cv(ds, methods, plan, cfg.train, threads=threads)
+        reports = run_cv(ds, methods, plan, cfg.train)
         for mi, method in enumerate(methods):
             report = reports[method.name]
             base = f"{source.name}__{method.name}"
@@ -296,19 +280,26 @@ def cmd_toy_gen(cfg: ExperimentConfig) -> int:
     return 0
 
 
+COMMANDS = {
+    "stats": (cmd_stats, "emit raw and filtered dataset statistics as CSV"),
+    "cluster": (cmd_cluster, "run k-means and dump assignments and centroids"),
+    "oversample": (
+        cmd_oversample, "export per-label synthetic point sets and a manifest"
+    ),
+    "experiment": (
+        cmd_experiment, "run the cross-validation experiment for each method"
+    ),
+    "toy-gen": (cmd_toy_gen, "write configured toy datasets as ARFF + XML"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uclso",
         description="Cluster-guarded label-specific oversampling toolkit",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in [
-        ("stats", "emit raw and filtered dataset statistics as CSV"),
-        ("cluster", "run k-means and dump assignments and centroids"),
-        ("oversample", "export per-label synthetic point sets and a manifest"),
-        ("experiment", "run the cross-validation experiment for each method"),
-        ("toy-gen", "write configured toy datasets as ARFF + XML"),
-    ]:
+    for name, (_, help_text) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="YAML experiment config")
         p.add_argument("--seed", type=int, default=None, help="override config seed")
@@ -317,34 +308,23 @@ def build_parser() -> argparse.ArgumentParser:
             "--threads",
             type=int,
             default=1,
-            help="worker threads (speed only, never results)",
+            help="accepted for compatibility; has no effect",
         )
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config, args.seed, args.out)
-        if args.command == "stats":
-            return cmd_stats(cfg)
-        if args.command == "cluster":
-            return cmd_cluster(cfg)
-        if args.command == "oversample":
-            return cmd_oversample(cfg)
-        if args.command == "experiment":
-            return cmd_experiment(cfg, threads=max(1, args.threads))
-        if args.command == "toy-gen":
-            return cmd_toy_gen(cfg)
-        parser.error(f"unknown command {args.command}")
+        command, _ = COMMANDS[args.command]
+        return command(cfg)
     except (ConfigError, ArffError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (DatasetError, OversampleError, MetricError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    return 0
 
 
 if __name__ == "__main__":

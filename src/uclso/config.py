@@ -11,7 +11,6 @@ from dataclasses import dataclass, field
 import yaml
 
 from .dataset import (
-    DatasetError,
     MultiLabelDataset,
     ToyConfig,
     filter_labels,
@@ -54,7 +53,6 @@ class ExperimentConfig:
     max_ir: float
     min_pos: int
     scale: str  # none | minmax
-    threshold: float
     raw: dict = field(compare=False, default_factory=dict)
 
     def config_hash(self) -> str:
@@ -74,6 +72,32 @@ class ExperimentConfig:
         return ds
 
 
+# Every accepted key, by section; any other key is rejected at load time.
+TOP_KEYS = (
+    "seed", "out", "datasets", "methods", "scale", "oversample", "train", "cv",
+    "filter",
+)
+DATASET_KEYS = ("name", "toy", "mulan")
+TOY_KEYS = ("points_per_blob", "blob_centers", "blob_spreads", "minority_rules", "seed")
+MULAN_KEYS = ("arff", "xml")
+OVERSAMPLE_KEYS = ("k_clusters", "m_neighbors", "seed", "mode")
+TRAIN_KEYS = ("reg_c", "epochs", "learning_rate", "lr_decay", "batch_size", "seed")
+CV_KEYS = ("reps", "folds")
+FILTER_KEYS = ("enabled", "max_ir", "min_pos")
+
+
+def _section(value, allowed: tuple[str, ...], where: str) -> dict:
+    """value as a mapping holding only the allowed keys."""
+    if not isinstance(value, dict):
+        raise ConfigError(f"{where} must be a mapping")
+    for key in value:
+        if key not in allowed:
+            raise ConfigError(
+                f"{where}: unknown key {key!r} (accepted: {', '.join(allowed)})"
+            )
+    return value
+
+
 def _toy_from_dict(d: dict, default_seed: int) -> ToyConfig:
     try:
         return ToyConfig(
@@ -85,7 +109,7 @@ def _toy_from_dict(d: dict, default_seed: int) -> ToyConfig:
         )
     except KeyError as exc:
         raise ConfigError(f"toy config missing key {exc}") from None
-    except DatasetError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid toy config: {exc}") from None
 
 
@@ -103,41 +127,40 @@ def load_config(
             data = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse config: {exc}") from None
-    if not isinstance(data, dict):
-        raise ConfigError("config must be a mapping")
+    _section(data, TOP_KEYS, "config")
     if seed_override is not None:
         data["seed"] = int(seed_override)
     if out_override is not None:
         data["out"] = out_override
-    seed = int(data.get("seed", 0))
+    try:
+        seed = int(data.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid seed: {exc}") from None
     out_dir = str(data.get("out", "results"))
 
     raw_datasets = data.get("datasets")
-    if raw_datasets is None and "dataset" in data:
-        raw_datasets = [data["dataset"]]
     if not raw_datasets:
         raise ConfigError("config names no datasets")
     sources = []
     for i, entry in enumerate(raw_datasets):
-        if not isinstance(entry, dict):
-            raise ConfigError(f"dataset entry {i} must be a mapping")
+        _section(entry, DATASET_KEYS, f"dataset entry {i}")
         name = str(entry.get("name", f"dataset_{i}"))
+        where = f"dataset {name!r}"
         if "toy" in entry:
-            sources.append(
-                DatasetSource(name, toy=_toy_from_dict(entry["toy"], seed + i))
-            )
+            toy = _section(entry["toy"], TOY_KEYS, f"{where} toy")
+            sources.append(DatasetSource(name, toy=_toy_from_dict(toy, seed + i)))
         elif "mulan" in entry:
-            mulan = entry["mulan"]
+            mulan = _section(entry["mulan"], MULAN_KEYS, f"{where} mulan")
             arff = mulan.get("arff")
             xml = mulan.get("xml")
             if not arff or not xml:
-                raise ConfigError(f"dataset {name!r}: mulan needs arff and xml paths")
+                raise ConfigError(f"{where}: mulan needs arff and xml paths")
             for p in (arff, xml):
                 if not os.path.exists(p):
-                    raise ConfigError(f"dataset {name!r}: path not found: {p}")
+                    raise ConfigError(f"{where}: path not found: {p}")
             sources.append(DatasetSource(name, arff_path=arff, xml_path=xml))
         else:
-            raise ConfigError(f"dataset {name!r} needs a 'toy' or 'mulan' entry")
+            raise ConfigError(f"{where} needs a 'toy' or 'mulan' entry")
     if len({s.name for s in sources}) != len(sources):
         raise ConfigError("duplicate dataset names")
 
@@ -148,7 +171,7 @@ def load_config(
     if not methods:
         raise ConfigError("config names no methods")
 
-    os_raw = data.get("oversample", {})
+    os_raw = _section(data.get("oversample", {}), OVERSAMPLE_KEYS, "oversample")
     try:
         oversample = OversampleConfig(
             k_clusters=int(os_raw.get("k_clusters", 5)),
@@ -156,10 +179,10 @@ def load_config(
             seed=int(os_raw.get("seed", seed)),
             mode=str(os_raw.get("mode", "uclso")),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid oversample config: {exc}") from None
 
-    tr = data.get("train", {})
+    tr = _section(data.get("train", {}), TRAIN_KEYS, "train")
     try:
         train = TrainConfig(
             reg_c=float(tr.get("reg_c", 1.0)),
@@ -168,13 +191,24 @@ def load_config(
             lr_decay=(float(tr["lr_decay"]) if "lr_decay" in tr else None),
             batch_size=int(tr.get("batch_size", 32)),
             seed=int(tr.get("seed", seed)),
-            tolerance=float(tr.get("tolerance", 1e-8)),
         )
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid train config: {exc}") from None
 
-    cv = data.get("cv", {})
-    filt = data.get("filter", {})
+    cv = _section(data.get("cv", {}), CV_KEYS, "cv")
+    filt = _section(data.get("filter", {}), FILTER_KEYS, "filter")
+    try:
+        cv_reps = int(cv.get("reps", 10))
+        cv_folds = int(cv.get("folds", 2))
+        max_ir = float(filt.get("max_ir", 50.0))
+        min_pos = int(filt.get("min_pos", 20))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid cv or filter config: {exc}") from None
+    if cv_reps < 1 or cv_folds < 2:
+        raise ConfigError(f"cv needs reps >= 1, folds >= 2; got {cv_reps}, {cv_folds}")
+    filter_enabled = filt.get("enabled", False)
+    if not isinstance(filter_enabled, bool):
+        raise ConfigError(f"filter.enabled must be a boolean, got {filter_enabled!r}")
     scale = str(data.get("scale", "none"))
     if scale not in ("none", "minmax"):
         raise ConfigError(f"unknown scale mode {scale!r}")
@@ -185,12 +219,11 @@ def load_config(
         methods=methods,
         oversample=oversample,
         train=train,
-        cv_reps=int(cv.get("reps", 10)),
-        cv_folds=int(cv.get("folds", 2)),
-        filter_enabled=bool(filt.get("enabled", False)),
-        max_ir=float(filt.get("max_ir", 50.0)),
-        min_pos=int(filt.get("min_pos", 20)),
+        cv_reps=cv_reps,
+        cv_folds=cv_folds,
+        filter_enabled=filter_enabled,
+        max_ir=max_ir,
+        min_pos=min_pos,
         scale=scale,
-        threshold=float(data.get("threshold", 0.0)),
         raw=data,
     )

@@ -3,7 +3,7 @@ cross-validation fold planning and synthetic toy-data generation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -170,15 +170,11 @@ def compute_stats(ds: MultiLabelDataset) -> DatasetStats:
     cardinality = float(ds.labels.sum()) / n
     density = cardinality / q
     distinct = len({tuple(row) for row in ds.labels})
-    irs = []
-    undefined = []
-    for k in range(q):
-        pos = int(ds.labels[:, k].sum())
-        neg = n - pos
-        if pos == 0 or neg == 0:
-            undefined.append(ds.label_names[k])
-            continue
-        irs.append(max(pos, neg) / min(pos, neg))
+    all_irs = [label_imbalance_ratio(ds.labels[:, k]) for k in range(q)]
+    irs = [ir for ir in all_irs if ir != float("inf")]
+    undefined = [
+        name for name, ir in zip(ds.label_names, all_irs) if ir == float("inf")
+    ]
     if irs:
         ir_min, ir_max, ir_avg = min(irs), max(irs), float(np.mean(irs))
     else:

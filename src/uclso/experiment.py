@@ -1,13 +1,13 @@
 """Repeated cross-validation harness: per fold-cell clustering,
 augmentation, binary-relevance training and metric collection.
 
-Fold cells are independent tasks over a read-only dataset; results are
-merged by (rep, fold) key so completion order never changes the report.
+Cells run one after another in a plain loop, method, then repetition,
+then fold; there is no thread pool. Each cell is pure given its derived
+seed, so the report depends only on the inputs.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -149,40 +149,23 @@ def run_cv(
 ) -> dict[str, MetricReport]:
     """Evaluate every method over every (repetition, fold) cell.
 
-    threads affects wall-clock only: each cell is pure given its derived
-    seed and results are merged in (method, rep, fold) order.
+    threads is accepted for compatibility and ignored: cells run in order
+    in this thread.
     """
     if not methods:
         raise ValueError("need at least one method")
     names = [m.name for m in methods]
     if len(set(names)) != len(names):
         raise ValueError("duplicate method names")
-    tasks = []
+    reports = {}
     for method in methods:
+        cells = []
         for rep in range(plan.repetitions):
             for fold in range(plan.folds_per_rep):
                 train_idx, test_idx = plan.train_test(rep, fold)
-                tasks.append((method, rep, fold, train_idx, test_idx))
-
-    def run(task):
-        method, rep, fold, train_idx, test_idx = task
-        return (
-            method.name,
-            evaluate_cell(ds, train_idx, test_idx, method, train_cfg, rep, fold),
-        )
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
-
-    by_method: dict[str, list[FoldCell]] = {m.name: [] for m in methods}
-    for name, cell in results:
-        by_method[name].append(cell)
-    reports = {}
-    for method in methods:
-        cells = sorted(by_method[method.name], key=lambda c: (c.rep, c.fold))
+                cells.append(
+                    evaluate_cell(ds, train_idx, test_idx, method, train_cfg, rep, fold)
+                )
         reports[method.name] = MetricReport(
             method=method.name,
             label_names=ds.label_names,

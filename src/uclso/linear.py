@@ -1,9 +1,13 @@
 """Linear relevance classifiers: L2-regularized hinge loss fit by
-stochastic subgradient descent, one independent model per label."""
+stochastic subgradient descent, one independent model per label.
+
+Training is the fixed-T minibatch Pegasos update (Shalev-Shwartz, Singer
+& Srebro, ICML 2007): every fit runs exactly `epochs` passes; there is no
+early stop."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -27,13 +31,12 @@ class TrainConfig:
     lr_decay: float | None = None  # defaults to lambda = 1 / (reg_c * n)
     batch_size: int = 32
     seed: int = 0
-    tolerance: float = 1e-8  # early stop on objective change per epoch
 
     def __post_init__(self):
         if self.reg_c <= 0 or self.epochs < 1 or self.learning_rate <= 0:
             raise TrainingError("reg_c, epochs and learning_rate must be positive")
-        if self.batch_size < 1 or self.tolerance < 0:
-            raise TrainingError("invalid batch_size or tolerance")
+        if self.batch_size < 1:
+            raise TrainingError("invalid batch_size")
 
 
 @dataclass(frozen=True)
@@ -53,18 +56,11 @@ class LinearModel:
         self.weights.setflags(write=False)
 
 
-def _objective(w, b, X, s, lam):
-    margins = s * (X @ w + b)
-    hinge = np.maximum(0.0, 1.0 - margins).mean()
-    return 0.5 * lam * float(w @ w) + float(hinge)
-
-
 def train_linear(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> LinearModel:
     """Fit a hinge-loss linear model on binary targets y in {0, 1}.
 
-    Shuffled mini-batch subgradient steps with 1/t-style decay; the run is
-    deterministic under cfg.seed and stops early once the full-data
-    objective stops moving.
+    Shuffled mini-batch subgradient steps with 1/t-style decay for exactly
+    cfg.epochs passes; the run is deterministic under cfg.seed.
     """
     X = np.asarray(X, dtype=float)
     y = np.asarray(y)
@@ -84,8 +80,6 @@ def train_linear(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> LinearModel:
     w = np.zeros(d)
     b = 0.0
     t = 0
-    prev = _objective(w, b, X, s, lam)
-    epochs_run = 0
     for _ in range(cfg.epochs):
         perm = rng.permutation(n)
         for start in range(0, n, cfg.batch_size):
@@ -103,13 +97,9 @@ def train_linear(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> LinearModel:
                 grad_b = 0.0
             w = w - eta * grad_w
             b = b - eta * grad_b
-        epochs_run += 1
-        cur = _objective(w, b, X, s, lam)
-        if abs(prev - cur) < cfg.tolerance:
-            prev = cur
-            break
-        prev = cur
-    return LinearModel(w, float(b), TrainMeta(cfg.reg_c, epochs_run, prev))
+    hinge = np.maximum(0.0, 1.0 - s * (X @ w + b)).mean()
+    objective = 0.5 * lam * float(w @ w) + float(hinge)
+    return LinearModel(w, float(b), TrainMeta(cfg.reg_c, cfg.epochs, objective))
 
 
 def constant_model(d: int, bias: float) -> LinearModel:
@@ -161,14 +151,8 @@ def br_fit(
             raise TrainingError("augmentations out of label order")
         X = aug.features()
         y = aug.label_vector()
-        label_cfg = TrainConfig(
-            reg_c=cfg.reg_c,
-            epochs=cfg.epochs,
-            learning_rate=cfg.learning_rate,
-            lr_decay=cfg.lr_decay,
-            batch_size=cfg.batch_size,
-            seed=int(np.random.SeedSequence([cfg.seed, l]).generate_state(1)[0]),
-            tolerance=cfg.tolerance,
+        label_cfg = replace(
+            cfg, seed=int(np.random.SeedSequence([cfg.seed, l]).generate_state(1)[0])
         )
         try:
             models.append(train_linear(X, y, label_cfg))
@@ -181,33 +165,3 @@ def br_fit(
             models.append(constant_model(ds.d, 1.0 if only == 1 else -1.0))
             constant.append(ds.label_names[l])
     return BRModels(tuple(models), tuple(constant))
-
-
-def save_model(model: LinearModel, path: str) -> None:
-    """Flat text format: metadata line, bias line, then one weight per line."""
-    with open(path, "w", encoding="utf-8") as fh:
-        meta = model.train_meta
-        fh.write(
-            f"reg_c={meta.reg_c!r} epochs_run={meta.epochs_run} "
-            f"objective={meta.objective!r} d={model.weights.shape[0]}\n"
-        )
-        fh.write(f"{model.bias!r}\n")
-        for v in model.weights:
-            fh.write(f"{float(v)!r}\n")
-
-
-def load_model(path: str) -> LinearModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [line.strip() for line in fh if line.strip()]
-    if len(lines) < 2:
-        raise TrainingError(f"truncated model file {path}")
-    meta_kv = dict(item.split("=", 1) for item in lines[0].split())
-    d = int(meta_kv["d"])
-    bias = float(lines[1])
-    weights = np.array([float(v) for v in lines[2:]])
-    if weights.shape[0] != d:
-        raise TrainingError(f"model file {path}: expected {d} weights")
-    meta = TrainMeta(
-        float(meta_kv["reg_c"]), int(meta_kv["epochs_run"]), float(meta_kv["objective"])
-    )
-    return LinearModel(weights, bias, meta)

@@ -8,11 +8,12 @@ SMOTE baseline draws neighbours from the global minority set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import ClusterAssignment, cluster_members
+from .clustering import ClusterAssignment
 from .dataset import MultiLabelDataset
 
 
@@ -194,16 +195,13 @@ def uclso_augment(
     if assign.assignment.shape[0] != ds.n:
         raise OversampleError("clustering was not computed on this dataset")
     min_idx, maj_idx = minority_class(ds, l)
-    min_mask = np.zeros(ds.n, dtype=bool)
-    min_mask[min_idx] = True
+    min_cluster = assign.assignment[min_idx]
     rng = _label_rng(cfg.seed, l)
     points: list = []
     provenance: list = []
     for p in range(assign.k):
-        members = cluster_members(assign, p)
-        pool = members[min_mask[members]]
-        n_lp = pool.size
-        count = quota(n_lp, min_idx.size, maj_idx.size) if n_lp else 0
+        pool = min_idx[min_cluster == p]
+        count = quota(pool.size, min_idx.size, maj_idx.size)
         if count == 0:
             continue
         _synthesize(
@@ -229,6 +227,30 @@ def smote_augment(
     return _pack(ds, l, points, provenance)
 
 
+def iter_augments(
+    ds: MultiLabelDataset,
+    cfg: OversampleConfig,
+    assign: ClusterAssignment | None = None,
+) -> Iterator[AugmentedDataset | LabelUnusableError]:
+    """Per label, in label order, the augmentation the configured mode
+    makes, or the LabelUnusableError saying why the label has none.
+    Labels are produced one at a time, so a caller that writes each one
+    out never holds them all."""
+    if cfg.mode == "uclso" and assign is None:
+        raise OversampleError("uclso mode needs a clustering")
+    for l in range(ds.q):
+        try:
+            if cfg.mode == "uclso":
+                aug = uclso_augment(ds, assign, l, cfg)
+            elif cfg.mode == "smote":
+                aug = smote_augment(ds, l, cfg)
+            else:
+                aug = _pack(ds, l, [], [])
+        except LabelUnusableError as exc:
+            aug = exc
+        yield aug
+
+
 def augment_all(
     ds: MultiLabelDataset,
     cfg: OversampleConfig,
@@ -236,17 +258,7 @@ def augment_all(
 ) -> list[AugmentedDataset]:
     """One augmentation per label, per the configured mode. Labels without
     minority points get an empty synthetic set."""
-    out = []
-    for l in range(ds.q):
-        try:
-            if cfg.mode == "uclso":
-                if assign is None:
-                    raise OversampleError("uclso mode needs a clustering")
-                out.append(uclso_augment(ds, assign, l, cfg))
-            elif cfg.mode == "smote":
-                out.append(smote_augment(ds, l, cfg))
-            else:
-                out.append(_pack(ds, l, [], []))
-        except LabelUnusableError:
-            out.append(_pack(ds, l, [], []))
-    return out
+    return [
+        _pack(ds, l, [], []) if isinstance(aug, LabelUnusableError) else aug
+        for l, aug in enumerate(iter_augments(ds, cfg, assign))
+    ]

@@ -71,6 +71,52 @@ class TestStats:
         )
         assert main(["stats", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize(
+        "old, new, message",
+        [
+            pytest.param("seed: 7\n", "seed: 7\nthreshold: 5.0\n",
+                         "config: unknown key 'threshold'", id="threshold"),
+            pytest.param("seed: 7\n", "seed: 7\ndataset: {name: x}\n",
+                         "config: unknown key 'dataset'", id="dataset_alias"),
+            pytest.param("train: {epochs: 6}", "train: {epochs: 6, tolerance: 0.5}",
+                         "train: unknown key 'tolerance'", id="train_tolerance"),
+            pytest.param("train: {epochs: 6}", "train: {tolerence: 0.5}",
+                         "train: unknown key 'tolerence'", id="train_typo"),
+            pytest.param("k_clusters: 3,", "k_cluster: 3,",
+                         "oversample: unknown key 'k_cluster'", id="oversample_typo"),
+            pytest.param("  - name: toy_b\n", "  - name: toy_b\n    weight: 2\n",
+                         "dataset entry 1: unknown key 'weight'", id="entry_key"),
+            pytest.param("      seed: 12\n", "      seed: 12\n      spread: 1\n",
+                         "dataset 'toy_b' toy: unknown key 'spread'", id="toy_key"),
+            pytest.param("cv: {reps: 2, folds: 2}", "cv: {reps: 2, fold: 2}",
+                         "cv: unknown key 'fold'", id="cv_key"),
+            pytest.param("methods:", "filter: {enable: true}\nmethods:",
+                         "filter: unknown key 'enable'", id="filter_key"),
+            pytest.param("cv: {reps: 2, folds: 2}", "cv: {reps: 0, folds: 2}",
+                         "cv needs reps >= 1, folds >= 2; got 0, 2", id="cv_reps_0"),
+            pytest.param("cv: {reps: 2, folds: 2}", "cv: {reps: 2, folds: 1}",
+                         "cv needs reps >= 1, folds >= 2; got 2, 1", id="cv_folds_1"),
+            pytest.param("cv: {reps: 2, folds: 2}", "cv: {reps: x, folds: 2}",
+                         "invalid cv or filter config", id="cv_reps_type"),
+            pytest.param("methods:", "filter: {min_pos: x}\nmethods:",
+                         "invalid cv or filter config", id="filter_type"),
+            pytest.param("methods:", "filter: {enabled: 'false'}\nmethods:",
+                         "filter.enabled must be a boolean", id="filter_enabled_type"),
+            pytest.param("seed: 7\n", "seed: x\n", "invalid seed", id="seed_type"),
+            pytest.param("methods:", "scale: [1]\nmethods:",
+                         "unknown scale mode", id="scale_type"),
+        ],
+    )
+    def test_rejected_config_is_usage_error(self, tmp_path, capsys, old, new, message):
+        out = tmp_path / "results"
+        path = tmp_path / "config.yaml"
+        text = CONFIG.format(out=out)
+        assert old in text
+        path.write_text(text.replace(old, new, 1))
+        assert main(["experiment", "--config", str(path)]) == 2
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCluster:
     def test_writes_assignments_and_centroids(self, config_path):
@@ -103,6 +149,38 @@ class TestOversample:
             n_min = int(ds.labels[:, l].sum())
             n_maj = ds.n - n_min
             assert n_maj - n_min <= totals[name] <= n_maj - n_min + cfg.oversample.k_clusters
+
+    @pytest.mark.parametrize("mode", ["uclso", "smote"])
+    def test_all_zero_label_is_skipped(self, tmp_path, capsys, mode):
+        out = tmp_path / "results"
+        path = tmp_path / "config.yaml"
+        text = CONFIG.format(out=out).replace("- {1: 0.4}", "- {}")
+        path.write_text(text.replace("m_neighbors: 5", f"m_neighbors: 5, mode: {mode}"))
+        assert main(["oversample", "--config", str(path)]) == 0
+        assert "skipping label 'label_1'" in capsys.readouterr().err
+        files = os.listdir(out)
+        assert "toy_a__label_0__synthetic.csv" in files
+        assert "toy_a__label_1__synthetic.csv" not in files
+        assert "toy_b__label_0__synthetic.csv" in files
+        from uclso.config import load_config
+
+        cfg = load_config(str(path))
+        k = cfg.oversample.k_clusters if mode == "uclso" else 0
+        for source in cfg.datasets:
+            with open(os.path.join(out, f"{source.name}__manifest.csv")) as fh:
+                rows = [l.split(",") for l in fh.read().splitlines()[2:]]
+            totals = {}
+            for label, cluster, count in rows:
+                totals[label] = totals.get(label, 0) + int(count)
+            ds = source.load()
+            usable = [
+                name for l, name in enumerate(ds.label_names) if ds.labels[:, l].any()
+            ]
+            assert sorted(totals) == usable
+            for name in usable:
+                n_min = int(ds.labels[:, ds.label_names.index(name)].sum())
+                n_maj = ds.n - n_min
+                assert n_maj - n_min <= totals[name] <= n_maj - n_min + k
 
     def test_mode_none_is_error(self, tmp_path):
         path = tmp_path / "c.yaml"

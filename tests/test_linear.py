@@ -11,9 +11,7 @@ from uclso.linear import (
     TrainMeta,
     br_fit,
     constant_model,
-    load_model,
     predict,
-    save_model,
     score,
     train_linear,
 )
@@ -85,8 +83,8 @@ class TestTrainLinear:
 
     def test_objective_decreases_with_more_epochs(self):
         X, y = blobs_2d(seed=7)
-        short = train_linear(X, y, TrainConfig(seed=1, epochs=2, tolerance=0.0))
-        long = train_linear(X, y, TrainConfig(seed=1, epochs=60, tolerance=0.0))
+        short = train_linear(X, y, TrainConfig(seed=1, epochs=2))
+        long = train_linear(X, y, TrainConfig(seed=1, epochs=60))
         assert long.train_meta.objective <= short.train_meta.objective + 1e-9
 
 
@@ -175,14 +173,3 @@ class TestBrFit:
         )
         assert br.constant_labels == ("always_on",)
         assert (predict(br.models[0], ds.features) == 1).all()
-
-
-def test_model_save_load_round_trip(tmp_path):
-    X, y = blobs_2d(seed=11)
-    model = train_linear(X, y, TrainConfig(seed=4, epochs=20))
-    path = str(tmp_path / "model.txt")
-    save_model(model, path)
-    back = load_model(path)
-    assert np.array_equal(model.weights, back.weights)
-    assert model.bias == back.bias
-    assert model.train_meta == back.train_meta
