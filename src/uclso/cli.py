@@ -21,7 +21,7 @@ import numpy as np
 
 from .arff_io import ArffError, write_mulan
 from .clustering import kmeans
-from .config import ConfigError, ExperimentConfig, load_config
+from .config import ConfigError, DatasetSource, ExperimentConfig, load_config
 from .dataset import (
     DatasetError,
     compute_stats,
@@ -29,7 +29,7 @@ from .dataset import (
     make_fold_plan,
     scale_min_max,
 )
-from .experiment import MethodSpec, run_cv
+from .experiment import MethodSpec, auc_defined, run_cv
 from .metrics import MetricError
 from .oversample import LabelUnusableError, OversampleError, iter_augments
 from .ranking import average_ranks, critical_difference_rows, friedman
@@ -175,11 +175,28 @@ def cmd_oversample(cfg: ExperimentConfig) -> int:
     return 0
 
 
+def _check_auc_defined(cfg: ExperimentConfig, source: DatasetSource) -> None:
+    """The rank tables need a defined AUC on every dataset. The fold plan
+    shows before any compute whether there is one, so a run that cannot
+    finish fails before it writes anything."""
+    ds = cfg.prepare(source.load())
+    plan = make_fold_plan(ds.n, cfg.cv_reps, cfg.cv_folds, cfg.seed)
+    if not auc_defined(ds.labels, plan):
+        raise DatasetError(
+            f"dataset {source.name!r}: no cross-validation cell has a label "
+            "with both classes in its test fold, so no AUC can be defined"
+        )
+
+
 def cmd_experiment(cfg: ExperimentConfig) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
     methods = [
         MethodSpec(name, replace(cfg.oversample, mode=name)) for name in cfg.methods
     ]
+    ranked = len(cfg.datasets) >= 2 and len(methods) >= 2
+    if ranked:
+        for source in cfg.datasets:
+            _check_auc_defined(cfg, source)
+    os.makedirs(cfg.out_dir, exist_ok=True)
     f1_scores = np.zeros((len(cfg.datasets), len(methods)))
     auc_scores = np.zeros_like(f1_scores)
     for di, source in enumerate(cfg.datasets):
@@ -208,7 +225,7 @@ def cmd_experiment(cfg: ExperimentConfig) -> int:
             f1_scores[di, mi] = summary["macro_f1_mean"]
             auc_scores[di, mi] = summary["macro_auc_mean"]
 
-    if len(cfg.datasets) >= 2 and len(methods) >= 2:
+    if ranked:
         names = [m.name for m in methods]
         ds_names = [s.name for s in cfg.datasets]
         for metric, scores in (("f1", f1_scores), ("auc", auc_scores)):

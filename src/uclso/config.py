@@ -141,6 +141,8 @@ def load_config(
     raw_datasets = data.get("datasets")
     if not raw_datasets:
         raise ConfigError("config names no datasets")
+    if not isinstance(raw_datasets, list):
+        raise ConfigError(f"config: datasets must be a list, got {raw_datasets!r}")
     sources = []
     for i, entry in enumerate(raw_datasets):
         _section(entry, DATASET_KEYS, f"dataset entry {i}")
@@ -164,7 +166,10 @@ def load_config(
     if len({s.name for s in sources}) != len(sources):
         raise ConfigError("duplicate dataset names")
 
-    methods = tuple(data.get("methods", ["none", "smote", "uclso"]))
+    raw_methods = data.get("methods", ["none", "smote", "uclso"])
+    if not isinstance(raw_methods, list):
+        raise ConfigError(f"config: methods must be a list, got {raw_methods!r}")
+    methods = tuple(raw_methods)
     for m in methods:
         if m not in ("none", "smote", "uclso"):
             raise ConfigError(f"unknown method {m!r}")
@@ -206,6 +211,12 @@ def load_config(
         raise ConfigError(f"invalid cv or filter config: {exc}") from None
     if cv_reps < 1 or cv_folds < 2:
         raise ConfigError(f"cv needs reps >= 1, folds >= 2; got {cv_reps}, {cv_folds}")
+    # an imbalance ratio is at least 1 and labels with ir >= max_ir are
+    # dropped, so max_ir <= 1 would drop every label
+    if not max_ir > 1:
+        raise ConfigError(f"filter: max_ir must be > 1, got {max_ir}")
+    if min_pos < 0:
+        raise ConfigError(f"filter: min_pos must be >= 0, got {min_pos}")
     filter_enabled = filt.get("enabled", False)
     if not isinstance(filter_enabled, bool):
         raise ConfigError(f"filter.enabled must be a boolean, got {filter_enabled!r}")

@@ -1,9 +1,15 @@
 """Repeated cross-validation harness: per fold-cell clustering,
 augmentation, binary-relevance training and metric collection.
 
-Cells run one after another in a plain loop, method, then repetition,
-then fold; there is no thread pool. Each cell is pure given its derived
-seed, so the report depends only on the inputs.
+Methods run one after another. Within a method, the (repetition, fold)
+cells are subset, clustered and augmented in turn, a group of cells at a
+time, into one training matrix per group, and all of the group's (cell,
+label) models are fit together in one lockstep run (see
+`linear.fit_lockstep`). Small cells share a group; a cell of large data
+is a group of its own (see GROUP_ELEMENTS). There is no thread pool.
+Each cell is pure given its derived seed, and a model's fit does not
+depend on the models that share its run, so the report depends only on
+the inputs.
 """
 
 from __future__ import annotations
@@ -14,9 +20,14 @@ import numpy as np
 
 from .clustering import kmeans
 from .dataset import FoldPlan, MultiLabelDataset
-from .linear import TrainConfig, br_fit, predict, score
+from .linear import TrainConfig, br_problems, fit_lockstep, predict, score
 from .metrics import auc_label, confusion, f1_label, macro_average
-from .oversample import OversampleConfig, augment_all
+from .oversample import (
+    OversampleConfig,
+    iter_augments,
+    label_draws,
+    synthetic_count,
+)
 
 
 @dataclass(frozen=True)
@@ -88,30 +99,30 @@ def _cell_seed(base: int, rep: int, fold: int) -> int:
     return int(np.random.SeedSequence([base, rep, fold]).generate_state(1)[0])
 
 
-def evaluate_cell(
+def auc_defined(labels: np.ndarray, plan: FoldPlan) -> bool:
+    """Whether some (repetition, fold) cell has a label with both classes
+    among its test rows, so that at least one AUC can be defined."""
+    for rep in range(plan.repetitions):
+        for fold in range(plan.folds_per_rep):
+            _, test_idx = plan.train_test(rep, fold)
+            positives = labels[test_idx].sum(axis=0)
+            if ((positives > 0) & (positives < test_idx.size)).any():
+                return True
+    return False
+
+
+def _score_cell(
     ds: MultiLabelDataset,
-    train_idx: np.ndarray,
     test_idx: np.ndarray,
-    method: MethodSpec,
-    train_cfg: TrainConfig,
+    models,
+    constant_labels: tuple[str, ...],
     rep: int,
     fold: int,
 ) -> FoldCell:
-    """Cluster, augment and fit on the training rows only, then score the
-    test rows. Test rows are never visible to clustering or synthesis."""
-    train_ds = ds.subset(train_idx)
-    os_cfg = replace(method.oversample, seed=_cell_seed(method.oversample.seed, rep, fold))
-    assign = None
-    if os_cfg.mode == "uclso":
-        assign = kmeans(train_ds.features, os_cfg.k_clusters, seed=os_cfg.seed)
-    augments = augment_all(train_ds, os_cfg, assign)
-    cell_train_cfg = replace(train_cfg, seed=_cell_seed(train_cfg.seed, rep, fold))
-    br = br_fit(train_ds, augments, cell_train_cfg, on_single_class="constant")
-
     X_test = ds.features[test_idx]
     y_test = ds.labels[test_idx]
     f1s, aucs, defined = [], [], []
-    for l, model in enumerate(br.models):
+    for l, model in enumerate(models):
         scores = score(model, X_test)
         preds = predict(model, X_test)
         f1s.append(f1_label(confusion(y_test[:, l], preds)))
@@ -136,8 +147,113 @@ def evaluate_cell(
         auc_defined=tuple(defined),
         macro_f1=macro_f1,
         macro_auc=macro_auc,
-        constant_labels=br.constant_labels,
+        constant_labels=constant_labels,
     )
+
+
+# Size of one lockstep group, in matrix elements: each training row is
+# stored once (d values) and sits in the row lists of up to q models. A
+# group takes cells until it holds GROUP_ELEMENTS // (d + q) rows, so many
+# small cells share one run while a cell of large data is a group of its
+# own, and memory stays near one cell's whatever the number of cells.
+GROUP_ELEMENTS = 1 << 20
+
+
+def _fit_group(
+    ds: MultiLabelDataset, train_cfg: TrainConfig, group: list
+) -> list[FoldCell]:
+    """Synthesize the group's cells, as _method_cells prepared them, into
+    one matrix, fit every (cell, label) model in one lockstep run and score
+    each cell."""
+    X = np.empty((sum(g[1].n + sum(g[5]) for g in group), ds.d))
+    rows, targets, seeds = [], [], []
+    start = 0
+    for (rep, fold, _, _), train_ds, os_cfg, assign, draws, counts in group:
+        synth = start + train_ds.n
+        end = synth + sum(counts)
+        X[start:synth] = train_ds.features
+        # each label's points land in X; its provenance is dropped with it
+        for _ in iter_augments(train_ds, os_cfg, assign, X[synth:end], draws):
+            pass
+        cell_rows, cell_targets, cell_seeds = br_problems(
+            train_ds.labels, start, counts, _cell_seed(train_cfg.seed, rep, fold)
+        )
+        rows += cell_rows
+        targets += cell_targets
+        seeds += cell_seeds
+        start = end
+    models, constant = fit_lockstep(
+        X, rows, targets, seeds, train_cfg, on_single_class="constant"
+    )
+
+    q = ds.q
+    return [
+        _score_cell(
+            ds,
+            test_idx,
+            models[c * q:(c + 1) * q],
+            tuple(ds.label_names[i - c * q] for i in constant if i // q == c),
+            rep,
+            fold,
+        )
+        for c, ((rep, fold, _, test_idx), *_) in enumerate(group)
+    ]
+
+
+def _method_cells(
+    ds: MultiLabelDataset,
+    method: MethodSpec,
+    train_cfg: TrainConfig,
+    cells: list[tuple[int, int, np.ndarray, np.ndarray]],
+) -> list[FoldCell]:
+    """One method over the given (rep, fold, train_idx, test_idx) cells.
+
+    1. Per cell: subset the training rows, cluster them (uclso) and work
+       out each label's draws, and so its synthetic count.
+    2. Per group of cells (see GROUP_ELEMENTS): allocate one matrix with,
+       per cell, its base rows, then each label's synthetic rows, which
+       synthesis writes in place.
+    3. Fit every (cell, label) model of the group in one lockstep run.
+    4. Score each cell on its test rows.
+    """
+    max_rows = GROUP_ELEMENTS // (ds.d + ds.q)
+    results: list[FoldCell] = []
+    group: list = []
+    group_rows = 0
+    for cell in cells:
+        rep, fold, train_idx, _ = cell
+        train_ds = ds.subset(train_idx)
+        os_cfg = replace(
+            method.oversample, seed=_cell_seed(method.oversample.seed, rep, fold)
+        )
+        assign = None
+        if os_cfg.mode == "uclso":
+            assign = kmeans(train_ds.features, os_cfg.k_clusters, seed=os_cfg.seed)
+        draws = [label_draws(train_ds, os_cfg, assign, l) for l in range(ds.q)]
+        counts = [synthetic_count(d) for d in draws]
+        group.append((cell, train_ds, os_cfg, assign, draws, counts))
+        group_rows += train_ds.n + sum(counts)
+        if group_rows >= max_rows:
+            results += _fit_group(ds, train_cfg, group)
+            group, group_rows = [], 0
+    if group:
+        results += _fit_group(ds, train_cfg, group)
+    return results
+
+
+def evaluate_cell(
+    ds: MultiLabelDataset,
+    train_idx: np.ndarray,
+    test_idx: np.ndarray,
+    method: MethodSpec,
+    train_cfg: TrainConfig,
+    rep: int,
+    fold: int,
+) -> FoldCell:
+    """Cluster, augment and fit on the training rows only, then score the
+    test rows. Test rows are never visible to clustering or synthesis.
+    This is run_cv's path with a single cell."""
+    return _method_cells(ds, method, train_cfg, [(rep, fold, train_idx, test_idx)])[0]
 
 
 def run_cv(
@@ -157,19 +273,17 @@ def run_cv(
     names = [m.name for m in methods]
     if len(set(names)) != len(names):
         raise ValueError("duplicate method names")
+    cells = [
+        (rep, fold, *plan.train_test(rep, fold))
+        for rep in range(plan.repetitions)
+        for fold in range(plan.folds_per_rep)
+    ]
     reports = {}
     for method in methods:
-        cells = []
-        for rep in range(plan.repetitions):
-            for fold in range(plan.folds_per_rep):
-                train_idx, test_idx = plan.train_test(rep, fold)
-                cells.append(
-                    evaluate_cell(ds, train_idx, test_idx, method, train_cfg, rep, fold)
-                )
         reports[method.name] = MetricReport(
             method=method.name,
             label_names=ds.label_names,
-            cells=tuple(cells),
+            cells=tuple(_method_cells(ds, method, train_cfg, cells)),
             seed=method.oversample.seed,
         )
     return reports

@@ -3,11 +3,21 @@ stochastic subgradient descent, one independent model per label.
 
 Training is the fixed-T minibatch Pegasos update (Shalev-Shwartz, Singer
 & Srebro, ICML 2007): every fit runs exactly `epochs` passes; there is no
-early stop."""
+early stop. Many independent models are fit in lockstep, as one
+(models x features) weight matrix over one shared row matrix: each step
+advances every model by one minibatch of its own rows, with its own random
+stream, step counter and regularization. A model's arithmetic does not
+depend on which other models share its run, so fitting it alone, with the
+other labels of its cell, or with other cells of its method gives bit-equal
+weights, as long as the minibatch width, min(batch_size, largest row
+count), is the same: always so when each run has a problem with at least
+batch_size rows.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from collections.abc import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -56,6 +66,117 @@ class LinearModel:
         self.weights.setflags(write=False)
 
 
+def fit_lockstep(
+    X: np.ndarray,
+    rows: Sequence[np.ndarray],
+    targets: Sequence[np.ndarray],
+    seeds: Sequence[int],
+    cfg: TrainConfig,
+    on_single_class: str = "raise",
+    names: Sequence[str] | None = None,
+) -> tuple[list[LinearModel], list[int]]:
+    """Fit one hinge-loss model per problem, all in one lockstep loop.
+
+    Problem i trains on the rows X[rows[i]] with binary targets
+    targets[i] in {0, 1}, under seeds[i]; its regularization is
+    lambda = 1 / (cfg.reg_c * n_i). Every epoch each model draws its own
+    permutation of its n_i rows; step j then takes its minibatch j, the
+    last one partial when cfg.batch_size does not divide n_i. A model whose
+    epoch has no steps left waits for the others.
+
+    A problem whose targets hold a single class raises SingleClassError
+    (naming names[i] when given), or with on_single_class="constant" gets
+    a zero-weight scorer biased toward that class. Returns the models in
+    problem order and the indices of the constant ones.
+    """
+    X = np.asarray(X, dtype=float)
+    if X.ndim != 2:
+        raise TrainingError("X must be a 2-d matrix")
+    if not np.isfinite(X).all():
+        raise TrainingError("non-finite feature values")
+    d = X.shape[1]
+    models: list = [None] * len(rows)
+    constant = []
+    fit = []
+    for i, (r, y) in enumerate(zip(rows, targets)):
+        if len(r) != len(y):
+            raise TrainingError("X rows must match y length")
+        classes = np.unique(y)
+        if classes.size >= 2:
+            fit.append(i)
+            continue
+        if on_single_class != "constant":
+            where = f"label {names[i]!r}: " if names is not None else ""
+            raise SingleClassError(
+                f"{where}targets contain a single class: {classes.tolist()}"
+            )
+        models[i] = constant_model(d, 1.0 if classes[0] == 1 else -1.0)
+        constant.append(i)
+    if not fit:
+        return models, constant
+
+    # models by decreasing row count, so those still in their epoch at any
+    # step are a prefix [:active]
+    order = sorted(fit, key=lambda i: -len(rows[i]))
+    M = len(order)
+    B = cfg.batch_size
+    n = np.array([len(rows[i]) for i in order])
+    width = min(B, int(n[0]))  # rows per minibatch slot
+    steps = -(-n // B)
+    cols = int(steps[0]) * width
+    # each model's rows and +-1 targets, padded to `cols` with row 0 and
+    # target 0: a padding slot has margin 0 and adds nothing to a gradient
+    R = np.zeros((M, cols), dtype=np.intp)
+    S = np.zeros((M, cols))
+    for k, i in enumerate(order):
+        R[k, :n[k]] = rows[i]
+        S[k, :n[k]] = np.where(np.asarray(targets[i]) == 1, 1.0, -1.0)
+    # this epoch's order of slots, as flat indices into R and S
+    P = np.arange(M * cols).reshape(M, cols)
+    rngs = [np.random.default_rng(seeds[i]) for i in order]
+    lam = 1.0 / (cfg.reg_c * n)
+    decay = lam if cfg.lr_decay is None else cfg.lr_decay
+    lr = cfg.learning_rate
+    active = [int((steps > j).sum()) for j in range(int(steps[0]))]
+    step = np.arange(len(active))[:, None]
+    # true size of each model's minibatch j: the gradient divides by it
+    batch = np.minimum(B, n[None, :] - B * step)
+
+    w = np.zeros((M, d))
+    b = np.zeros(M)
+    for epoch in range(cfg.epochs):
+        for k in range(M):
+            P[k, :n[k]] = rngs[k].permutation(int(n[k])) + k * cols
+        rows_e = R.take(P)
+        s_e = S.take(P)
+        # step size of each model's minibatch j: its t-th step overall
+        t = (epoch * steps + 1 + step).astype(float)
+        eta = lr / (1.0 + lr * decay * t)
+        for j, a in enumerate(active):
+            slots = slice(j * width, (j + 1) * width)
+            Xb = X.take(rows_e[:a, slots], axis=0)
+            sb = s_e[:a, slots]
+            wa = w[:a]
+            margins = sb * (np.matmul(Xb, wa[:, :, None])[:, :, 0] + b[:a, None])
+            viol = sb * (margins < 1.0)  # +-1 where the hinge is active, else 0
+            size = batch[j, :a]
+            # each model's violators summed row after row, in batch order
+            hinge_sum = np.einsum("mb,mbd->md", viol, Xb)
+            grad_w = lam[:a, None] * wa - hinge_sum / size[:, None]
+            grad_b = -viol.sum(axis=1) / size
+            w[:a] = wa - eta[j, :a, None] * grad_w
+            b[:a] = b[:a] - eta[j, :a] * grad_b
+
+    for k, i in enumerate(order):
+        s = S[k, :n[k]]
+        hinge = np.maximum(0.0, 1.0 - s * (X[rows[i]] @ w[k] + b[k])).mean()
+        objective = 0.5 * lam[k] * float(w[k] @ w[k]) + float(hinge)
+        models[i] = LinearModel(
+            w[k].copy(), float(b[k]), TrainMeta(cfg.reg_c, cfg.epochs, objective)
+        )
+    return models, constant
+
+
 def train_linear(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> LinearModel:
     """Fit a hinge-loss linear model on binary targets y in {0, 1}.
 
@@ -66,40 +187,8 @@ def train_linear(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> LinearModel:
     y = np.asarray(y)
     if X.ndim != 2 or X.shape[0] != y.shape[0]:
         raise TrainingError("X rows must match y length")
-    if not np.isfinite(X).all():
-        raise TrainingError("non-finite feature values")
-    classes = np.unique(y)
-    if classes.size < 2:
-        raise SingleClassError(f"targets contain a single class: {classes.tolist()}")
-    n, d = X.shape
-    s = np.where(y == 1, 1.0, -1.0)
-    lam = 1.0 / (cfg.reg_c * n)
-    decay = cfg.lr_decay if cfg.lr_decay is not None else lam
-    rng = np.random.default_rng(cfg.seed)
-
-    w = np.zeros(d)
-    b = 0.0
-    t = 0
-    for _ in range(cfg.epochs):
-        perm = rng.permutation(n)
-        for start in range(0, n, cfg.batch_size):
-            batch = perm[start:start + cfg.batch_size]
-            Xb, sb = X[batch], s[batch]
-            margins = sb * (Xb @ w + b)
-            viol = margins < 1.0
-            t += 1
-            eta = cfg.learning_rate / (1.0 + cfg.learning_rate * decay * t)
-            grad_w = lam * w
-            if viol.any():
-                grad_w = grad_w - (sb[viol, None] * Xb[viol]).sum(axis=0) / batch.size
-                grad_b = -float(sb[viol].sum()) / batch.size
-            else:
-                grad_b = 0.0
-            w = w - eta * grad_w
-            b = b - eta * grad_b
-    hinge = np.maximum(0.0, 1.0 - s * (X @ w + b)).mean()
-    objective = 0.5 * lam * float(w @ w) + float(hinge)
-    return LinearModel(w, float(b), TrainMeta(cfg.reg_c, cfg.epochs, objective))
+    models, _ = fit_lockstep(X, [np.arange(X.shape[0])], [y], [cfg.seed], cfg)
+    return models[0]
 
 
 def constant_model(d: int, bias: float) -> LinearModel:
@@ -130,6 +219,30 @@ class BRModels:
     constant_labels: tuple[str, ...] = ()
 
 
+def br_problems(
+    labels: np.ndarray, start: int, extra_counts: Sequence[int], seed: int
+) -> tuple[list[np.ndarray], list[np.ndarray], list[int]]:
+    """Rows, targets and seeds of one cell's binary-relevance problems.
+
+    The cell's training matrix holds its n base rows from row `start`,
+    then extra_counts[0] synthetic rows of label 0, then those of label 1,
+    and so on. Label l's model trains on the base rows and its own
+    synthetic rows, which are all relevant, under a seed derived from
+    (seed, l).
+    """
+    n, q = labels.shape
+    base = np.arange(start, start + n)
+    rows, targets, seeds = [], [], []
+    offset = start + n
+    for l in range(q):
+        k = extra_counts[l]
+        rows.append(np.concatenate([base, np.arange(offset, offset + k)]))
+        targets.append(np.concatenate([labels[:, l], np.ones(k, dtype=int)]))
+        seeds.append(int(np.random.SeedSequence([seed, l]).generate_state(1)[0]))
+        offset += k
+    return rows, targets, seeds
+
+
 def br_fit(
     ds: MultiLabelDataset,
     augments: list[AugmentedDataset],
@@ -144,24 +257,13 @@ def br_fit(
     """
     if len(augments) != ds.q:
         raise TrainingError("need exactly one augmentation per label")
-    models = []
-    constant = []
-    for l, aug in enumerate(augments):
-        if aug.label_index != l:
-            raise TrainingError("augmentations out of label order")
-        X = aug.features()
-        y = aug.label_vector()
-        label_cfg = replace(
-            cfg, seed=int(np.random.SeedSequence([cfg.seed, l]).generate_state(1)[0])
-        )
-        try:
-            models.append(train_linear(X, y, label_cfg))
-        except SingleClassError as exc:
-            if on_single_class != "constant":
-                raise SingleClassError(
-                    f"label {ds.label_names[l]!r}: {exc}"
-                ) from None
-            only = int(np.unique(y)[0])
-            models.append(constant_model(ds.d, 1.0 if only == 1 else -1.0))
-            constant.append(ds.label_names[l])
-    return BRModels(tuple(models), tuple(constant))
+    if any(aug.label_index != l for l, aug in enumerate(augments)):
+        raise TrainingError("augmentations out of label order")
+    X = np.vstack([ds.features] + [aug.extra.points for aug in augments])
+    rows, targets, seeds = br_problems(
+        ds.labels, 0, [len(aug.extra) for aug in augments], cfg.seed
+    )
+    models, constant = fit_lockstep(
+        X, rows, targets, seeds, cfg, on_single_class, ds.label_names
+    )
+    return BRModels(tuple(models), tuple(ds.label_names[l] for l in constant))

@@ -134,51 +134,142 @@ def _open_unit(rng: np.random.Generator) -> float:
     return r
 
 
+# Rows of the pool-by-pool distance matrix argsorted at a time: bounds the
+# index buffer while giving each row the order a full argsort gives it.
+SORT_ROWS = 256
+
+
+def neighbours(points: np.ndarray, m: int) -> np.ndarray:
+    """Indices of each point's m nearest other points, nearest first.
+
+    Squared distances come from one pool-by-pool buffer built in place;
+    rows are stable-argsorted in chunks of SORT_ROWS, so distance ties
+    keep the lower index first, exactly as one full stable argsort."""
+    sq = (points * points).sum(axis=1)
+    d2 = 2.0 * points @ points.T
+    np.subtract(sq[:, None], d2, out=d2)
+    d2 += sq[None, :]
+    np.fill_diagonal(d2, np.inf)
+    neigh = np.empty((points.shape[0], m), dtype=np.intp)
+    for start in range(0, points.shape[0], SORT_ROWS):
+        chunk = d2[start:start + SORT_ROWS]
+        neigh[start:start + SORT_ROWS] = np.argsort(chunk, axis=1, kind="stable")[:, :m]
+    return neigh
+
+
 def _synthesize(
     features: np.ndarray,
     pool: np.ndarray,
-    count: int,
     m_neighbors: int,
     rng: np.random.Generator,
     cluster: int,
-    points: list,
+    out: np.ndarray,
     provenance: list,
 ) -> None:
-    """Append `count` interpolants between minority points of `pool`."""
+    """Fill `out` with interpolants between minority points of `pool`,
+    one row per point, and append each point's provenance."""
+    count = out.shape[0]
     if pool.size == 1:
         # degenerate neighbourhood: duplicate the lone minority point
         only = int(pool[0])
-        for _ in range(count):
-            points.append(features[only].copy())
-            provenance.append(Provenance(cluster, only, only, 0.0))
+        out[:] = features[only]
+        provenance.extend([Provenance(cluster, only, only, 0.0)] * count)
         return
-    sub = features[pool]
-    d2 = (
-        (sub * sub).sum(axis=1)[:, None]
-        - 2.0 * sub @ sub.T
-        + (sub * sub).sum(axis=1)[None, :]
-    )
-    np.fill_diagonal(d2, np.inf)
     m = min(m_neighbors, pool.size - 1)
-    # stable ordering keeps neighbour lists deterministic under distance ties
-    neigh = np.argsort(d2, axis=1, kind="stable")[:, :m]
+    neigh = neighbours(features[pool], m).tolist()
+    ids = pool.tolist()
+    first = len(provenance)
+    # one point at a time: the draw order fixes the random stream
     for _ in range(count):
-        u_local = int(rng.integers(pool.size))
-        v_local = int(neigh[u_local, int(rng.integers(m))])
-        r = _open_unit(rng)
-        u_idx = int(pool[u_local])
-        v_idx = int(pool[v_local])
-        points.append(interpolate(features[u_idx], features[v_idx], r))
-        provenance.append(Provenance(cluster, u_idx, v_idx, r))
+        u = int(rng.integers(len(ids)))
+        v = neigh[u][int(rng.integers(m))]
+        provenance.append(Provenance(cluster, ids[u], ids[v], _open_unit(rng)))
+    drawn = provenance[first:]
+    base = features[[p.parent_u for p in drawn]]
+    # u + (v - u) * r, row by row, as interpolate() computes it
+    np.subtract(features[[p.parent_v for p in drawn]], base, out=out)
+    out *= np.array([p.r for p in drawn])[:, None]
+    out += base
 
 
-def _pack(
-    ds: MultiLabelDataset, l: int, points: list, provenance: list
+# (cluster, minority pool, count) of each pool a label's points come from
+Draws = list[tuple[int, np.ndarray, int]]
+
+
+def _uclso_draws(ds: MultiLabelDataset, assign: ClusterAssignment, l: int) -> Draws:
+    """(cluster, minority pool, count) per cluster with a non-zero quota."""
+    if assign.assignment.shape[0] != ds.n:
+        raise OversampleError("clustering was not computed on this dataset")
+    min_idx, maj_idx = minority_class(ds, l)
+    min_cluster = assign.assignment[min_idx]
+    draws = []
+    for p in range(assign.k):
+        pool = min_idx[min_cluster == p]
+        count = quota(pool.size, min_idx.size, maj_idx.size)
+        if count:
+            draws.append((p, pool, count))
+    return draws
+
+
+def _smote_draws(ds: MultiLabelDataset, l: int) -> Draws:
+    """The whole minority set as one pool (cluster -1), n_maj - n_min points."""
+    min_idx, maj_idx = minority_class(ds, l)
+    count = max(0, maj_idx.size - min_idx.size)
+    return [(-1, min_idx, count)] if count else []
+
+
+def label_draws(
+    ds: MultiLabelDataset,
+    cfg: OversampleConfig,
+    assign: ClusterAssignment | None,
+    l: int,
+) -> Draws | LabelUnusableError:
+    """The (cluster, minority pool, count) draws the configured mode makes
+    for label l, worked out without drawing any point: one per cluster
+    with a non-zero quota for uclso, the whole minority set as cluster -1
+    for smote, none for none. A label with no minority points gets the
+    LabelUnusableError that says so (except in mode none)."""
+    if cfg.mode == "none":
+        return []
+    try:
+        if cfg.mode == "uclso":
+            return _uclso_draws(ds, assign, l)
+        return _smote_draws(ds, l)
+    except LabelUnusableError as exc:
+        return exc
+
+
+def synthetic_count(draws: Draws | LabelUnusableError) -> int:
+    """Number of points a label_draws result synthesizes."""
+    if isinstance(draws, LabelUnusableError):
+        return 0
+    return sum(count for _, _, count in draws)
+
+
+def _augment(
+    ds: MultiLabelDataset,
+    l: int,
+    cfg: OversampleConfig,
+    draws: Draws,
+    out: np.ndarray | None,
 ) -> AugmentedDataset:
-    pts = (
-        np.asarray(points) if points else np.empty((0, ds.d))
-    )
-    return AugmentedDataset(ds, SyntheticSet(l, pts, tuple(provenance)), l)
+    total = synthetic_count(draws)
+    if out is None:
+        out = np.empty((total, ds.d))
+    elif out.shape != (total, ds.d):
+        raise OversampleError(
+            f"output block has shape {out.shape}, label {l} needs {(total, ds.d)}"
+        )
+    rng = _label_rng(cfg.seed, l)
+    provenance: list = []
+    start = 0
+    for cluster, pool, count in draws:
+        _synthesize(
+            ds.features, pool, cfg.m_neighbors, rng, cluster,
+            out[start:start + count], provenance,
+        )
+        start += count
+    return AugmentedDataset(ds, SyntheticSet(l, out, tuple(provenance)), l)
 
 
 def uclso_augment(
@@ -186,69 +277,73 @@ def uclso_augment(
     assign: ClusterAssignment,
     l: int,
     cfg: OversampleConfig,
+    out: np.ndarray | None = None,
+    draws: Draws | None = None,
 ) -> AugmentedDataset:
     """Cluster-guarded augmentation for one label.
 
     Each cluster with minority presence contributes its quota of synthetic
     points, interpolated between minority points of that cluster only.
+    The points are written into `out` (shape: synthetic count by d) when
+    given, else into a new array. `draws`, the label's label_draws result
+    when the caller already has it, is not worked out again.
     """
-    if assign.assignment.shape[0] != ds.n:
-        raise OversampleError("clustering was not computed on this dataset")
-    min_idx, maj_idx = minority_class(ds, l)
-    min_cluster = assign.assignment[min_idx]
-    rng = _label_rng(cfg.seed, l)
-    points: list = []
-    provenance: list = []
-    for p in range(assign.k):
-        pool = min_idx[min_cluster == p]
-        count = quota(pool.size, min_idx.size, maj_idx.size)
-        if count == 0:
-            continue
-        _synthesize(
-            ds.features, pool, count, cfg.m_neighbors, rng, p, points, provenance
-        )
-    return _pack(ds, l, points, provenance)
+    if draws is None:
+        draws = _uclso_draws(ds, assign, l)
+    return _augment(ds, l, cfg, draws, out)
 
 
 def smote_augment(
-    ds: MultiLabelDataset, l: int, cfg: OversampleConfig
+    ds: MultiLabelDataset,
+    l: int,
+    cfg: OversampleConfig,
+    out: np.ndarray | None = None,
+    draws: Draws | None = None,
 ) -> AugmentedDataset:
     """Global-neighbourhood baseline: neighbours come from the whole
-    minority set and exactly n_maj - n_min points are generated."""
-    min_idx, maj_idx = minority_class(ds, l)
-    count = max(0, maj_idx.size - min_idx.size)
-    rng = _label_rng(cfg.seed, l)
-    points: list = []
-    provenance: list = []
-    if count:
-        _synthesize(
-            ds.features, min_idx, count, cfg.m_neighbors, rng, -1, points, provenance
-        )
-    return _pack(ds, l, points, provenance)
+    minority set and exactly n_maj - n_min points are generated, into
+    `out` when given, from `draws` as for uclso_augment."""
+    if draws is None:
+        draws = _smote_draws(ds, l)
+    return _augment(ds, l, cfg, draws, out)
+
+
+def _empty(ds: MultiLabelDataset, l: int) -> AugmentedDataset:
+    return AugmentedDataset(ds, SyntheticSet(l, np.empty((0, ds.d)), ()), l)
 
 
 def iter_augments(
     ds: MultiLabelDataset,
     cfg: OversampleConfig,
     assign: ClusterAssignment | None = None,
+    out: np.ndarray | None = None,
+    draws: list[Draws | LabelUnusableError] | None = None,
 ) -> Iterator[AugmentedDataset | LabelUnusableError]:
     """Per label, in label order, the augmentation the configured mode
     makes, or the LabelUnusableError saying why the label has none.
     Labels are produced one at a time, so a caller that writes each one
-    out never holds them all."""
+    out never holds them all. `draws` holds each label's label_draws
+    result when the caller has worked them out. With `out`, label l's
+    points are written into its next synthetic_count(draws[l]) rows."""
     if cfg.mode == "uclso" and assign is None:
         raise OversampleError("uclso mode needs a clustering")
+    start = 0
     for l in range(ds.q):
-        try:
-            if cfg.mode == "uclso":
-                aug = uclso_augment(ds, assign, l, cfg)
-            elif cfg.mode == "smote":
-                aug = smote_augment(ds, l, cfg)
-            else:
-                aug = _pack(ds, l, [], [])
-        except LabelUnusableError as exc:
-            aug = exc
-        yield aug
+        plan = label_draws(ds, cfg, assign, l) if draws is None else draws[l]
+        if isinstance(plan, LabelUnusableError):
+            yield plan
+            continue
+        block = None
+        if out is not None:
+            count = synthetic_count(plan)
+            block = out[start:start + count]
+            start += count
+        if cfg.mode == "uclso":
+            yield uclso_augment(ds, assign, l, cfg, block, plan)
+        elif cfg.mode == "smote":
+            yield smote_augment(ds, l, cfg, block, plan)
+        else:
+            yield _empty(ds, l)
 
 
 def augment_all(
@@ -259,6 +354,6 @@ def augment_all(
     """One augmentation per label, per the configured mode. Labels without
     minority points get an empty synthetic set."""
     return [
-        _pack(ds, l, [], []) if isinstance(aug, LabelUnusableError) else aug
+        _empty(ds, l) if isinstance(aug, LabelUnusableError) else aug
         for l, aug in enumerate(iter_augments(ds, cfg, assign))
     ]

@@ -105,6 +105,17 @@ class TestStats:
             pytest.param("seed: 7\n", "seed: x\n", "invalid seed", id="seed_type"),
             pytest.param("methods:", "scale: [1]\nmethods:",
                          "unknown scale mode", id="scale_type"),
+            pytest.param("methods: [none, smote, uclso]", "methods: 5",
+                         "config: methods must be a list, got 5", id="methods_type"),
+            # a repeated YAML key keeps its last value
+            pytest.param("methods:", "datasets: 3\nmethods:",
+                         "config: datasets must be a list, got 3", id="datasets_type"),
+            pytest.param("methods:", "filter: {max_ir: -3}\nmethods:",
+                         "filter: max_ir must be > 1, got -3.0", id="max_ir_range"),
+            pytest.param("methods:", "filter: {max_ir: 1}\nmethods:",
+                         "filter: max_ir must be > 1, got 1.0", id="max_ir_one"),
+            pytest.param("methods:", "filter: {min_pos: -1}\nmethods:",
+                         "filter: min_pos must be >= 0, got -1", id="min_pos_range"),
         ],
     )
     def test_rejected_config_is_usage_error(self, tmp_path, capsys, old, new, message):
@@ -225,6 +236,34 @@ class TestExperiment:
         with open(os.path.join(out, "toy_a__uclso__summary.json")) as fh:
             summary = json.load(fh)
         assert "config_hash" in summary and summary["seed"] == 7
+
+    def test_no_defined_auc_fails_before_compute(self, tmp_path, capsys):
+        # toy_b's only label is all zero: no test fold of any cell has both
+        # classes, so no AUC can be defined for it
+        out = tmp_path / "results"
+        path = tmp_path / "config.yaml"
+        path.write_text(CONFIG.format(out=out).replace("- {1: 0.3}", "- {}"))
+        assert main(["experiment", "--config", str(path)]) == 1
+        assert "dataset 'toy_b'" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("keep", ["toy_b only", "uclso only"])
+    def test_no_defined_auc_without_ranking_still_runs(self, tmp_path, keep):
+        # with one dataset, or one method, no rank table is written, so a
+        # dataset with no defined AUC still gets its cells and a NaN AUC
+        out = tmp_path / "results"
+        text = CONFIG.format(out=out).replace("- {1: 0.3}", "- {}")
+        if keep == "toy_b only":
+            text = text[:text.index("  - name: toy_a")] + text[text.index("  - name: toy_b"):]
+        else:
+            text = text.replace("methods: [none, smote, uclso]", "methods: [uclso]")
+        path = tmp_path / "config.yaml"
+        path.write_text(text)
+        assert main(["experiment", "--config", str(path)]) == 0
+        with open(out / "toy_b__uclso__summary.json") as fh:
+            summary = json.load(fh)
+        assert np.isnan(summary["macro_auc_mean"])
+        assert not (out / "rank_auc.csv").exists()
 
     def test_byte_identical_reruns_and_thread_invariance(self, tmp_path):
         out1, out2, out3 = (str(tmp_path / d) for d in ("r1", "r2", "r3"))

@@ -1,10 +1,14 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from uclso import experiment
+from uclso.clustering import kmeans
 from uclso.dataset import MultiLabelDataset, make_fold_plan
-from uclso.experiment import MethodSpec, evaluate_cell, run_cv
-from uclso.linear import TrainConfig
-from uclso.oversample import OversampleConfig
+from uclso.experiment import MethodSpec, _cell_seed, auc_defined, evaluate_cell, run_cv
+from uclso.linear import TrainConfig, br_fit, fit_lockstep, train_linear
+from uclso.oversample import OversampleConfig, augment_all
 
 
 def small_ds(seed=0, n=120):
@@ -139,3 +143,116 @@ class TestRunCv:
         plan = make_fold_plan(ds.n, 1, 2, seed=1)
         with pytest.raises(ValueError, match="duplicate"):
             run_cv(ds, methods("none", "none"), plan, FAST)
+
+
+def lone_point_ds():
+    """Minority points in one blob plus a far-off minority point that
+    k-means gives a cluster of its own: a pool of one point, which uclso
+    fills by duplicating it."""
+    rng = np.random.default_rng(4)
+    X = np.vstack([rng.normal((0, 0), 1.0, (60, 2)), rng.normal((4, 1), 0.5, (20, 2)),
+                   [[60.0, 60.0], [61.0, 59.0]]])
+    labels = np.zeros((82, 2), dtype=int)
+    labels[60:80, 0] = 1
+    labels[80:, 0] = 1
+    labels[::3, 1] = 1
+    return MultiLabelDataset(X, labels, ("x0", "x1"), ("blob", "thirds"))
+
+
+class TestMethodWideFit:
+    @pytest.mark.parametrize("name", ["none", "smote", "uclso"])
+    def test_run_cv_cells_equal_evaluate_cell(self, name):
+        ds = lone_point_ds()
+        plan = make_fold_plan(ds.n, 2, 2, seed=3)
+        method = methods(name)[0]
+        report = run_cv(ds, [method], plan, FAST)[name]
+        for cell in report.cells:
+            train_idx, test_idx = plan.train_test(cell.rep, cell.fold)
+            alone = evaluate_cell(ds, train_idx, test_idx, method, FAST, cell.rep, cell.fold)
+            assert alone == cell
+
+    def test_some_uclso_cell_has_a_pool_of_one(self):
+        # the case above covers a pool of one only if some training fold
+        # holds exactly one of the far-off points in a cluster of its own
+        ds = lone_point_ds()
+        plan = make_fold_plan(ds.n, 2, 2, seed=3)
+        os_cfg = methods("uclso")[0].oversample
+        lone = 0
+        for rep in range(2):
+            for fold in range(2):
+                train_idx, _ = plan.train_test(rep, fold)
+                train = ds.subset(train_idx)
+                seed = _cell_seed(os_cfg.seed, rep, fold)
+                assign = kmeans(train.features, os_cfg.k_clusters, seed=seed)
+                pools = np.bincount(assign.assignment[train.labels[:, 0] == 1],
+                                    minlength=assign.k)
+                lone += int((pools == 1).any())
+        assert lone > 0
+
+    def test_models_bit_equal_alone_per_cell_and_per_method(self, monkeypatch):
+        ds = small_ds()
+        plan = make_fold_plan(ds.n, 2, 2, seed=1)
+        method = methods("uclso")[0]
+        fitted = []
+
+        def spy(*args, **kwargs):
+            result = fit_lockstep(*args, **kwargs)
+            fitted.append(result[0])
+            return result
+
+        monkeypatch.setattr(experiment, "fit_lockstep", spy)
+        run_cv(ds, [method], plan, FAST)
+        (group,) = fitted
+        assert len(group) == 4 * ds.q
+        for c, (rep, fold) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
+            train_idx, _ = plan.train_test(rep, fold)
+            train = ds.subset(train_idx)
+            os_cfg = replace(method.oversample, seed=_cell_seed(method.oversample.seed, rep, fold))
+            augments = augment_all(train, os_cfg, kmeans(train.features, 3, seed=os_cfg.seed))
+            cell_cfg = replace(FAST, seed=_cell_seed(FAST.seed, rep, fold))
+            br = br_fit(train, augments, cell_cfg)
+            for l, aug in enumerate(augments):
+                seed = int(np.random.SeedSequence([cell_cfg.seed, l]).generate_state(1)[0])
+                alone = train_linear(aug.features(), aug.label_vector(), replace(cell_cfg, seed=seed))
+                for model in (br.models[l], group[c * ds.q + l]):
+                    assert np.array_equal(alone.weights, model.weights)
+                    assert alone.bias == model.bias
+
+
+    @pytest.mark.parametrize("name", ["none", "uclso"])
+    def test_group_size_does_not_change_cells(self, monkeypatch, name):
+        ds = small_ds()
+        plan = make_fold_plan(ds.n, 2, 2, seed=1)
+        method = methods(name)[0]
+        groups = []  # (models, matrix rows) of each lockstep run
+
+        def spy(*args, **kwargs):
+            groups.append((len(args[1]), args[0].shape[0]))
+            return fit_lockstep(*args, **kwargs)
+
+        def cells(elements):
+            monkeypatch.setattr(experiment, "GROUP_ELEMENTS", elements)
+            groups.clear()
+            result = run_cv(ds, [method], plan, FAST)[name].cells
+            assert sum(models for models, _ in groups) == 4 * ds.q
+            return result, len(groups)
+
+        monkeypatch.setattr(experiment, "fit_lockstep", spy)
+        whole, count = cells(experiment.GROUP_ELEMENTS)
+        assert count == 1
+        alone, count = cells(1)
+        assert count == 4 and alone == whole
+        # a budget of the first two cells' rows: a group of two, then the rest
+        rows = [r for _, r in groups]
+        pairs, count = cells((ds.d + ds.q) * (rows[0] + rows[1]))
+        assert 1 < count < 4 and pairs == whole
+
+class TestAucDefined:
+    def test_plan_and_labels_decide(self):
+        plan = make_fold_plan(40, 2, 2, seed=0)
+        labels = np.zeros((40, 2), dtype=int)
+        assert not auc_defined(labels, plan)
+        labels[:, 1] = 1
+        assert not auc_defined(labels, plan)
+        labels[:20, 0] = 1
+        assert auc_defined(labels, plan)

@@ -1,4 +1,4 @@
-import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,6 +11,7 @@ from uclso.linear import (
     TrainMeta,
     br_fit,
     constant_model,
+    fit_lockstep,
     predict,
     score,
     train_linear,
@@ -23,6 +24,35 @@ def blobs_2d(seed=0, n=50, centers=((0, 0), (5, 5))):
     X = np.vstack([rng.normal(c, 0.6, (n, 2)) for c in centers])
     y = np.concatenate([np.zeros(n, dtype=int), np.ones(n, dtype=int)])
     return X, y
+
+
+def reference_fit(X, y, cfg):
+    """One model at a time: the per-model minibatch loop the lockstep
+    trainer replaces, kept as the reference it must agree with."""
+    n, d = X.shape
+    s = np.where(y == 1, 1.0, -1.0)
+    lam = 1.0 / (cfg.reg_c * n)
+    decay = cfg.lr_decay if cfg.lr_decay is not None else lam
+    rng = np.random.default_rng(cfg.seed)
+    w = np.zeros(d)
+    b = 0.0
+    t = 0
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(n)
+        for start in range(0, n, cfg.batch_size):
+            batch = perm[start:start + cfg.batch_size]
+            Xb, sb = X[batch], s[batch]
+            viol = sb * (Xb @ w + b) < 1.0
+            t += 1
+            eta = cfg.learning_rate / (1.0 + cfg.learning_rate * decay * t)
+            grad_w = lam * w
+            grad_b = 0.0
+            if viol.any():
+                grad_w = grad_w - (sb[viol, None] * Xb[viol]).sum(axis=0) / batch.size
+                grad_b = -float(sb[viol].sum()) / batch.size
+            w = w - eta * grad_w
+            b = b - eta * grad_b
+    return w, b
 
 
 def grid_search_accuracy(X, y, resolution=25):
@@ -173,3 +203,55 @@ class TestBrFit:
         )
         assert br.constant_labels == ("always_on",)
         assert (predict(br.models[0], ds.features) == 1).all()
+
+
+class TestLockstep:
+    @pytest.mark.parametrize("batch_size", [1, 7, 32, 500])
+    @pytest.mark.parametrize("lr_decay", [None, 0.05])
+    def test_agrees_with_reference_loop(self, batch_size, lr_decay):
+        # problems of mixed sizes over one shared matrix: most sizes leave a
+        # partial last batch, and batch_size 500 exceeds every row count
+        rng = np.random.default_rng(batch_size)
+        for d in (1, 2, 5):
+            X = rng.normal(size=(400, d)) * rng.uniform(0.1, 10, d)
+            sizes = rng.integers(3, 200, size=6)
+            rows = [rng.choice(400, size=k, replace=False) for k in sizes]
+            targets = [np.resize([0, 1, 1], k) for k in sizes]
+            seeds = list(rng.integers(1 << 30, size=6))
+            cfg = TrainConfig(epochs=9, batch_size=batch_size, lr_decay=lr_decay)
+            models, constant = fit_lockstep(X, rows, targets, seeds, cfg)
+            assert constant == []
+            for model, r, y, seed in zip(models, rows, targets, seeds):
+                w, b = reference_fit(X[r], y, replace(cfg, seed=int(seed)))
+                assert np.abs(model.weights - w).max() <= 1e-12 * (1 + np.abs(w).max())
+                assert abs(model.bias - b) <= 1e-12 * (1 + abs(b))
+
+    def test_fit_alone_equals_fit_in_group(self):
+        rng = np.random.default_rng(3)
+        X = rng.normal(size=(300, 3))
+        rows = [rng.choice(300, size=k, replace=False) for k in (250, 41, 120, 33)]
+        targets = [(X[r, 0] + rng.normal(0, 0.5, r.size) > 0).astype(int) for r in rows]
+        cfg = TrainConfig(epochs=12)
+        models, _ = fit_lockstep(X, rows, targets, [1, 2, 3, 4], cfg)
+        for model, r, y, seed in zip(models, rows, targets, (1, 2, 3, 4)):
+            alone = train_linear(X[r], y, replace(cfg, seed=seed))
+            assert np.array_equal(alone.weights, model.weights)
+            assert alone.bias == model.bias
+            assert alone.train_meta == model.train_meta
+
+    def test_single_class_problem_constant_or_raised(self):
+        X = np.arange(20.0).reshape(10, 2)
+        rows = [np.arange(10), np.arange(5)]
+        targets = [np.resize([0, 1], 10), np.ones(5, dtype=int)]
+        models, constant = fit_lockstep(
+            X, rows, targets, [0, 1], TrainConfig(epochs=2), on_single_class="constant"
+        )
+        assert constant == [1]
+        assert models[1].bias == 1.0 and not models[1].weights.any()
+        with pytest.raises(SingleClassError, match="label 'b'"):
+            fit_lockstep(X, rows, targets, [0, 1], TrainConfig(epochs=2), names=("a", "b"))
+
+    def test_row_count_must_match_targets(self):
+        with pytest.raises(ValueError, match="match"):
+            fit_lockstep(np.zeros((4, 2)), [np.arange(4)], [np.array([0, 1, 0])], [0],
+                         TrainConfig())

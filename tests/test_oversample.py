@@ -7,14 +7,19 @@ from hypothesis import strategies as st
 
 from uclso.clustering import kmeans
 from uclso.dataset import MultiLabelDataset, generate_toy
+from uclso import oversample
 from uclso.oversample import (
     LabelUnusableError,
     OversampleConfig,
     OversampleError,
     interpolate,
+    iter_augments,
+    label_draws,
     minority_class,
+    neighbours,
     quota,
     smote_augment,
+    synthetic_count,
     uclso_augment,
 )
 
@@ -281,3 +286,95 @@ def test_balance_bound_random_toys():
             aug = uclso_augment(ds, assign, l, cfg)
             total = min_idx.size + len(aug.extra)
             assert maj_idx.size <= total <= maj_idx.size + cfg.k_clusters
+
+
+@st.composite
+def small_datasets(draw):
+    """Small datasets with rounded, often duplicated points, labels that
+    may have no minority point, and few enough minority points per label
+    that pools of one are common."""
+    n = draw(st.integers(3, 30))
+    d = draw(st.integers(1, 3))
+    q = draw(st.integers(1, 3))
+    distinct = draw(st.integers(1, n))
+    values = draw(st.lists(st.integers(-20, 20), min_size=distinct * d, max_size=distinct * d))
+    pick = draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n))
+    features = (np.array(values, dtype=float).reshape(distinct, d) / 10.0)[pick]
+    bits = draw(st.lists(st.booleans(), min_size=n * q, max_size=n * q))
+    labels = np.array(bits, dtype=int).reshape(n, q)
+    if draw(st.booleans()):
+        labels[:, 0] = 0  # a label with no minority point
+    k = draw(st.integers(1, min(4, n)))
+    cfg = OversampleConfig(k_clusters=k, m_neighbors=draw(st.integers(1, 5)),
+                           seed=draw(st.integers(0, 1000)))
+    return make_ds(features, labels), cfg
+
+
+def full_sort_neighbours(points, m):
+    d2 = (
+        (points * points).sum(axis=1)[:, None]
+        - 2.0 * points @ points.T
+        + (points * points).sum(axis=1)[None, :]
+    )
+    np.fill_diagonal(d2, np.inf)
+    return np.argsort(d2, axis=1, kind="stable")[:, :m]
+
+
+class TestSynthesisPaths:
+    @given(data=small_datasets(), chunk=st.integers(1, 7))
+    @settings(max_examples=80, deadline=None)
+    def test_chunked_neighbours_equal_full_sort(self, data, chunk):
+        ds, cfg = data
+        m = min(cfg.m_neighbors, ds.n - 1)
+        saved = oversample.SORT_ROWS
+        oversample.SORT_ROWS = chunk
+        try:
+            got = neighbours(ds.features, m)
+        finally:
+            oversample.SORT_ROWS = saved
+        assert np.array_equal(got, full_sort_neighbours(ds.features, m))
+
+    @given(data=small_datasets(), mode=st.sampled_from(["uclso", "smote", "none"]))
+    @settings(max_examples=80, deadline=None)
+    def test_block_path_equals_allocating_path(self, data, mode):
+        ds, cfg = data
+        cfg = OversampleConfig(cfg.k_clusters, cfg.m_neighbors, cfg.seed, mode)
+        assign = kmeans(ds.features, cfg.k_clusters, seed=cfg.seed)
+        draws = [label_draws(ds, cfg, assign, l) for l in range(ds.q)]
+        counts = [synthetic_count(d) for d in draws]
+        block = np.full((sum(counts), ds.d), np.nan)  # unwritten rows stay nan
+        written = list(iter_augments(ds, cfg, assign, block, draws))
+        allocated = list(iter_augments(ds, cfg, assign))
+        start = 0
+        for l, (a, b) in enumerate(zip(allocated, written)):
+            if isinstance(a, LabelUnusableError):
+                assert isinstance(b, LabelUnusableError) and counts[l] == 0
+                continue
+            assert len(a.extra) == counts[l]
+            assert np.array_equal(a.extra.points, block[start:start + counts[l]])
+            assert np.shares_memory(b.extra.points, block) or counts[l] == 0
+            assert a.extra.provenance == b.extra.provenance
+            start += counts[l]
+        assert not np.isnan(block).any()
+
+    @given(data=small_datasets())
+    @settings(max_examples=80, deadline=None)
+    def test_count_matches_drawn_points(self, data):
+        ds, cfg = data
+        assign = kmeans(ds.features, cfg.k_clusters, seed=cfg.seed)
+        for l in range(ds.q):
+            for augment, mode in ((lambda: uclso_augment(ds, assign, l, cfg), "uclso"),
+                                  (lambda: smote_augment(ds, l, cfg), "smote")):
+                mode_cfg = OversampleConfig(cfg.k_clusters, cfg.m_neighbors, cfg.seed, mode)
+                try:
+                    drawn = len(augment().extra)
+                except LabelUnusableError:
+                    drawn = 0
+                assert synthetic_count(label_draws(ds, mode_cfg, assign, l)) == drawn
+            none_cfg = OversampleConfig(cfg.k_clusters, cfg.m_neighbors, cfg.seed, "none")
+            assert synthetic_count(label_draws(ds, none_cfg, assign, l)) == 0
+
+    def test_block_of_wrong_size_rejected(self):
+        ds = make_ds(np.arange(8.0).reshape(4, 2), [[1], [0], [0], [0]])
+        with pytest.raises(OversampleError, match="block"):
+            smote_augment(ds, 0, OversampleConfig(seed=1), out=np.empty((3, 2)))
