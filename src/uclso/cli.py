@@ -14,7 +14,6 @@ import csv
 import json
 import os
 import sys
-from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -154,18 +153,20 @@ def cmd_oversample(cfg: ExperimentConfig) -> int:
             if isinstance(aug, LabelUnusableError):
                 print(f"warning: skipping label {name!r}: {aug}", file=sys.stderr)
                 continue
+            # provenance is read by column: attribute reads on each record
+            # cost far more than one tolist() per field
+            prov = aug.extra.provenance
+            columns = (prov[f].tolist() for f in ("cluster", "r", "parent_u", "parent_v"))
             rows = (
-                [name, prov.cluster, prov.r, prov.parent_u, prov.parent_v]
-                + [float(v) for v in point]
-                for prov, point in zip(aug.extra.provenance, aug.extra.points)
+                [name, *fields] + point.tolist()
+                for *fields, point in zip(*columns, aug.extra.points)
             )
             path = os.path.join(cfg.out_dir, f"{source.name}__label_{l}__synthetic.csv")
             _write_rows(path, cfg, header, rows)
-            counts = Counter(prov.cluster for prov in aug.extra.provenance)
-            if not counts:
+            clusters, counts = np.unique(prov.cluster, return_counts=True)
+            if not clusters.size:
                 manifest.append([name, -1, 0])
-            for cl in sorted(counts):
-                manifest.append([name, cl, counts[cl]])
+            manifest += [[name, c, n] for c, n in zip(clusters.tolist(), counts.tolist())]
         _write_rows(
             os.path.join(cfg.out_dir, f"{source.name}__manifest.csv"),
             cfg,
@@ -196,13 +197,21 @@ def cmd_experiment(cfg: ExperimentConfig) -> int:
     if ranked:
         for source in cfg.datasets:
             _check_auc_defined(cfg, source)
+    # every dataset's reports exist before the first file is written, so a
+    # failing dataset leaves no half-written output directory
+    all_reports = []
+    for source in cfg.datasets:
+        ds = source.load()
+        try:
+            ds = cfg.prepare(ds)
+            plan = make_fold_plan(ds.n, cfg.cv_reps, cfg.cv_folds, cfg.seed)
+            all_reports.append(run_cv(ds, methods, plan, cfg.train))
+        except ValueError as exc:
+            raise DatasetError(f"dataset {source.name!r}: {exc}") from exc
     os.makedirs(cfg.out_dir, exist_ok=True)
     f1_scores = np.zeros((len(cfg.datasets), len(methods)))
     auc_scores = np.zeros_like(f1_scores)
-    for di, source in enumerate(cfg.datasets):
-        ds = cfg.prepare(source.load())
-        plan = make_fold_plan(ds.n, cfg.cv_reps, cfg.cv_folds, cfg.seed)
-        reports = run_cv(ds, methods, plan, cfg.train)
+    for di, (source, reports) in enumerate(zip(cfg.datasets, all_reports)):
         for mi, method in enumerate(methods):
             report = reports[method.name]
             base = f"{source.name}__{method.name}"

@@ -170,9 +170,11 @@ def load_config(
     if not isinstance(raw_methods, list):
         raise ConfigError(f"config: methods must be a list, got {raw_methods!r}")
     methods = tuple(raw_methods)
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in ("none", "smote", "uclso"):
             raise ConfigError(f"unknown method {m!r}")
+        if m in methods[:i]:
+            raise ConfigError(f"config: duplicate method {m!r}")
     if not methods:
         raise ConfigError("config names no methods")
 

@@ -41,22 +41,18 @@ class OversampleConfig:
             raise OversampleError(f"unknown mode {self.mode!r}")
 
 
-@dataclass(frozen=True)
-class Provenance:
-    """Where one synthetic point came from: its cluster (-1 for the global
-    baseline), its two parent row indices and the interpolation position."""
-
-    cluster: int
-    parent_u: int
-    parent_v: int
-    r: float
+# Where one synthetic point came from: its cluster (-1 for the global
+# baseline), its two parent row indices and the interpolation position.
+PROVENANCE = np.dtype(
+    [("cluster", np.int64), ("parent_u", np.int64), ("parent_v", np.int64), ("r", float)]
+)
 
 
 @dataclass(frozen=True)
 class SyntheticSet:
     label_index: int
     points: np.ndarray  # (m, d)
-    provenance: tuple[Provenance, ...]
+    provenance: np.recarray  # (m,) PROVENANCE records, one per point
 
     def __len__(self) -> int:
         return self.points.shape[0]
@@ -110,28 +106,25 @@ def quota(n_lp: int, n_min: int, n_maj: int) -> int:
     return -((-n_lp * (n_maj - n_min)) // n_min)
 
 
-def interpolate(u: np.ndarray, v: np.ndarray, r: float) -> np.ndarray:
-    """Point at fraction r of the way from u to v."""
+def interpolate(u: np.ndarray, v: np.ndarray, r: float | np.ndarray) -> np.ndarray:
+    """Point at fraction r of the way from u to v; for rows of points,
+    row i at fraction r[i] of the way from u[i] to v[i]."""
     u = np.asarray(u, dtype=float)
     v = np.asarray(v, dtype=float)
-    if u.shape != v.shape:
-        raise OversampleError(f"dimension mismatch: {u.shape} vs {v.shape}")
-    if not 0.0 < r < 1.0:
+    r = np.asarray(r, dtype=float)
+    if u.shape != v.shape or (r.ndim and r.shape != u.shape[:-1]):
+        raise OversampleError(
+            f"dimension mismatch: {u.shape} vs {v.shape}, r {r.shape}"
+        )
+    if not ((r > 0.0) & (r < 1.0)).all():
         raise OversampleError(f"r={r} not in (0, 1)")
-    return u + (v - u) * r
+    return u + (v - u) * (r[..., None] if r.ndim else r)
 
 
 def _label_rng(seed: int, l: int) -> np.random.Generator:
     # independent substream per label: results do not depend on the order
     # in which labels are processed
     return np.random.default_rng([seed, l])
-
-
-def _open_unit(rng: np.random.Generator) -> float:
-    r = float(rng.random())
-    while r == 0.0:
-        r = float(rng.random())
-    return r
 
 
 # Rows of the pool-by-pool distance matrix argsorted at a time: bounds the
@@ -162,34 +155,28 @@ def _synthesize(
     pool: np.ndarray,
     m_neighbors: int,
     rng: np.random.Generator,
-    cluster: int,
     out: np.ndarray,
-    provenance: list,
+    prov: np.recarray,
 ) -> None:
-    """Fill `out` with interpolants between minority points of `pool`,
-    one row per point, and append each point's provenance."""
-    count = out.shape[0]
+    """Fill `out` with interpolants between minority points of `pool`, one
+    row per point, and `prov` with each point's parents and position. The
+    draw order fixes the random stream: every parent slot, then every
+    neighbour slot, then every position."""
     if pool.size == 1:
         # degenerate neighbourhood: duplicate the lone minority point
-        only = int(pool[0])
-        out[:] = features[only]
-        provenance.extend([Provenance(cluster, only, only, 0.0)] * count)
+        prov.parent_u = prov.parent_v = pool[0]
+        prov.r = 0.0
+        out[:] = features[pool[0]]
         return
+    count = out.shape[0]
     m = min(m_neighbors, pool.size - 1)
-    neigh = neighbours(features[pool], m).tolist()
-    ids = pool.tolist()
-    first = len(provenance)
-    # one point at a time: the draw order fixes the random stream
-    for _ in range(count):
-        u = int(rng.integers(len(ids)))
-        v = neigh[u][int(rng.integers(m))]
-        provenance.append(Provenance(cluster, ids[u], ids[v], _open_unit(rng)))
-    drawn = provenance[first:]
-    base = features[[p.parent_u for p in drawn]]
-    # u + (v - u) * r, row by row, as interpolate() computes it
-    np.subtract(features[[p.parent_v for p in drawn]], base, out=out)
-    out *= np.array([p.r for p in drawn])[:, None]
-    out += base
+    slot = rng.integers(pool.size, size=count)
+    near = neighbours(features[pool], m)[slot, rng.integers(m, size=count)]
+    # high - low rounds to 1, so r lies in [tiny, 1 - 2**-53]: never 0 or 1
+    prov.r = rng.uniform(np.finfo(float).tiny, 1.0, count)
+    u, v = pool[slot], pool[near]
+    prov.parent_u, prov.parent_v = u, v
+    out[:] = interpolate(features[u], features[v], prov.r)
 
 
 # (cluster, minority pool, count) of each pool a label's points come from
@@ -261,15 +248,16 @@ def _augment(
             f"output block has shape {out.shape}, label {l} needs {(total, ds.d)}"
         )
     rng = _label_rng(cfg.seed, l)
-    provenance: list = []
+    provenance = np.recarray(total, dtype=PROVENANCE)
     start = 0
     for cluster, pool, count in draws:
+        end = start + count
+        provenance.cluster[start:end] = cluster
         _synthesize(
-            ds.features, pool, cfg.m_neighbors, rng, cluster,
-            out[start:start + count], provenance,
+            ds.features, pool, cfg.m_neighbors, rng, out[start:end], provenance[start:end]
         )
-        start += count
-    return AugmentedDataset(ds, SyntheticSet(l, out, tuple(provenance)), l)
+        start = end
+    return AugmentedDataset(ds, SyntheticSet(l, out, provenance), l)
 
 
 def uclso_augment(
@@ -308,10 +296,6 @@ def smote_augment(
     return _augment(ds, l, cfg, draws, out)
 
 
-def _empty(ds: MultiLabelDataset, l: int) -> AugmentedDataset:
-    return AugmentedDataset(ds, SyntheticSet(l, np.empty((0, ds.d)), ()), l)
-
-
 def iter_augments(
     ds: MultiLabelDataset,
     cfg: OversampleConfig,
@@ -343,7 +327,7 @@ def iter_augments(
         elif cfg.mode == "smote":
             yield smote_augment(ds, l, cfg, block, plan)
         else:
-            yield _empty(ds, l)
+            yield _augment(ds, l, cfg, plan, block)
 
 
 def augment_all(
@@ -354,6 +338,6 @@ def augment_all(
     """One augmentation per label, per the configured mode. Labels without
     minority points get an empty synthetic set."""
     return [
-        _empty(ds, l) if isinstance(aug, LabelUnusableError) else aug
+        _augment(ds, l, cfg, [], None) if isinstance(aug, LabelUnusableError) else aug
         for l, aug in enumerate(iter_augments(ds, cfg, assign))
     ]

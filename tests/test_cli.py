@@ -1,11 +1,16 @@
+import csv
 import hashlib
 import json
 import os
+from collections import Counter
 
 import numpy as np
 import pytest
 
 from uclso.cli import main
+from uclso.clustering import kmeans
+from uclso.config import load_config
+from uclso.oversample import uclso_augment
 
 CONFIG = """\
 seed: 7
@@ -116,6 +121,8 @@ class TestStats:
                          "filter: max_ir must be > 1, got 1.0", id="max_ir_one"),
             pytest.param("methods:", "filter: {min_pos: -1}\nmethods:",
                          "filter: min_pos must be >= 0, got -1", id="min_pos_range"),
+            pytest.param("methods: [none, smote, uclso]", "methods: [uclso, uclso]",
+                         "config: duplicate method 'uclso'", id="methods_duplicate"),
         ],
     )
     def test_rejected_config_is_usage_error(self, tmp_path, capsys, old, new, message):
@@ -193,6 +200,34 @@ class TestOversample:
                 n_maj = ds.n - n_min
                 assert n_maj - n_min <= totals[name] <= n_maj - n_min + k
 
+    def test_csv_rows_equal_augmenter(self, config_path):
+        # repr round-trips floats, so the parsed rows equal the arrays
+        config, out = config_path
+        assert main(["oversample", "--config", config]) == 0
+        cfg = load_config(config)
+        for source in cfg.datasets:
+            ds = cfg.prepare(source.load())
+            assign = kmeans(ds.features, cfg.oversample.k_clusters, seed=cfg.oversample.seed)
+            with open(os.path.join(out, f"{source.name}__manifest.csv")) as fh:
+                manifest = list(csv.reader(fh.read().splitlines()[2:]))
+            for l, name in enumerate(ds.label_names):
+                aug = uclso_augment(ds, assign, l, cfg.oversample)
+                prov = aug.extra.provenance
+                with open(os.path.join(out, f"{source.name}__label_{l}__synthetic.csv")) as fh:
+                    rows = list(csv.reader(fh.read().splitlines()[2:]))
+                assert len(rows) == len(aug.extra) > 0
+                assert {row[0] for row in rows} == {name}
+                assert [int(row[1]) for row in rows] == prov.cluster.tolist()
+                assert [float(row[2]) for row in rows] == prov.r.tolist()
+                assert [int(row[3]) for row in rows] == prov.parent_u.tolist()
+                assert [int(row[4]) for row in rows] == prov.parent_v.tolist()
+                points = [[float(x) for x in row[5:]] for row in rows]
+                assert points == aug.extra.points.tolist()
+                counts = Counter(row[1] for row in rows)
+                assert [row[1:] for row in manifest if row[0] == name] == [
+                    [c, str(counts[c])] for c in sorted(counts, key=int)
+                ]
+
     def test_mode_none_is_error(self, tmp_path):
         path = tmp_path / "c.yaml"
         path.write_text(
@@ -245,6 +280,16 @@ class TestExperiment:
         path.write_text(CONFIG.format(out=out).replace("- {1: 0.3}", "- {}"))
         assert main(["experiment", "--config", str(path)]) == 1
         assert "dataset 'toy_b'" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_compute_error_names_dataset_and_writes_nothing(self, tmp_path, capsys):
+        # toy_a's training folds hold 70 rows, toy_b's only 50: too few for
+        # 60 clusters, so the error comes after toy_a's compute
+        out = tmp_path / "results"
+        path = tmp_path / "config.yaml"
+        path.write_text(CONFIG.format(out=out).replace("k_clusters: 3", "k_clusters: 60"))
+        assert main(["experiment", "--config", str(path)]) == 1
+        assert "error: dataset 'toy_b': k=60 must be in [1, 50]" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("keep", ["toy_b only", "uclso only"])

@@ -113,6 +113,24 @@ class TestInterpolate:
         with pytest.raises(OversampleError):
             interpolate(np.zeros(2), np.ones(2), 1.0)
 
+    def test_rows_equal_scalar_calls(self):
+        rng = np.random.default_rng(12)
+        u, v = rng.normal(size=(50, 4)), rng.normal(size=(50, 4))
+        r = rng.uniform(1e-9, 1.0, 50)
+        rows = interpolate(u, v, r)
+        for i in range(50):
+            assert np.array_equal(rows[i], interpolate(u[i], v[i], float(r[i])))
+
+    @pytest.mark.parametrize("bad", [0.0, 1.0])
+    def test_rejects_r_array_out_of_range(self, bad):
+        r = np.array([0.5, bad, 0.5])
+        with pytest.raises(OversampleError, match="not in"):
+            interpolate(np.zeros((3, 2)), np.ones((3, 2)), r)
+
+    def test_rejects_one_r_per_row_mismatch(self):
+        with pytest.raises(OversampleError, match="dimension"):
+            interpolate(np.zeros((3, 2)), np.ones((3, 2)), np.full(2, 0.5))
+
 
 def segment_residual(point, u, v, r):
     return np.abs(point - (u + (v - u) * r)).max()
@@ -221,7 +239,7 @@ class TestUclsoAugment:
         a0 = uclso_augment(fig1_toy, assign, 0, cfg)
         a0_again = uclso_augment(fig1_toy, assign, 0, cfg)
         assert np.array_equal(a0.extra.points, a0_again.extra.points)
-        assert a0.extra.provenance == a0_again.extra.provenance
+        assert np.array_equal(a0.extra.provenance, a0_again.extra.provenance)
         assert not np.array_equal(
             fig1_toy.labels[:, 0], fig1_toy.labels[:, 1]
         )  # sanity: labels differ
@@ -353,7 +371,7 @@ class TestSynthesisPaths:
             assert len(a.extra) == counts[l]
             assert np.array_equal(a.extra.points, block[start:start + counts[l]])
             assert np.shares_memory(b.extra.points, block) or counts[l] == 0
-            assert a.extra.provenance == b.extra.provenance
+            assert np.array_equal(a.extra.provenance, b.extra.provenance)
             start += counts[l]
         assert not np.isnan(block).any()
 
@@ -378,3 +396,58 @@ class TestSynthesisPaths:
         ds = make_ds(np.arange(8.0).reshape(4, 2), [[1], [0], [0], [0]])
         with pytest.raises(OversampleError, match="block"):
             smote_augment(ds, 0, OversampleConfig(seed=1), out=np.empty((3, 2)))
+
+
+class TestVectorisedDraw:
+    @given(data=small_datasets(), mode=st.sampled_from(["uclso", "smote"]))
+    @settings(max_examples=80, deadline=None)
+    def test_provenance_per_pool(self, data, mode):
+        ds, cfg = data
+        cfg = OversampleConfig(cfg.k_clusters, cfg.m_neighbors, cfg.seed, mode)
+        assign = kmeans(ds.features, cfg.k_clusters, seed=cfg.seed)
+        for l, aug in enumerate(iter_augments(ds, cfg, assign)):
+            if isinstance(aug, LabelUnusableError):
+                continue
+            prov = aug.extra.provenance
+            assert prov.shape == (len(aug.extra),)
+            start = 0
+            for cluster, pool, count in label_draws(ds, cfg, assign, l):
+                rec = prov[start:start + count]
+                points = aug.extra.points[start:start + count]
+                assert (rec.cluster == cluster).all()
+                assert np.isin(rec.parent_u, pool).all() and np.isin(rec.parent_v, pool).all()
+                if pool.size == 1:
+                    assert (rec.parent_u == pool[0]).all() and (rec.parent_v == pool[0]).all()
+                    assert (rec.r == 0.0).all()
+                    assert (points == ds.features[pool[0]]).all()
+                else:
+                    assert ((rec.r > 0.0) & (rec.r < 1.0)).all()
+                    assert (rec.parent_u != rec.parent_v).all()
+                start += count
+            assert start == len(prov)
+
+    @pytest.mark.parametrize("mode, cluster", [("uclso", 0), ("smote", -1)])
+    def test_draw_order_oracle(self, mode, cluster):
+        # one pool: uclso with a single cluster, or smote's global pool
+        rng = np.random.default_rng(9)
+        labels = np.zeros((40, 2), dtype=int)
+        labels[rng.choice(40, size=12, replace=False), 1] = 1
+        ds = make_ds(rng.normal(size=(40, 3)), labels)
+        cfg = OversampleConfig(k_clusters=1, m_neighbors=4, seed=21, mode=mode)
+        assign = kmeans(ds.features, 1, seed=0)
+        aug = next(a for l, a in enumerate(iter_augments(ds, cfg, assign)) if l == 1)
+
+        pool = np.flatnonzero(labels[:, 1])
+        count = 28 - 12
+        stream = np.random.default_rng([cfg.seed, 1])
+        slot = stream.integers(pool.size, size=count)
+        near = full_sort_neighbours(ds.features[pool], 4)[slot, stream.integers(4, size=count)]
+        r = stream.uniform(np.finfo(float).tiny, 1.0, count)
+        u, v = ds.features[pool[slot]], ds.features[pool[near]]
+
+        prov = aug.extra.provenance
+        assert prov.cluster.tolist() == [cluster] * count
+        assert prov.parent_u.tolist() == pool[slot].tolist()
+        assert prov.parent_v.tolist() == pool[near].tolist()
+        assert prov.r.tolist() == r.tolist()
+        assert np.array_equal(aug.extra.points, u + (v - u) * r[:, None])
