@@ -260,19 +260,31 @@ def load_mulan(arff_path: str, xml_path: str) -> MultiLabelDataset:
     )
 
 
+def _quoted(name: str) -> str:
+    """An attribute name in the quotes the reader takes: '…', or "…" when
+    the name holds a '."""
+    if not name or "\n" in name or "\r" in name or ("'" in name and '"' in name):
+        raise ArffError(f"attribute name {name!r} cannot be written to ARFF")
+    return f'"{name}"' if "'" in name else f"'{name}'"
+
+
 def write_mulan(ds: MultiLabelDataset, arff_path: str, xml_path: str,
                 relation: str = "dataset") -> None:
     """Write a dataset back out as an ARFF + XML pair.
 
     Features are written as numeric attributes and labels as nominal {0,1};
-    reloading yields identical feature and label matrices.
+    reloading yields identical names and feature and label matrices. A name
+    that is empty, holds a line break or holds both quote characters cannot
+    be written, and is rejected before any file is opened.
     """
+    features = [_quoted(name) for name in ds.feature_names]
+    labels = [_quoted(name) for name in ds.label_names]
     with open(arff_path, "w", encoding="utf-8") as fh:
         fh.write(f"@relation {relation}\n\n")
-        for name in ds.feature_names:
-            fh.write(f"@attribute '{name}' numeric\n")
-        for name in ds.label_names:
-            fh.write(f"@attribute '{name}' {{0,1}}\n")
+        for name in features:
+            fh.write(f"@attribute {name} numeric\n")
+        for name in labels:
+            fh.write(f"@attribute {name} {{0,1}}\n")
         fh.write("\n@data\n")
         for i in range(ds.n):
             cells = [repr(float(v)) for v in ds.features[i]]

@@ -14,6 +14,8 @@ import csv
 import json
 import os
 import sys
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -176,12 +178,24 @@ def cmd_oversample(cfg: ExperimentConfig) -> int:
     return 0
 
 
+@contextmanager
+def _naming(source: DatasetSource) -> Iterator[None]:
+    """Re-raise a computation error inside the block as one that names
+    the dataset it was computed on."""
+    try:
+        yield
+    except ValueError as exc:
+        raise DatasetError(f"dataset {source.name!r}: {exc}") from exc
+
+
 def _check_auc_defined(cfg: ExperimentConfig, source: DatasetSource) -> None:
     """The rank tables need a defined AUC on every dataset. The fold plan
     shows before any compute whether there is one, so a run that cannot
     finish fails before it writes anything."""
-    ds = cfg.prepare(source.load())
-    plan = make_fold_plan(ds.n, cfg.cv_reps, cfg.cv_folds, cfg.seed)
+    ds = source.load()
+    with _naming(source):
+        ds = cfg.prepare(ds)
+        plan = make_fold_plan(ds.n, cfg.cv_reps, cfg.cv_folds, cfg.seed)
     if not auc_defined(ds.labels, plan):
         raise DatasetError(
             f"dataset {source.name!r}: no cross-validation cell has a label "
@@ -202,12 +216,10 @@ def cmd_experiment(cfg: ExperimentConfig) -> int:
     all_reports = []
     for source in cfg.datasets:
         ds = source.load()
-        try:
+        with _naming(source):
             ds = cfg.prepare(ds)
             plan = make_fold_plan(ds.n, cfg.cv_reps, cfg.cv_folds, cfg.seed)
             all_reports.append(run_cv(ds, methods, plan, cfg.train))
-        except ValueError as exc:
-            raise DatasetError(f"dataset {source.name!r}: {exc}") from exc
     os.makedirs(cfg.out_dir, exist_ok=True)
     f1_scores = np.zeros((len(cfg.datasets), len(methods)))
     auc_scores = np.zeros_like(f1_scores)

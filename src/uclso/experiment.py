@@ -64,6 +64,8 @@ class MetricReport:
     def summary(self) -> dict:
         f1s = self.macro_f1_values()
         aucs = self.macro_auc_values()
+        undefined = int(np.isnan(aucs).sum())
+        defined = aucs.size - undefined  # np.nanmean/np.nanstd warn on too few
         reps = sorted({c.rep for c in self.cells})
         per_rep_f1 = {
             rep: float(np.mean([c.macro_f1 for c in self.cells if c.rep == rep]))
@@ -75,12 +77,13 @@ class MetricReport:
             "cells": len(self.cells),
             "macro_f1_mean": float(f1s.mean()),
             "macro_f1_std": float(f1s.std(ddof=1)) if f1s.size > 1 else 0.0,
-            "macro_auc_mean": float(np.nanmean(aucs)),
+            "macro_auc_mean": float(np.nanmean(aucs)) if defined else float("nan"),
             "macro_auc_std": (
-                float(np.nanstd(aucs, ddof=1)) if aucs.size > 1 else 0.0
+                0.0 if aucs.size <= 1
+                else float(np.nanstd(aucs, ddof=1)) if defined > 1 else float("nan")
             ),
             "macro_f1_per_rep": per_rep_f1,
-            "auc_undefined_cells": int(np.isnan(aucs).sum()),
+            "auc_undefined_cells": undefined,
             "constant_label_events": sum(len(c.constant_labels) for c in self.cells),
         }
 

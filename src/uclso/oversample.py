@@ -127,17 +127,21 @@ def _label_rng(seed: int, l: int) -> np.random.Generator:
     return np.random.default_rng([seed, l])
 
 
-# Rows of the pool-by-pool distance matrix argsorted at a time: bounds the
-# index buffer while giving each row the order a full argsort gives it.
+# Rows of the pool-by-pool distance matrix searched at a time: bounds the
+# index buffer of the partial selection.
 SORT_ROWS = 256
 
 
 def neighbours(points: np.ndarray, m: int) -> np.ndarray:
     """Indices of each point's m nearest other points, nearest first.
 
-    Squared distances come from one pool-by-pool buffer built in place;
-    rows are stable-argsorted in chunks of SORT_ROWS, so distance ties
-    keep the lower index first, exactly as one full stable argsort."""
+    Squared distances come from one pool-by-pool buffer built in place.
+    Each chunk of SORT_ROWS rows is partially selected (argpartition), and
+    only the m selected entries of a row are sorted, by distance and then
+    index. Where more than m entries of a row lie at or below its m-th
+    distance, the lowest indices at that distance are kept. The result is
+    exactly the first m columns of one full stable argsort of each row
+    (NaN distances last, as numpy sorts them)."""
     sq = (points * points).sum(axis=1)
     d2 = 2.0 * points @ points.T
     np.subtract(sq[:, None], d2, out=d2)
@@ -146,7 +150,23 @@ def neighbours(points: np.ndarray, m: int) -> np.ndarray:
     neigh = np.empty((points.shape[0], m), dtype=np.intp)
     for start in range(0, points.shape[0], SORT_ROWS):
         chunk = d2[start:start + SORT_ROWS]
-        neigh[start:start + SORT_ROWS] = np.argsort(chunk, axis=1, kind="stable")[:, :m]
+        row = np.arange(chunk.shape[0])[:, None]
+        near = np.argpartition(chunk, m - 1, axis=1)[:, :m]
+        kth = chunk[row, near[:, m - 1:]]
+        # argpartition picks arbitrarily among entries tied at (or NaN as) a
+        # row's m-th distance: keep those below it, then the lowest indices at it
+        tied = np.flatnonzero((chunk <= kth).sum(axis=1) != m)
+        if tied.size:
+            rows, kth = chunk[tied], kth[tied]
+            nan = np.isnan(kth)
+            below = (rows < kth) | (nan & ~np.isnan(rows))
+            at = (rows == kth) | (nan & np.isnan(rows))
+            at &= np.cumsum(at, axis=1) <= m - below.sum(axis=1, keepdims=True)
+            near[tied] = np.nonzero(below | at)[1].reshape(-1, m)
+        # a sorted copy: the chunk-wide index buffer is freed here
+        near = np.sort(near, axis=1)
+        order = np.argsort(chunk[row, near], axis=1, kind="stable")
+        neigh[start:start + SORT_ROWS] = near[row, order]
     return neigh
 
 

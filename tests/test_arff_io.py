@@ -1,8 +1,13 @@
+import os
+import tempfile
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uclso.arff_io import ArffError, load_mulan, read_arff, write_mulan
-from uclso.dataset import generate_toy
+from uclso.dataset import MultiLabelDataset, generate_toy
 
 from conftest import fig1_toy_config
 
@@ -147,3 +152,54 @@ def test_round_trip_bit_identical(tmp_path):
     assert np.array_equal(ds.labels, back.labels)
     assert ds.feature_names == back.feature_names
     assert ds.label_names == back.label_names
+
+
+# names with the characters ARFF gives a meaning to: separators, comments,
+# nominal braces, both quotes, and line breaks
+NAMES = st.lists(st.text(st.sampled_from("aZ9_ ,%{}'\"\t\n\r"), max_size=6),
+                 min_size=1, max_size=4, unique=True)
+
+
+def representable(name):
+    return bool(name) and not {"\n", "\r"} & set(name) and not {"'", '"'} <= set(name)
+
+
+@given(feature_names=NAMES, label_names=NAMES, seed=st.integers(0, 2**16))
+@settings(max_examples=150, deadline=None)
+def test_round_trip_names(feature_names, label_names, seed):
+    rng = np.random.default_rng(seed)
+    ds = MultiLabelDataset(
+        rng.normal(size=(5, len(feature_names))),
+        rng.integers(0, 2, size=(5, len(label_names))),
+        tuple(feature_names),
+        tuple(label_names),
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        arff, xml = os.path.join(tmp, "d.arff"), os.path.join(tmp, "d.xml")
+        bad = [n for n in feature_names + label_names if not representable(n)]
+        if bad:
+            with pytest.raises(ArffError, match="cannot be written") as err:
+                write_mulan(ds, arff, xml)
+            assert repr(bad[0]) in str(err.value)
+            assert not os.path.exists(arff) and not os.path.exists(xml)
+            return
+        write_mulan(ds, arff, xml)
+        back = load_mulan(arff, xml)
+    assert back.feature_names == ds.feature_names
+    assert back.label_names == ds.label_names
+    assert np.array_equal(back.features, ds.features)
+    assert np.array_equal(back.labels, ds.labels)
+
+
+def test_single_quote_names_use_double_quotes(tmp_path):
+    ds = MultiLabelDataset(np.eye(2), np.eye(2, dtype=int), ("it's", "x y"), ("l'1", "l2"))
+    arff, xml = str(tmp_path / "d.arff"), str(tmp_path / "d.xml")
+    write_mulan(ds, arff, xml)
+    header = (tmp_path / "d.arff").read_text(encoding="utf-8").splitlines()[2:6]
+    assert header == [
+        "@attribute \"it's\" numeric",
+        "@attribute 'x y' numeric",
+        "@attribute \"l'1\" {0,1}",
+        "@attribute 'l2' {0,1}",
+    ]
+    assert load_mulan(arff, xml).feature_names == ("it's", "x y")

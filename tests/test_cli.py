@@ -279,7 +279,24 @@ class TestExperiment:
         path = tmp_path / "config.yaml"
         path.write_text(CONFIG.format(out=out).replace("- {1: 0.3}", "- {}"))
         assert main(["experiment", "--config", str(path)]) == 1
-        assert "dataset 'toy_b'" in capsys.readouterr().err
+        assert capsys.readouterr().err.startswith("error: dataset 'toy_b': no cross")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("methods", ["[none, smote, uclso]", "[uclso]"])
+    def test_preparation_error_names_dataset(self, tmp_path, capsys, methods):
+        # ranked runs (two datasets, three methods) prepare every dataset
+        # before any compute; unranked runs prepare it in the compute loop
+        out = tmp_path / "results"
+        path = tmp_path / "config.yaml"
+        path.write_text(
+            CONFIG.format(out=out)
+            .replace("methods: [none, smote, uclso]", f"methods: {methods}")
+            .replace("cv:", "filter: {enabled: true, min_pos: 1000}\ncv:")
+        )
+        assert main(["experiment", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: dataset 'toy_a': all labels dropped by filtering; dataset unusable\n"
+        )
         assert not out.exists()
 
     def test_compute_error_names_dataset_and_writes_nothing(self, tmp_path, capsys):

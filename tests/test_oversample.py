@@ -338,19 +338,44 @@ def full_sort_neighbours(points, m):
     return np.argsort(d2, axis=1, kind="stable")[:, :m]
 
 
+@st.composite
+def neighbour_pools(draw):
+    """(points, m) for the neighbour search: the small datasets' points, or
+    a pool of a few hundred points (past argpartition's simple selection
+    for small kth) on a coarse grid, with 0/1 features, or with non-finite
+    distances, so that ties at the m-th distance are common; d from 1 to 3,
+    m from 1 to p - 1."""
+    kind = draw(st.sampled_from(["small", "grid", "binary", "non-finite"]))
+    if kind == "small":
+        points = draw(small_datasets())[0].features
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        p, d = draw(st.integers(200, 600)), draw(st.integers(1, 3))
+        levels = 2 if kind == "binary" else draw(st.integers(3, 12))
+        points = rng.integers(0, levels, size=(p, d)) / (levels - 1)
+        if kind == "non-finite":
+            # squares of 1e200 overflow: inf and nan distances
+            points[rng.random(p) < 0.1] = 1e200
+            points[rng.random(p) < 0.05, 0] = np.nan
+    p = points.shape[0]
+    m = draw(st.one_of(st.integers(1, min(8, p - 1)), st.integers(1, p - 1), st.just(p - 1)))
+    return points, m
+
+
 class TestSynthesisPaths:
-    @given(data=small_datasets(), chunk=st.integers(1, 7))
-    @settings(max_examples=80, deadline=None)
-    def test_chunked_neighbours_equal_full_sort(self, data, chunk):
-        ds, cfg = data
-        m = min(cfg.m_neighbors, ds.n - 1)
+    @given(pool=neighbour_pools(), chunk=st.sampled_from([1, 2, 7, 64, 256]))
+    @settings(max_examples=150, deadline=None)
+    def test_chunked_neighbours_equal_full_sort(self, pool, chunk):
+        points, m = pool
         saved = oversample.SORT_ROWS
         oversample.SORT_ROWS = chunk
         try:
-            got = neighbours(ds.features, m)
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = neighbours(points, m)
+                want = full_sort_neighbours(points, m)
         finally:
             oversample.SORT_ROWS = saved
-        assert np.array_equal(got, full_sort_neighbours(ds.features, m))
+        assert np.array_equal(got, want)
 
     @given(data=small_datasets(), mode=st.sampled_from(["uclso", "smote", "none"]))
     @settings(max_examples=80, deadline=None)
