@@ -138,10 +138,10 @@ def neighbours(points: np.ndarray, m: int) -> np.ndarray:
     Squared distances come from one pool-by-pool buffer built in place.
     Each chunk of SORT_ROWS rows is partially selected (argpartition), and
     only the m selected entries of a row are sorted, by distance and then
-    index. Where more than m entries of a row lie at or below its m-th
-    distance, the lowest indices at that distance are kept. The result is
-    exactly the first m columns of one full stable argsort of each row
-    (NaN distances last, as numpy sorts them)."""
+    index. A row with more than m entries at or below its m-th distance,
+    or a NaN there, is stable-argsorted in full. The result is exactly the
+    first m columns of one full stable argsort of each row (NaN distances
+    last, as numpy sorts them)."""
     sq = (points * points).sum(axis=1)
     d2 = 2.0 * points @ points.T
     np.subtract(sq[:, None], d2, out=d2)
@@ -154,15 +154,10 @@ def neighbours(points: np.ndarray, m: int) -> np.ndarray:
         near = np.argpartition(chunk, m - 1, axis=1)[:, :m]
         kth = chunk[row, near[:, m - 1:]]
         # argpartition picks arbitrarily among entries tied at (or NaN as) a
-        # row's m-th distance: keep those below it, then the lowest indices at it
+        # row's m-th distance: those rows take the full stable sort instead
         tied = np.flatnonzero((chunk <= kth).sum(axis=1) != m)
         if tied.size:
-            rows, kth = chunk[tied], kth[tied]
-            nan = np.isnan(kth)
-            below = (rows < kth) | (nan & ~np.isnan(rows))
-            at = (rows == kth) | (nan & np.isnan(rows))
-            at &= np.cumsum(at, axis=1) <= m - below.sum(axis=1, keepdims=True)
-            near[tied] = np.nonzero(below | at)[1].reshape(-1, m)
+            near[tied] = np.argsort(chunk[tied], axis=1, kind="stable")[:, :m]
         # a sorted copy: the chunk-wide index buffer is freed here
         near = np.sort(near, axis=1)
         order = np.argsort(chunk[row, near], axis=1, kind="stable")
