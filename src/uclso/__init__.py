@@ -2,7 +2,7 @@
 multi-label data, with the evaluation harness to go with it."""
 
 from .arff_io import ArffError, load_mulan, write_mulan
-from .clustering import ClusterAssignment, cluster_members, kmeans
+from .clustering import ClusterAssignment, kmeans
 from .dataset import (
     DatasetError,
     DatasetStats,
@@ -16,15 +16,7 @@ from .dataset import (
     scale_min_max,
 )
 from .experiment import MethodSpec, MetricReport, run_cv
-from .linear import (
-    BRModels,
-    LinearModel,
-    TrainConfig,
-    br_fit,
-    predict,
-    score,
-    train_linear,
-)
+from .linear import LinearModel, TrainConfig, score
 from .metrics import ConfusionCounts, auc_label, confusion, f1_label, macro_average
 from .oversample import (
     AugmentedDataset,
@@ -44,7 +36,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ArffError",
     "AugmentedDataset",
-    "BRModels",
     "ClusterAssignment",
     "ConfusionCounts",
     "DatasetError",
@@ -63,8 +54,6 @@ __all__ = [
     "TrainConfig",
     "auc_label",
     "average_ranks",
-    "br_fit",
-    "cluster_members",
     "compute_stats",
     "confusion",
     "f1_label",
@@ -77,13 +66,11 @@ __all__ = [
     "macro_average",
     "make_fold_plan",
     "minority_class",
-    "predict",
     "quota",
     "run_cv",
     "scale_min_max",
     "score",
     "smote_augment",
-    "train_linear",
     "uclso_augment",
     "write_mulan",
 ]

@@ -260,6 +260,11 @@ def load_mulan(arff_path: str, xml_path: str) -> MultiLabelDataset:
     )
 
 
+# characters XML 1.0 cannot hold, not even as references: the controls
+# other than tab, line feed and carriage return, surrogates, U+FFFE, U+FFFF
+_XML_FORBIDDEN = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
+
+
 def _quoted(name: str) -> str:
     """An attribute name in the quotes the reader takes: '…', or "…" when
     the name holds a '."""
@@ -268,17 +273,26 @@ def _quoted(name: str) -> str:
     return f'"{name}"' if "'" in name else f"'{name}'"
 
 
+def _quoted_label(name: str) -> str:
+    """A label name, quoted as _quoted does; it also goes to the XML label
+    list, so it may not hold a character XML forbids."""
+    if _XML_FORBIDDEN.search(name):
+        raise ArffError(f"label name {name!r} cannot be written to XML")
+    return _quoted(name)
+
+
 def write_mulan(ds: MultiLabelDataset, arff_path: str, xml_path: str,
                 relation: str = "dataset") -> None:
     """Write a dataset back out as an ARFF + XML pair.
 
     Features are written as numeric attributes and labels as nominal {0,1};
     reloading yields identical names and feature and label matrices. A name
-    that is empty, holds a line break or holds both quote characters cannot
-    be written, and is rejected before any file is opened.
+    that is empty, holds a line break or holds both quote characters, and a
+    label name that holds a character XML 1.0 forbids, cannot be written,
+    and are rejected before any file is opened.
     """
     features = [_quoted(name) for name in ds.feature_names]
-    labels = [_quoted(name) for name in ds.label_names]
+    labels = [_quoted_label(name) for name in ds.label_names]
     with open(arff_path, "w", encoding="utf-8") as fh:
         fh.write(f"@relation {relation}\n\n")
         for name in features:

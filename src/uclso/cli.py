@@ -13,7 +13,9 @@ import argparse
 import csv
 import json
 import os
+import shutil
 import sys
+import tempfile
 from collections.abc import Iterator
 from contextlib import contextmanager
 from dataclasses import replace
@@ -58,14 +60,9 @@ def _fmt(v) -> str:
     return str(v)
 
 
-def _open_csv(path: str, cfg: ExperimentConfig):
-    fh = open(path, "w", encoding="utf-8", newline="")
-    fh.write(f"# config_hash={cfg.config_hash()} seed={cfg.seed}\n")
-    return fh
-
-
 def _write_rows(path: str, cfg: ExperimentConfig, header: list[str], rows) -> None:
-    with _open_csv(path, cfg) as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(f"# config_hash={cfg.config_hash()} seed={cfg.seed}\n")
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         for row in rows:
@@ -112,70 +109,84 @@ def cmd_stats(cfg: ExperimentConfig) -> int:
     return 0
 
 
-def cmd_cluster(cfg: ExperimentConfig) -> int:
+def _per_dataset(cfg: ExperimentConfig, write) -> int:
+    """Call write(cfg, ds, dataset, out) on each prepared dataset, with `out` a
+    staging directory under cfg.out_dir. Its files move into cfg.out_dir
+    after the last dataset succeeds, and it is removed either way, so a
+    failed run adds nothing to cfg.out_dir."""
     os.makedirs(cfg.out_dir, exist_ok=True)
-    for source in cfg.datasets:
-        ds = cfg.prepare(source.load())
-        assign = kmeans(ds.features, cfg.oversample.k_clusters, seed=cfg.oversample.seed)
-        _write_rows(
-            os.path.join(cfg.out_dir, f"{source.name}__assignments.csv"),
-            cfg,
-            ["row", "cluster"],
-            [(i, int(c)) for i, c in enumerate(assign.assignment)],
-        )
-        _write_rows(
-            os.path.join(cfg.out_dir, f"{source.name}__centroids.csv"),
-            cfg,
-            ["cluster"] + list(ds.feature_names),
-            [
-                [p] + [float(v) for v in assign.centroids[p]]
-                for p in range(assign.k)
-            ],
-        )
+    staging = tempfile.mkdtemp(prefix=".staging-", dir=cfg.out_dir)
+    try:
+        for source in cfg.datasets:
+            write(cfg, cfg.prepare(source.load()), source.name, staging)
+        for name in os.listdir(staging):
+            os.replace(os.path.join(staging, name), os.path.join(cfg.out_dir, name))
+    finally:
+        shutil.rmtree(staging)
     return 0
+
+
+def cmd_cluster(cfg: ExperimentConfig) -> int:
+    return _per_dataset(cfg, _write_clusters)
+
+
+def _write_clusters(cfg: ExperimentConfig, ds, dataset: str, out: str) -> None:
+    assign = kmeans(ds.features, cfg.oversample.k_clusters, seed=cfg.oversample.seed)
+    _write_rows(
+        os.path.join(out, f"{dataset}__assignments.csv"),
+        cfg,
+        ["row", "cluster"],
+        [(i, int(c)) for i, c in enumerate(assign.assignment)],
+    )
+    _write_rows(
+        os.path.join(out, f"{dataset}__centroids.csv"),
+        cfg,
+        ["cluster"] + list(ds.feature_names),
+        [[p] + [float(v) for v in assign.centroids[p]] for p in range(assign.k)],
+    )
 
 
 def cmd_oversample(cfg: ExperimentConfig) -> int:
     if cfg.oversample.mode == "none":
         raise ConfigError("oversample mode is 'none': nothing to oversample")
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    for source in cfg.datasets:
-        ds = cfg.prepare(source.load())
-        assign = None
-        if cfg.oversample.mode == "uclso":
-            assign = kmeans(
-                ds.features, cfg.oversample.k_clusters, seed=cfg.oversample.seed
-            )
-        header = ["label", "cluster", "r", "parent_u", "parent_v"] + [
-            f"feature_{j}" for j in range(ds.d)
-        ]
-        manifest = []
-        for l, aug in enumerate(iter_augments(ds, cfg.oversample, assign)):
-            name = ds.label_names[l]
-            if isinstance(aug, LabelUnusableError):
-                print(f"warning: skipping label {name!r}: {aug}", file=sys.stderr)
-                continue
-            # provenance is read by column: attribute reads on each record
-            # cost far more than one tolist() per field
-            prov = aug.extra.provenance
-            columns = (prov[f].tolist() for f in ("cluster", "r", "parent_u", "parent_v"))
-            rows = (
-                [name, *fields] + point.tolist()
-                for *fields, point in zip(*columns, aug.extra.points)
-            )
-            path = os.path.join(cfg.out_dir, f"{source.name}__label_{l}__synthetic.csv")
-            _write_rows(path, cfg, header, rows)
-            clusters, counts = np.unique(prov.cluster, return_counts=True)
-            if not clusters.size:
-                manifest.append([name, -1, 0])
-            manifest += [[name, c, n] for c, n in zip(clusters.tolist(), counts.tolist())]
-        _write_rows(
-            os.path.join(cfg.out_dir, f"{source.name}__manifest.csv"),
-            cfg,
-            ["label", "cluster", "count"],
-            manifest,
+    return _per_dataset(cfg, _write_synthetic)
+
+
+def _write_synthetic(cfg: ExperimentConfig, ds, dataset: str, out: str) -> None:
+    """One file per label, each written as soon as the label is drawn, so
+    no more than one label's points are held at a time; then the manifest."""
+    assign = None
+    if cfg.oversample.mode == "uclso":
+        assign = kmeans(ds.features, cfg.oversample.k_clusters, seed=cfg.oversample.seed)
+    header = ["label", "cluster", "r", "parent_u", "parent_v"] + [
+        f"feature_{j}" for j in range(ds.d)
+    ]
+    manifest = []
+    for l, aug in enumerate(iter_augments(ds, cfg.oversample, assign)):
+        name = ds.label_names[l]
+        if isinstance(aug, LabelUnusableError):
+            print(f"warning: skipping label {name!r}: {aug}", file=sys.stderr)
+            continue
+        # provenance is read by column: attribute reads on each record
+        # cost far more than one tolist() per field
+        prov = aug.extra.provenance
+        columns = (prov[f].tolist() for f in ("cluster", "r", "parent_u", "parent_v"))
+        rows = (
+            [name, *fields] + point.tolist()
+            for *fields, point in zip(*columns, aug.extra.points)
         )
-    return 0
+        path = os.path.join(out, f"{dataset}__label_{l}__synthetic.csv")
+        _write_rows(path, cfg, header, rows)
+        clusters, counts = np.unique(prov.cluster, return_counts=True)
+        if not clusters.size:
+            manifest.append([name, -1, 0])
+        manifest += [[name, c, n] for c, n in zip(clusters.tolist(), counts.tolist())]
+    _write_rows(
+        os.path.join(out, f"{dataset}__manifest.csv"),
+        cfg,
+        ["label", "cluster", "count"],
+        manifest,
+    )
 
 
 @contextmanager

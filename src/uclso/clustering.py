@@ -133,10 +133,3 @@ def kmeans(
         iterations_run=iterations,
         inertia_history=tuple(history),
     )
-
-
-def cluster_members(assign: ClusterAssignment, p: int) -> np.ndarray:
-    """Row indices assigned to cluster p, ascending."""
-    if not 0 <= p < assign.k:
-        raise ClusteringError(f"cluster id {p} out of range [0, {assign.k})")
-    return np.flatnonzero(assign.assignment == p)

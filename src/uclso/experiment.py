@@ -20,7 +20,7 @@ import numpy as np
 
 from .clustering import kmeans
 from .dataset import FoldPlan, MultiLabelDataset
-from .linear import TrainConfig, br_problems, fit_lockstep, predict, score
+from .linear import TrainConfig, br_problems, fit_lockstep, score
 from .metrics import auc_label, confusion, f1_label, macro_average
 from .oversample import (
     OversampleConfig,
@@ -127,8 +127,7 @@ def _score_cell(
     f1s, aucs, defined = [], [], []
     for l, model in enumerate(models):
         scores = score(model, X_test)
-        preds = predict(model, X_test)
-        f1s.append(f1_label(confusion(y_test[:, l], preds)))
+        f1s.append(f1_label(confusion(y_test[:, l], (scores > 0.0).astype(int))))
         col = y_test[:, l]
         if 0 < col.sum() < col.size:
             aucs.append(auc_label(scores, col))
@@ -185,9 +184,7 @@ def _fit_group(
         targets += cell_targets
         seeds += cell_seeds
         start = end
-    models, constant = fit_lockstep(
-        X, rows, targets, seeds, train_cfg, on_single_class="constant"
-    )
+    models, constant = fit_lockstep(X, rows, targets, seeds, train_cfg)
 
     q = ds.q
     return [
@@ -242,21 +239,6 @@ def _method_cells(
     if group:
         results += _fit_group(ds, train_cfg, group)
     return results
-
-
-def evaluate_cell(
-    ds: MultiLabelDataset,
-    train_idx: np.ndarray,
-    test_idx: np.ndarray,
-    method: MethodSpec,
-    train_cfg: TrainConfig,
-    rep: int,
-    fold: int,
-) -> FoldCell:
-    """Cluster, augment and fit on the training rows only, then score the
-    test rows. Test rows are never visible to clustering or synthesis.
-    This is run_cv's path with a single cell."""
-    return _method_cells(ds, method, train_cfg, [(rep, fold, train_idx, test_idx)])[0]
 
 
 def run_cv(

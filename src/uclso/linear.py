@@ -21,16 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dataset import MultiLabelDataset
-from .oversample import AugmentedDataset
-
 
 class TrainingError(ValueError):
     pass
-
-
-class SingleClassError(TrainingError):
-    """Training targets contain only one class."""
 
 
 @dataclass(frozen=True)
@@ -72,8 +65,6 @@ def fit_lockstep(
     targets: Sequence[np.ndarray],
     seeds: Sequence[int],
     cfg: TrainConfig,
-    on_single_class: str = "raise",
-    names: Sequence[str] | None = None,
 ) -> tuple[list[LinearModel], list[int]]:
     """Fit one hinge-loss model per problem, all in one lockstep loop.
 
@@ -84,10 +75,10 @@ def fit_lockstep(
     last one partial when cfg.batch_size does not divide n_i. A model whose
     epoch has no steps left waits for the others.
 
-    A problem whose targets hold a single class raises SingleClassError
-    (naming names[i] when given), or with on_single_class="constant" gets
-    a zero-weight scorer biased toward that class. Returns the models in
-    problem order and the indices of the constant ones.
+    A problem whose targets hold a single class is not trained: it gets a
+    zero-weight scorer biased toward that class (see constant_model).
+    Returns the models in problem order and the indices of the constant
+    ones.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -105,11 +96,6 @@ def fit_lockstep(
         if classes.size >= 2:
             fit.append(i)
             continue
-        if on_single_class != "constant":
-            where = f"label {names[i]!r}: " if names is not None else ""
-            raise SingleClassError(
-                f"{where}targets contain a single class: {classes.tolist()}"
-            )
         models[i] = constant_model(d, 1.0 if classes[0] == 1 else -1.0)
         constant.append(i)
     if not fit:
@@ -177,20 +163,6 @@ def fit_lockstep(
     return models, constant
 
 
-def train_linear(X: np.ndarray, y: np.ndarray, cfg: TrainConfig) -> LinearModel:
-    """Fit a hinge-loss linear model on binary targets y in {0, 1}.
-
-    Shuffled mini-batch subgradient steps with 1/t-style decay for exactly
-    cfg.epochs passes; the run is deterministic under cfg.seed.
-    """
-    X = np.asarray(X, dtype=float)
-    y = np.asarray(y)
-    if X.ndim != 2 or X.shape[0] != y.shape[0]:
-        raise TrainingError("X rows must match y length")
-    models, _ = fit_lockstep(X, [np.arange(X.shape[0])], [y], [cfg.seed], cfg)
-    return models[0]
-
-
 def constant_model(d: int, bias: float) -> LinearModel:
     """Zero-weight fallback used when a training fold is single-class."""
     return LinearModel(np.zeros(d), float(bias), TrainMeta(0.0, 0, 0.0))
@@ -204,19 +176,6 @@ def score(model: LinearModel, X: np.ndarray) -> np.ndarray:
             f"({model.weights.shape[0]})"
         )
     return X @ model.weights + model.bias
-
-
-def predict(model: LinearModel, X: np.ndarray, threshold: float = 0.0) -> np.ndarray:
-    return (score(model, X) > threshold).astype(int)
-
-
-@dataclass(frozen=True)
-class BRModels:
-    """One model per label plus the labels that fell back to a constant
-    scorer because their training data was single-class."""
-
-    models: tuple[LinearModel, ...]
-    constant_labels: tuple[str, ...] = ()
 
 
 def br_problems(
@@ -241,29 +200,3 @@ def br_problems(
         seeds.append(int(np.random.SeedSequence([seed, l]).generate_state(1)[0]))
         offset += k
     return rows, targets, seeds
-
-
-def br_fit(
-    ds: MultiLabelDataset,
-    augments: list[AugmentedDataset],
-    cfg: TrainConfig,
-    on_single_class: str = "raise",
-) -> BRModels:
-    """Binary relevance: fit label l's model on its augmented training set.
-
-    on_single_class: "raise" propagates the error with the label name;
-    "constant" substitutes a zero-weight scorer biased toward the sole
-    observed class and records the label.
-    """
-    if len(augments) != ds.q:
-        raise TrainingError("need exactly one augmentation per label")
-    if any(aug.label_index != l for l, aug in enumerate(augments)):
-        raise TrainingError("augmentations out of label order")
-    X = np.vstack([ds.features] + [aug.extra.points for aug in augments])
-    rows, targets, seeds = br_problems(
-        ds.labels, 0, [len(aug.extra) for aug in augments], cfg.seed
-    )
-    models, constant = fit_lockstep(
-        X, rows, targets, seeds, cfg, on_single_class, ds.label_names
-    )
-    return BRModels(tuple(models), tuple(ds.label_names[l] for l in constant))

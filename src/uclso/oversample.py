@@ -64,19 +64,6 @@ class AugmentedDataset:
     extra: SyntheticSet
     label_index: int
 
-    def features(self) -> np.ndarray:
-        """Base rows followed by synthetic rows."""
-        if len(self.extra) == 0:
-            return self.base.features
-        return np.vstack([self.base.features, self.extra.points])
-
-    def label_vector(self) -> np.ndarray:
-        """Binary target for this label; synthetic rows are all relevant."""
-        base = self.base.labels[:, self.label_index]
-        if len(self.extra) == 0:
-            return base
-        return np.concatenate([base, np.ones(len(self.extra), dtype=int)])
-
 
 def minority_class(ds: MultiLabelDataset, l: int) -> tuple[np.ndarray, np.ndarray]:
     """Row indices of the minority (relevant, y=1) and majority (y=0)
@@ -343,16 +330,3 @@ def iter_augments(
             yield smote_augment(ds, l, cfg, block, plan)
         else:
             yield _augment(ds, l, cfg, plan, block)
-
-
-def augment_all(
-    ds: MultiLabelDataset,
-    cfg: OversampleConfig,
-    assign: ClusterAssignment | None = None,
-) -> list[AugmentedDataset]:
-    """One augmentation per label, per the configured mode. Labels without
-    minority points get an empty synthetic set."""
-    return [
-        _augment(ds, l, cfg, [], None) if isinstance(aug, LabelUnusableError) else aug
-        for l, aug in enumerate(iter_augments(ds, cfg, assign))
-    ]

@@ -241,6 +241,26 @@ class TestOversample:
         assert main(["oversample", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["cluster", "oversample"])
+def test_failed_dataset_leaves_output_directory_as_it_was(tmp_path, capsys, command):
+    # toy_a has 140 rows and toy_b 100: 120 clusters fail on toy_b, after
+    # toy_a's files are written to the staging directory
+    out = tmp_path / "results"
+    out.mkdir()
+    (out / "earlier.txt").write_text("kept\n")
+    path = tmp_path / "config.yaml"
+    path.write_text(CONFIG.format(out=out).replace("k_clusters: 3", "k_clusters: 120"))
+    assert main([command, "--config", str(path)]) == 1
+    assert "error: k=120 must be in [1, 100]" in capsys.readouterr().err
+    assert os.listdir(out) == ["earlier.txt"]
+    # a run that succeeds moves its files in and leaves no staging directory
+    path.write_text(CONFIG.format(out=out))
+    assert main([command, "--config", str(path)]) == 0
+    names = sorted(os.listdir(out))
+    assert names[0] == "earlier.txt" and all(n.startswith("toy_") for n in names[1:])
+    assert {n.split("__")[0] for n in names[1:]} == {"toy_a", "toy_b"}
+
+
 class TestExperiment:
     def test_outputs_and_rank_tables(self, config_path):
         config, out = config_path

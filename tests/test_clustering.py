@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from uclso.clustering import ClusteringError, cluster_members, kmeans
+from uclso.clustering import ClusteringError, kmeans
 
 
 class TestKmeans:
@@ -75,22 +77,43 @@ class TestKmeans:
             kmeans(X, 1, seed=0)
 
 
+@st.composite
+def duplicated_points(draw):
+    """(X, k): up to 12 rows drawn from a few distinct grid points, so most
+    rows have duplicates; k from 1 to n, and k = n half the time."""
+    n = draw(st.integers(1, 12))
+    d = draw(st.integers(1, 3))
+    distinct = draw(st.integers(1, n))
+    values = draw(st.lists(st.integers(-3, 3), min_size=distinct * d, max_size=distinct * d))
+    pick = draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n))
+    X = np.array(values, dtype=float).reshape(distinct, d)[pick]
+    k = draw(st.one_of(st.just(n), st.integers(1, n)))
+    return X, k
+
+
+class TestKmeansProperties:
+    @given(data=duplicated_points(), seed=st.integers(0, 2**16))
+    @settings(max_examples=200, deadline=None)
+    def test_k_populated_clusters_and_inertia_never_rises(self, data, seed):
+        X, k = data
+        res = kmeans(X, k, seed=seed)
+        assert np.array_equal(np.bincount(res.assignment, minlength=k) > 0, np.ones(k, bool))
+        history = np.array(res.inertia_history)
+        assert (np.diff(history) <= 1e-9 * (1.0 + history[0])).all()
+        assert res.inertia == history[-1]
+        if k == X.shape[0]:
+            assert res.inertia == pytest.approx(0.0, abs=1e-9)
+
+
 class TestClusterMembers:
     def test_members(self, two_blob_features):
         res = kmeans(two_blob_features, 2, seed=5)
-        m0 = cluster_members(res, 0)
-        m1 = cluster_members(res, 1)
+        m0 = np.flatnonzero(res.assignment == 0)
+        m1 = np.flatnonzero(res.assignment == 1)
         assert np.array_equal(np.sort(np.concatenate([m0, m1])), np.arange(100))
-        assert (np.diff(m0) > 0).all()
 
     def test_partition_over_all_clusters(self, two_blob_features):
+        # every row in exactly one of the k clusters, and none of them empty
         res = kmeans(two_blob_features, 5, seed=1)
-        merged = np.concatenate([cluster_members(res, p) for p in range(5)])
-        assert np.array_equal(np.sort(merged), np.arange(100))
-
-    def test_out_of_range(self, two_blob_features):
-        res = kmeans(two_blob_features, 2, seed=5)
-        with pytest.raises(ClusteringError):
-            cluster_members(res, 5)
-        with pytest.raises(ClusteringError):
-            cluster_members(res, -1)
+        assert res.assignment.shape == (100,)
+        assert np.array_equal(np.unique(res.assignment), np.arange(5))

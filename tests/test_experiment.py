@@ -6,9 +6,9 @@ import pytest
 from uclso import experiment
 from uclso.clustering import kmeans
 from uclso.dataset import MultiLabelDataset, make_fold_plan
-from uclso.experiment import MethodSpec, _cell_seed, auc_defined, evaluate_cell, run_cv
-from uclso.linear import TrainConfig, br_fit, fit_lockstep, train_linear
-from uclso.oversample import OversampleConfig, augment_all
+from uclso.experiment import MethodSpec, _cell_seed, auc_defined, run_cv
+from uclso.linear import TrainConfig, br_problems, fit_lockstep
+from uclso.oversample import OversampleConfig, iter_augments
 
 
 def small_ds(seed=0, n=120):
@@ -59,39 +59,31 @@ class TestRunCv:
         for name in a:
             assert a[name].cells == b[name].cells
 
-    def test_no_leakage_from_test_rows(self):
-        # mutating every test row before the cell runs changes nothing:
+    def test_no_leakage_from_test_rows(self, monkeypatch):
+        # mutating every test row of a cell changes none of its models:
         # clustering, synthesis and training see only training rows
         ds = small_ds()
         plan = make_fold_plan(ds.n, 1, 2, seed=2)
-        train_idx, test_idx = plan.train_test(0, 0)
+        _, test_idx = plan.train_test(0, 0)
         method = methods("uclso")[0]
-        cell = evaluate_cell(ds, train_idx, test_idx, method, FAST, 0, 0)
-
         corrupted = ds.features.copy()
-        corrupted.setflags(write=True)
         corrupted[test_idx] += 1000.0
         ds2 = MultiLabelDataset(
             corrupted, ds.labels.copy(), ds.feature_names, ds.label_names
         )
-        train_ds_a = ds.subset(train_idx)
-        train_ds_b = ds2.subset(train_idx)
-        assert np.array_equal(train_ds_a.features, train_ds_b.features)
-        from uclso.linear import br_fit
-        from uclso.oversample import augment_all
-        from uclso.clustering import kmeans
-        from dataclasses import replace
-        from uclso.experiment import _cell_seed
+        fitted = []  # each cell fits alone: cell (0, 0)'s models come first
 
-        os_cfg = replace(method.oversample, seed=_cell_seed(method.oversample.seed, 0, 0))
-        for source in (train_ds_a, train_ds_b):
-            assign = kmeans(source.features, os_cfg.k_clusters, seed=os_cfg.seed)
-            augs = augment_all(source, os_cfg, assign)
-            tr = replace(FAST, seed=_cell_seed(FAST.seed, 0, 0))
-            br = br_fit(source, augs, tr, on_single_class="constant")
-            models = br.models
-            if source is train_ds_a:
-                ref = models
+        def spy(*args, **kwargs):
+            result = fit_lockstep(*args, **kwargs)
+            fitted.append(result[0])
+            return result
+
+        monkeypatch.setattr(experiment, "fit_lockstep", spy)
+        monkeypatch.setattr(experiment, "GROUP_ELEMENTS", 1)
+        cell = run_cv(ds, [method], plan, FAST)["uclso"].cells[0]
+        run_cv(ds2, [method], plan, FAST)
+        ref, models = fitted[0], fitted[2]
+        assert len(fitted) == 4 and len(ref) == ds.q
         for ma, mb in zip(ref, models):
             assert np.array_equal(ma.weights, mb.weights)
             assert ma.bias == mb.bias
@@ -161,15 +153,16 @@ def lone_point_ds():
 
 class TestMethodWideFit:
     @pytest.mark.parametrize("name", ["none", "smote", "uclso"])
-    def test_run_cv_cells_equal_evaluate_cell(self, name):
+    def test_run_cv_cells_equal_evaluate_cell(self, name, monkeypatch):
+        # every cell of one method fit in one group equals the cell fit alone
         ds = lone_point_ds()
         plan = make_fold_plan(ds.n, 2, 2, seed=3)
         method = methods(name)[0]
         report = run_cv(ds, [method], plan, FAST)[name]
-        for cell in report.cells:
-            train_idx, test_idx = plan.train_test(cell.rep, cell.fold)
-            alone = evaluate_cell(ds, train_idx, test_idx, method, FAST, cell.rep, cell.fold)
-            assert alone == cell
+        monkeypatch.setattr(experiment, "GROUP_ELEMENTS", 1)
+        alone = run_cv(ds, [method], plan, FAST)[name]
+        assert len(report.cells) == 4
+        assert alone.cells == report.cells
 
     def test_some_uclso_cell_has_a_pool_of_one(self):
         # the case above covers a pool of one only if some training fold
@@ -208,13 +201,21 @@ class TestMethodWideFit:
             train_idx, _ = plan.train_test(rep, fold)
             train = ds.subset(train_idx)
             os_cfg = replace(method.oversample, seed=_cell_seed(method.oversample.seed, rep, fold))
-            augments = augment_all(train, os_cfg, kmeans(train.features, 3, seed=os_cfg.seed))
-            cell_cfg = replace(FAST, seed=_cell_seed(FAST.seed, rep, fold))
-            br = br_fit(train, augments, cell_cfg)
-            for l, aug in enumerate(augments):
-                seed = int(np.random.SeedSequence([cell_cfg.seed, l]).generate_state(1)[0])
-                alone = train_linear(aug.features(), aug.label_vector(), replace(cell_cfg, seed=seed))
-                for model in (br.models[l], group[c * ds.q + l]):
+            assign = kmeans(train.features, 3, seed=os_cfg.seed)
+            augments = list(iter_augments(train, os_cfg, assign))
+            X = np.vstack([train.features] + [aug.extra.points for aug in augments])
+            cell_seed = _cell_seed(FAST.seed, rep, fold)
+            rows, targets, seeds = br_problems(
+                train.labels, 0, [len(aug.extra) for aug in augments], cell_seed
+            )
+            per_cell, _ = fit_lockstep(X, rows, targets, seeds, FAST)
+            for l in range(ds.q):
+                seed = int(np.random.SeedSequence([cell_seed, l]).generate_state(1)[0])
+                # the label's own augmented set: base rows, then its points
+                (alone,), _ = fit_lockstep(
+                    X[rows[l]], [np.arange(len(rows[l]))], [targets[l]], [seed], FAST
+                )
+                for model in (per_cell[l], group[c * ds.q + l]):
                     assert np.array_equal(alone.weights, model.weights)
                     assert alone.bias == model.bias
 

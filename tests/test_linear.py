@@ -4,19 +4,18 @@ import numpy as np
 import pytest
 
 from uclso.clustering import kmeans
+from uclso.dataset import MultiLabelDataset
+from uclso.experiment import _score_cell
 from uclso.linear import (
     LinearModel,
-    SingleClassError,
     TrainConfig,
     TrainMeta,
-    br_fit,
+    br_problems,
     constant_model,
     fit_lockstep,
-    predict,
     score,
-    train_linear,
 )
-from uclso.oversample import OversampleConfig, augment_all
+from uclso.oversample import OversampleConfig, iter_augments
 
 
 def blobs_2d(seed=0, n=50, centers=((0, 0), (5, 5))):
@@ -55,6 +54,27 @@ def reference_fit(X, y, cfg):
     return w, b
 
 
+def fit_one(X, y, cfg):
+    """One model on all of X's rows, under cfg.seed."""
+    models, _ = fit_lockstep(X, [np.arange(len(X))], [y], [cfg.seed], cfg)
+    return models[0]
+
+
+def predict(model, X):
+    return (score(model, X) > 0.0).astype(int)
+
+
+def fit_cell(ds, os_cfg, train_cfg, assign=None):
+    """Every label's model of one cell: each label's synthetic rows
+    stacked after the base rows, one binary-relevance problem per label."""
+    augments = list(iter_augments(ds, os_cfg, assign))
+    X = np.vstack([ds.features] + [aug.extra.points for aug in augments])
+    rows, targets, seeds = br_problems(
+        ds.labels, 0, [len(aug.extra) for aug in augments], train_cfg.seed
+    )
+    return fit_lockstep(X, rows, targets, seeds, train_cfg)
+
+
 def grid_search_accuracy(X, y, resolution=25):
     """Brute-force oracle: best training accuracy of any linear rule over a
     coarse (w, b) grid (weights on the unit circle, bias over data range)."""
@@ -74,13 +94,13 @@ class TestTrainLinear:
     def test_separable_1d(self):
         X = np.array([[-1.0]] * 20 + [[1.0]] * 20)
         y = np.array([0] * 20 + [1] * 20)
-        model = train_linear(X, y, TrainConfig(seed=1))
+        model = fit_one(X, y, TrainConfig(seed=1))
         assert (predict(model, X) == y).all()
 
     def test_no_signal_collapses_to_majority(self):
         X = np.ones((30, 2))
         y = np.array([1] * 5 + [0] * 25)
-        model = train_linear(X, y, TrainConfig(seed=1))
+        model = fit_one(X, y, TrainConfig(seed=1))
         preds = predict(model, X)
         acc = (preds == y).mean()
         assert acc == pytest.approx(25 / 30)
@@ -89,32 +109,27 @@ class TestTrainLinear:
         X, y = blobs_2d(seed=3)
         X_test, y_test = blobs_2d(seed=4)
         assert grid_search_accuracy(X, y) == 1.0  # a perfect separator exists
-        model = train_linear(X, y, TrainConfig(seed=2))
+        model = fit_one(X, y, TrainConfig(seed=2))
         acc = (predict(model, X_test) == y_test).mean()
         assert acc >= 0.95
 
     def test_deterministic(self):
         X, y = blobs_2d(seed=5)
-        a = train_linear(X, y, TrainConfig(seed=9))
-        b = train_linear(X, y, TrainConfig(seed=9))
+        a = fit_one(X, y, TrainConfig(seed=9))
+        b = fit_one(X, y, TrainConfig(seed=9))
         assert np.array_equal(a.weights, b.weights)
         assert a.bias == b.bias
         assert a.train_meta == b.train_meta
 
-    def test_single_class_rejected(self):
-        X = np.zeros((10, 2))
-        with pytest.raises(SingleClassError):
-            train_linear(X, np.ones(10, dtype=int), TrainConfig())
-
     def test_non_finite_rejected(self):
         X = np.array([[np.inf, 0.0], [0.0, 1.0]])
         with pytest.raises(ValueError, match="finite"):
-            train_linear(X, np.array([0, 1]), TrainConfig())
+            fit_one(X, np.array([0, 1]), TrainConfig())
 
     def test_objective_decreases_with_more_epochs(self):
         X, y = blobs_2d(seed=7)
-        short = train_linear(X, y, TrainConfig(seed=1, epochs=2))
-        long = train_linear(X, y, TrainConfig(seed=1, epochs=60))
+        short = fit_one(X, y, TrainConfig(seed=1, epochs=2))
+        long = fit_one(X, y, TrainConfig(seed=1, epochs=60))
         assert long.train_meta.objective <= short.train_meta.objective + 1e-9
 
 
@@ -129,7 +144,7 @@ class TestScorePredict:
 
     def test_zero_padding_invariance(self):
         X, y = blobs_2d(seed=8)
-        model = train_linear(X, y, TrainConfig(seed=1))
+        model = fit_one(X, y, TrainConfig(seed=1))
         padded = LinearModel(
             np.concatenate([model.weights, [0.0]]), model.bias, model.train_meta
         )
@@ -137,15 +152,16 @@ class TestScorePredict:
         assert np.abs(score(model, X) - score(padded, X_pad)).max() < 1e-12
 
     def test_threshold_strict_and_monotone(self):
+        # scores -1, 0 and 2: a cell's F1 is 1 only if a score of exactly 0
+        # predicts 0 and every other score predicts by its sign
         model = LinearModel(np.array([1.0]), 0.0, TrainMeta(1.0, 0, 0.0))
-        assert predict(model, np.array([[0.0]]))[0] == 0  # score 0 at threshold 0
-        assert predict(model, np.array([[-1.0], [2.0]])).tolist() == [0, 1]
-        rng = np.random.default_rng(2)
-        X = rng.normal(size=(50, 1))
-        counts = [
-            predict(model, X, threshold=t).sum() for t in np.linspace(-2, 2, 9)
-        ]
-        assert all(a >= b for a, b in zip(counts, counts[1:]))
+        ds = MultiLabelDataset(
+            np.array([[-1.0], [0.0], [2.0]]), np.array([[0], [0], [1]]), ("x",), ("l",)
+        )
+        cell = _score_cell(ds, np.arange(3), [model], (), 0, 0)
+        assert cell.f1 == (1.0,)
+        shifted = LinearModel(model.weights, 1e-9, model.train_meta)
+        assert _score_cell(ds, np.arange(3), [shifted], (), 0, 0).f1[0] < 1.0
 
     def test_dimension_mismatch(self):
         model = constant_model(3, 0.0)
@@ -157,52 +173,48 @@ class TestBrFit:
     def test_single_label_reduces_to_train_linear(self, fig1_toy):
         sub = fig1_toy.subset(np.arange(200))
         cfg = OversampleConfig(seed=1, mode="none")
-        augments = augment_all(sub, cfg)
-        br = br_fit(sub, augments, TrainConfig(seed=3, epochs=10))
-        assert len(br.models) == sub.q
-        assert br.constant_labels == ()
+        models, constant = fit_cell(sub, cfg, TrainConfig(seed=3, epochs=10))
+        assert len(models) == sub.q
+        assert constant == []
 
     def test_none_mode_matches_plain_training_data(self, fig1_toy):
         cfg = OversampleConfig(seed=1, mode="none")
-        augments = augment_all(fig1_toy, cfg)
+        augments = list(iter_augments(fig1_toy, cfg))
+        rows, targets, _ = br_problems(
+            fig1_toy.labels, 0, [len(aug.extra) for aug in augments], 0
+        )
         for l, aug in enumerate(augments):
             assert len(aug.extra) == 0
-            assert aug.features() is fig1_toy.features
-            assert np.array_equal(aug.label_vector(), fig1_toy.labels[:, l])
+            assert aug.base is fig1_toy
+            assert np.array_equal(rows[l], np.arange(fig1_toy.n))
+            assert np.array_equal(targets[l], fig1_toy.labels[:, l])
 
     def test_uclso_and_none_identical_for_balanced_label(self):
         rng = np.random.default_rng(0)
         X = rng.normal(size=(40, 2))
         labels = np.array([[1]] * 20 + [[0]] * 20)
-        from uclso.dataset import MultiLabelDataset
-
         ds = MultiLabelDataset(X, labels, ("x0", "x1"), ("l0",))
         assign = kmeans(X, 2, seed=1)
         cfg_u = OversampleConfig(k_clusters=2, seed=1, mode="uclso")
         cfg_n = OversampleConfig(k_clusters=2, seed=1, mode="none")
-        a = br_fit(ds, augment_all(ds, cfg_u, assign), TrainConfig(seed=2, epochs=10))
-        b = br_fit(ds, augment_all(ds, cfg_n), TrainConfig(seed=2, epochs=10))
-        assert np.array_equal(a.models[0].weights, b.models[0].weights)
-        assert a.models[0].bias == b.models[0].bias
+        a, _ = fit_cell(ds, cfg_u, TrainConfig(seed=2, epochs=10), assign)
+        b, _ = fit_cell(ds, cfg_n, TrainConfig(seed=2, epochs=10))
+        assert np.array_equal(a[0].weights, b[0].weights)
+        assert a[0].bias == b[0].bias
 
-    def test_single_class_label_raises_with_name(self):
+    def test_single_class_label_gets_constant_scorer(self):
         rng = np.random.default_rng(0)
-        from uclso.dataset import MultiLabelDataset
-
         ds = MultiLabelDataset(
             rng.normal(size=(10, 2)),
             np.hstack([np.ones((10, 1), dtype=int), np.eye(10, 1, dtype=int)]),
             ("x0", "x1"),
             ("always_on", "rare"),
         )
-        augments = augment_all(ds, OversampleConfig(seed=1, mode="none"))
-        with pytest.raises(SingleClassError, match="always_on"):
-            br_fit(ds, augments, TrainConfig(seed=1, epochs=5))
-        br = br_fit(
-            ds, augments, TrainConfig(seed=1, epochs=5), on_single_class="constant"
+        models, constant = fit_cell(
+            ds, OversampleConfig(seed=1, mode="none"), TrainConfig(seed=1, epochs=5)
         )
-        assert br.constant_labels == ("always_on",)
-        assert (predict(br.models[0], ds.features) == 1).all()
+        assert constant == [0]
+        assert (predict(models[0], ds.features) == 1).all()
 
 
 class TestLockstep:
@@ -234,22 +246,20 @@ class TestLockstep:
         cfg = TrainConfig(epochs=12)
         models, _ = fit_lockstep(X, rows, targets, [1, 2, 3, 4], cfg)
         for model, r, y, seed in zip(models, rows, targets, (1, 2, 3, 4)):
-            alone = train_linear(X[r], y, replace(cfg, seed=seed))
+            alone = fit_one(X[r], y, replace(cfg, seed=seed))
             assert np.array_equal(alone.weights, model.weights)
             assert alone.bias == model.bias
             assert alone.train_meta == model.train_meta
 
-    def test_single_class_problem_constant_or_raised(self):
+    def test_single_class_problem_gets_constant_model(self):
         X = np.arange(20.0).reshape(10, 2)
-        rows = [np.arange(10), np.arange(5)]
-        targets = [np.resize([0, 1], 10), np.ones(5, dtype=int)]
-        models, constant = fit_lockstep(
-            X, rows, targets, [0, 1], TrainConfig(epochs=2), on_single_class="constant"
-        )
-        assert constant == [1]
+        rows = [np.arange(10), np.arange(5), np.arange(3)]
+        targets = [np.resize([0, 1], 10), np.ones(5, dtype=int), np.zeros(3, dtype=int)]
+        models, constant = fit_lockstep(X, rows, targets, [0, 1, 2], TrainConfig(epochs=2))
+        assert constant == [1, 2]
         assert models[1].bias == 1.0 and not models[1].weights.any()
-        with pytest.raises(SingleClassError, match="label 'b'"):
-            fit_lockstep(X, rows, targets, [0, 1], TrainConfig(epochs=2), names=("a", "b"))
+        assert models[2].bias == -1.0 and not models[2].weights.any()
+        assert models[0].train_meta.epochs_run == 2
 
     def test_row_count_must_match_targets(self):
         with pytest.raises(ValueError, match="match"):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from uclso.clustering import kmeans
 from uclso.dataset import MultiLabelDataset, generate_toy
+from uclso.linear import br_problems
 from uclso import oversample
 from uclso.oversample import (
     LabelUnusableError,
@@ -144,7 +145,7 @@ class TestUclsoAugment:
         assign = kmeans(ds.features, 2, seed=0)
         aug = uclso_augment(ds, assign, 0, OversampleConfig(k_clusters=2, seed=1))
         assert len(aug.extra) == 0
-        assert aug.features() is ds.features
+        assert aug.base is ds and aug.extra.points.shape == (0, ds.d)
 
     def test_per_cluster_totals_match_quota_oracle(self):
         # minority split (6, 4) across two tight blobs, 90 majority points
@@ -283,7 +284,7 @@ class TestSmoteAugment:
         labels = np.array([[1]] * 10 + [[0]] * 90)
         ds = make_ds(rng.normal(size=(100, 2)), labels)
         aug = smote_augment(ds, 0, OversampleConfig(seed=3))
-        y = aug.label_vector()
+        _, (y,), _ = br_problems(ds.labels, 0, [len(aug.extra)], 0)
         assert y.size == 180
         assert (y[100:] == 1).all()
 
@@ -421,6 +422,48 @@ class TestSynthesisPaths:
         ds = make_ds(np.arange(8.0).reshape(4, 2), [[1], [0], [0], [0]])
         with pytest.raises(OversampleError, match="block"):
             smote_augment(ds, 0, OversampleConfig(seed=1), out=np.empty((3, 2)))
+
+
+@st.composite
+def tiny_pools(draw):
+    """(ds, cfg): d = 1, a label with 1 or 2 minority points (often at the
+    same value) and up to 30 majority points, so every pool holds 1 or 2
+    points."""
+    n_min = draw(st.integers(1, 2))
+    n_maj = draw(st.integers(0, 30))
+    values = draw(st.lists(st.integers(-4, 4), min_size=n_min + n_maj,
+                           max_size=n_min + n_maj))
+    labels = np.array([[1]] * n_min + [[0]] * n_maj)
+    k = draw(st.integers(1, min(3, n_min + n_maj)))
+    cfg = OversampleConfig(k_clusters=k, m_neighbors=draw(st.integers(1, 5)),
+                           seed=draw(st.integers(0, 1000)))
+    return make_ds(np.array(values, dtype=float)[:, None] / 2.0, labels), cfg
+
+
+class TestTinyPools:
+    @given(data=tiny_pools(), mode=st.sampled_from(["uclso", "smote"]))
+    @settings(max_examples=150, deadline=None)
+    def test_balance_bound_and_parents_in_pool(self, data, mode):
+        ds, cfg = data
+        cfg = OversampleConfig(cfg.k_clusters, cfg.m_neighbors, cfg.seed, mode)
+        assign = kmeans(ds.features, cfg.k_clusters, seed=cfg.seed)
+        (aug,) = iter_augments(ds, cfg, assign)
+        min_idx, maj_idx = minority_class(ds, 0)
+        total = min_idx.size + len(aug.extra)
+        if maj_idx.size <= min_idx.size:
+            assert len(aug.extra) == 0
+        else:
+            k = cfg.k_clusters if mode == "uclso" else 0
+            assert maj_idx.size <= total <= maj_idx.size + k
+        prov = aug.extra.provenance
+        assert np.isin(prov.parent_u, min_idx).all() and np.isin(prov.parent_v, min_idx).all()
+        if mode == "uclso":
+            cluster = assign.assignment
+            assert (cluster[prov.parent_u] == prov.cluster).all()
+            assert (cluster[prov.parent_v] == prov.cluster).all()
+        lo = np.minimum(ds.features[prov.parent_u], ds.features[prov.parent_v])
+        hi = np.maximum(ds.features[prov.parent_u], ds.features[prov.parent_v])
+        assert ((lo <= aug.extra.points) & (aug.extra.points <= hi)).all()
 
 
 class TestVectorisedDraw:
