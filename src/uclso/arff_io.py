@@ -4,6 +4,13 @@ Supports dense and sparse ARFF rows, numeric and nominal attributes, and
 case-insensitive keywords. Nominal feature attributes are one-hot encoded
 at load; label attributes must be binary (0/1). Missing values (`?`) are
 rejected.
+
+A dense data block is parsed in one vectorised pass (numpy's `loadtxt`).
+Sparse rows, quoted tokens, and any block that pass does not take (a
+missing value, a row with the wrong number of fields, a token outside a
+nominal domain or one `loadtxt` cannot read) go through the line parser,
+which reads a row at a time. Either way the values are the same, and
+error messages and line numbers come from the line parser.
 """
 
 from __future__ import annotations
@@ -122,7 +129,8 @@ def read_arff(path: str) -> tuple[list[_Attribute], np.ndarray]:
     Nominal cells hold the index of their value in the declared domain.
     """
     attributes: list[_Attribute] = []
-    rows: list[list[float]] = []
+    linenos: list[int] = []
+    lines: list[str] = []
     in_data = False
     with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -145,12 +153,63 @@ def read_arff(path: str) -> tuple[list[_Attribute], np.ndarray]:
                     in_data = True
                     continue
                 raise ArffError(f"unexpected header line {line!r}", lineno)
-            rows.append(_parse_row(line, attributes, lineno))
+            linenos.append(lineno)
+            lines.append(line)
     if not in_data:
         raise ArffError("no @data section found", None)
-    if not rows:
+    if not lines:
         raise ArffError("empty @data section", None)
-    return attributes, np.asarray(rows, dtype=float)
+    values = _parse_dense(lines, attributes)
+    if values is None:
+        values = np.asarray(
+            [_parse_row(line, attributes, n) for n, line in zip(linenos, lines)],
+            dtype=float,
+        )
+    return attributes, values
+
+
+# characters that send a data block to the line parser: sparse rows,
+# quotes, missing values, and NUL, which numpy drops from the end of a
+# string where the line parser keeps it
+_LINE_PARSER_ONLY = ("{", "'", '"', "?", "\x00")
+
+
+def _parse_dense(lines: list[str], attributes: list[_Attribute]) -> np.ndarray | None:
+    """The raw value matrix of a dense block in one vectorised pass, or None
+    when the block holds anything this pass does not take. The caller then
+    runs the line parser, which gives the error and its line number."""
+    block = "\n".join(lines)
+    if any(ch in block for ch in _LINE_PARSER_ONLY):
+        return None
+    # loadtxt with usecols reads ragged rows without complaint
+    commas = len(attributes) - 1
+    if any(line.count(",") != commas for line in lines):
+        return None
+    numeric = [i for i, a in enumerate(attributes) if a.kind == "numeric"]
+    nominal = [i for i, a in enumerate(attributes) if a.kind == "nominal"]
+    out = np.empty((len(lines), len(attributes)))
+    try:
+        # comments=None: with "#", loadtxt reads "1#2" as 1.0
+        if numeric:
+            out[:, numeric] = np.loadtxt(
+                lines, delimiter=",", comments=None, usecols=numeric, ndmin=2
+            )
+        if nominal:
+            tokens = np.loadtxt(
+                lines, delimiter=",", comments=None, usecols=nominal, ndmin=2,
+                dtype=str,
+            )
+    except ValueError:
+        return None
+    for j, col in enumerate(nominal):
+        domain = attributes[col].values
+        index = {v: float(domain.index(v)) for v in domain}
+        distinct, inverse = np.unique(tokens[:, j], return_inverse=True)
+        found = [index.get(tok.strip()) for tok in distinct.tolist()]
+        if None in found:
+            return None
+        out[:, col] = np.asarray(found)[inverse]
+    return out
 
 
 def _parse_row(line: str, attributes: list[_Attribute], lineno: int) -> list[float]:
@@ -220,12 +279,13 @@ def load_mulan(arff_path: str, xml_path: str) -> MultiLabelDataset:
         attr = attributes[col]
         if attr.kind == "nominal":
             # map domain indices back to the declared values, expect "0"/"1"
-            mapped = np.array([attr.values[int(v)] for v in raw[:, col]])
-            if not set(mapped) <= {"0", "1"}:
+            mapped = np.asarray(attr.values)[raw[:, col].astype(int)]
+            found = np.unique(mapped)
+            if not set(found) <= {"0", "1"}:
                 raise ArffError(
-                    f"label {attr.name!r} has non-binary values {sorted(set(mapped))}"
+                    f"label {attr.name!r} has non-binary values {list(found)}"
                 )
-            labels[:, out_k] = mapped.astype(int)
+            labels[:, out_k] = mapped == "1"
         else:
             col_vals = raw[:, col]
             if not np.isin(col_vals, (0.0, 1.0)).all():
@@ -265,10 +325,15 @@ def load_mulan(arff_path: str, xml_path: str) -> MultiLabelDataset:
 _XML_FORBIDDEN = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ud800-\udfff\ufffe\uffff]")
 
 
+# lone surrogates, the only characters UTF-8 cannot encode
+_SURROGATE = re.compile(r"[\ud800-\udfff]")
+
+
 def _quoted(name: str) -> str:
     """An attribute name in the quotes the reader takes: '…', or "…" when
     the name holds a '."""
-    if not name or "\n" in name or "\r" in name or ("'" in name and '"' in name):
+    if (not name or "\n" in name or "\r" in name or ("'" in name and '"' in name)
+            or _SURROGATE.search(name)):
         raise ArffError(f"attribute name {name!r} cannot be written to ARFF")
     return f'"{name}"' if "'" in name else f"'{name}'"
 
@@ -287,9 +352,10 @@ def write_mulan(ds: MultiLabelDataset, arff_path: str, xml_path: str,
 
     Features are written as numeric attributes and labels as nominal {0,1};
     reloading yields identical names and feature and label matrices. A name
-    that is empty, holds a line break or holds both quote characters, and a
-    label name that holds a character XML 1.0 forbids, cannot be written,
-    and are rejected before any file is opened.
+    that is empty, holds a line break, holds both quote characters or holds
+    a lone surrogate (which UTF-8 cannot encode), and a label name that
+    holds a character XML 1.0 forbids, cannot be written, and are rejected
+    before any file is opened.
     """
     features = [_quoted(name) for name in ds.feature_names]
     labels = [_quoted_label(name) for name in ds.label_names]
@@ -300,10 +366,12 @@ def write_mulan(ds: MultiLabelDataset, arff_path: str, xml_path: str,
         for name in labels:
             fh.write(f"@attribute {name} {{0,1}}\n")
         fh.write("\n@data\n")
-        for i in range(ds.n):
-            cells = [repr(float(v)) for v in ds.features[i]]
-            cells.extend(str(int(v)) for v in ds.labels[i])
-            fh.write(",".join(cells) + "\n")
+        # one row at a time: tolist() on the whole matrix holds a Python
+        # float per cell
+        rows = zip(map(np.ndarray.tolist, ds.features), map(np.ndarray.tolist, ds.labels))
+        fh.writelines(
+            f"{','.join(map(repr, x))},{','.join(map(str, y))}\n" for x, y in rows
+        )
     root = ET.Element("labels")
     root.set("xmlns", "http://mulan.sourceforge.net/labels")
     for name in ds.label_names:

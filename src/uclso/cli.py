@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import os
 import shutil
@@ -67,6 +68,13 @@ def _write_rows(path: str, cfg: ExperimentConfig, header: list[str], rows) -> No
         writer.writerow(header)
         for row in rows:
             writer.writerow([_fmt(v) for v in row])
+
+
+def _csv_field(text: str) -> str:
+    """text as csv.writer writes it in a row of several fields."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow([text, ""])
+    return buf.getvalue()[:-2]
 
 
 def _stats_row(name: str, ds, variant: str) -> list:
@@ -168,15 +176,20 @@ def _write_synthetic(cfg: ExperimentConfig, ds, dataset: str, out: str) -> None:
             print(f"warning: skipping label {name!r}: {aug}", file=sys.stderr)
             continue
         # provenance is read by column: attribute reads on each record
-        # cost far more than one tolist() per field
+        # cost far more than one tolist() per field. Each point is one
+        # f-string that writes what _write_rows would: the name as
+        # csv.writer quotes it, ints by str() and floats by repr()
         prov = aug.extra.provenance
         columns = (prov[f].tolist() for f in ("cluster", "r", "parent_u", "parent_v"))
-        rows = (
-            [name, *fields] + point.tolist()
-            for *fields, point in zip(*columns, aug.extra.points)
-        )
+        points = map(np.ndarray.tolist, aug.extra.points)
+        quoted = _csv_field(name)
         path = os.path.join(out, f"{dataset}__label_{l}__synthetic.csv")
-        _write_rows(path, cfg, header, rows)
+        _write_rows(path, cfg, header, ())
+        with open(path, "a", encoding="utf-8", newline="") as fh:
+            fh.writelines(
+                f"{quoted},{c},{r!r},{u},{v},{','.join(map(repr, point))}\n"
+                for c, r, u, v, point in zip(*columns, points)
+            )
         clusters, counts = np.unique(prov.cluster, return_counts=True)
         if not clusters.size:
             manifest.append([name, -1, 0])

@@ -137,6 +137,13 @@ def load_config(
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid seed: {exc}") from None
     out_dir = str(data.get("out", "results"))
+    # every command makes out_dir, which fails if it, or the nearest of its
+    # ancestors that exists (a dangling link counts), is not a directory
+    existing = os.path.abspath(out_dir)
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"out {out_dir!r}: {existing} is not a directory")
 
     raw_datasets = data.get("datasets")
     if not raw_datasets:

@@ -1,11 +1,13 @@
 import os
 import tempfile
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uclso import arff_io
 from uclso.arff_io import ArffError, load_mulan, read_arff, write_mulan
 from uclso.dataset import MultiLabelDataset, generate_toy
 
@@ -158,7 +160,7 @@ def test_round_trip_bit_identical(tmp_path):
 # nominal braces, both quotes, and line breaks; and characters XML 1.0
 # forbids, which only a label name, written to the XML list too, cannot hold
 NAMES = st.lists(
-    st.text(st.sampled_from("aZ9_ ,%{}'\"\t\n\r\x00\x01\x1f\ufffe"), max_size=6),
+    st.text(st.sampled_from("aZ9_ ,%{}'\"\t\n\r\x00\x01\x1f\ufffe\ud800"), max_size=6),
     min_size=1, max_size=4, unique=True,
 )
 
@@ -166,7 +168,9 @@ NAMES = st.lists(
 def representable(name, label):
     if label and {"\x00", "\x01", "\x1f", "\ufffe"} & set(name):
         return False
-    return bool(name) and not {"\n", "\r"} & set(name) and not {"'", '"'} <= set(name)
+    # a lone surrogate cannot be encoded as UTF-8
+    return (bool(name) and not {"\n", "\r", "\ud800"} & set(name)
+            and not {"'", '"'} <= set(name))
 
 
 @given(feature_names=NAMES, label_names=NAMES, seed=st.integers(0, 2**16))
@@ -209,3 +213,122 @@ def test_single_quote_names_use_double_quotes(tmp_path):
         "@attribute 'l2' {0,1}",
     ]
     assert load_mulan(arff, xml).feature_names == ("it's", "x y")
+
+
+# Dense blocks are parsed in one vectorised pass; the line parser, which
+# every block can fall back to, is the reference the pass must match.
+
+HEADER = "@relation r\n@attribute f1 numeric\n@attribute lab1 {0,1}\n@attribute f2 numeric\n"
+
+
+def read_or_error(path):
+    try:
+        return read_arff(path)[1]
+    except ArffError as exc:
+        return str(exc), exc.line
+
+
+def no_line_parser():
+    """A patch under which read_arff fails unless the vectorised pass
+    takes the whole block."""
+    return mock.patch.object(arff_io, "_parse_row", side_effect=AssertionError)
+
+
+# tokens both parsers read, then tokens at least one of them rejects
+NUMERIC_OK = ["0", "1", "-0", "2.5", " 3 ", "\t-1e3\t", "inf", "-Infinity", "nan",
+              "-nan", "1e400", "1e-320", "+.5", "\x0c1", "1\u2028"]
+NUMERIC_BAD = ["1_0", "\uff11", "1#2", "", "1 2", "0x10", "?", "'1'", "1\x00", "a"]
+NOMINAL_OK = ["0", "1", " 1 ", "\t0"]
+NOMINAL_BAD = ["1.0", "00", "", "a", "?", "'1'", "0\x00", "{"]
+
+
+@st.composite
+def dense_blocks(draw):
+    """An ARFF file of numeric and {0,1} columns. About half the blocks
+    hold only tokens both parsers read; in the rest a token is one that
+    some parser rejects one time in four, and a row may have a field too
+    many or too few."""
+    clean = draw(st.booleans())
+    kinds = draw(st.lists(st.booleans(), min_size=1, max_size=4))
+    lines = ["@relation r"]
+    for j, nominal in enumerate(kinds):
+        lines.append(f"@attribute a{j} " + ("{0,1}" if nominal else "numeric"))
+    lines.append("@data")
+    for _ in range(draw(st.integers(1, 5))):
+        width = len(kinds)
+        if not clean:
+            width += draw(st.sampled_from([0, 0, 0, 0, 0, 0, -1, 1]))
+        tokens = []
+        for j in range(max(width, 1)):
+            nominal = j < len(kinds) and kinds[j]
+            ok, bad = (NOMINAL_OK, NOMINAL_BAD) if nominal else (NUMERIC_OK, NUMERIC_BAD)
+            rare_bad = not clean and draw(st.integers(0, 3)) == 0
+            tokens.append(draw(st.sampled_from(bad if rare_bad else ok)))
+        lines.append(",".join(tokens))
+        lines.extend(draw(st.lists(st.sampled_from(["", "% note", "  "]), max_size=1)))
+    return "\n".join(lines) + "\n"
+
+
+@given(text=dense_blocks())
+@settings(max_examples=300, deadline=None)
+def test_vectorised_pass_matches_line_parser(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "b.arff")
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        fast = read_or_error(path)
+        with mock.patch.object(arff_io, "_parse_dense", return_value=None):
+            lines = read_or_error(path)
+    assert type(fast) is type(lines)
+    if isinstance(lines, tuple):
+        assert fast == lines
+    else:
+        assert fast.dtype == lines.dtype and fast.shape == lines.shape
+        assert fast.tobytes() == lines.tobytes()
+
+
+def test_vectorised_pass_keeps_special_values(tmp_path):
+    path = write(tmp_path, "v.arff", HEADER + "@data\ninf,1,-0\n1e-320,0,-Infinity\n 1e400 , 1 ,nan\n")
+    with no_line_parser():
+        _, raw = read_arff(path)
+    expected = [[np.inf, 1.0, -0.0], [1e-320, 0.0, -np.inf], [np.inf, 1.0, np.nan]]
+    assert raw.tobytes() == np.array(expected).tobytes()
+
+
+def test_comments_and_blank_lines_in_data(tmp_path):
+    path = write(tmp_path, "c.arff", HEADER + "@data\n% first\n1,0,2\n\n   \n% x,y\n3,1,4\n")
+    with no_line_parser():
+        _, raw = read_arff(path)
+    assert np.array_equal(raw, [[1, 0, 2], [3, 1, 4]])
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("5,1,6,7", "expected 3 values, got 4"),
+        ("5,1", "expected 3 values, got 2"),
+        ("5,1.0,6", "value '1.0' not in nominal domain of 'lab1'"),
+        ("5,00,6", "value '00' not in nominal domain of 'lab1'"),
+        # numpy drops a string's trailing NULs; the line parser keeps them
+        ("5,1\x00,6", "value '1\\x00' not in nominal domain of 'lab1'"),
+        ("5,1,6x", "invalid numeric value '6x' for attribute 'f2'"),
+        ("1#2,1,6", "invalid numeric value '1#2' for attribute 'f1'"),
+    ],
+)
+def test_bad_row_reports_its_line(tmp_path, row, message):
+    # line 9 of a file whose other rows the vectorised pass takes
+    block = HEADER + "@data\n1,0,2\n% note\n\nROW\n3,1,4\n"
+    with no_line_parser():
+        read_arff(write(tmp_path, "ok.arff", block.replace("ROW", "5,1,6")))
+    with pytest.raises(ArffError) as err:
+        read_arff(write(tmp_path, "bad.arff", block.replace("ROW", row)))
+    assert err.value.line == 9
+    assert str(err.value) == f"line 9: {message}"
+
+
+def test_tokens_only_float_reads_go_to_line_parser(tmp_path):
+    # float() reads 1_0 as 10 and full-width digits as digits; loadtxt
+    # rejects both, so the block falls back and reads as float() does
+    path = tmp_path / "u.arff"
+    path.write_text(HEADER + "@data\n1_0,1,\uff12\n", encoding="utf-8")
+    assert np.array_equal(read_arff(str(path))[1], [[10, 1, 2]])

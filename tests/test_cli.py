@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import os
 from collections import Counter
@@ -7,10 +8,12 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from uclso.cli import main
+from uclso.arff_io import write_mulan
+from uclso.cli import _fmt, main
+from uclso.dataset import MultiLabelDataset
 from uclso.clustering import kmeans
 from uclso.config import load_config
-from uclso.oversample import uclso_augment
+from uclso.oversample import iter_augments, uclso_augment
 
 CONFIG = """\
 seed: 7
@@ -136,6 +139,26 @@ class TestStats:
         assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["stats", "cluster", "oversample", "experiment", "toy-gen"])
+@pytest.mark.parametrize("blocker_kind", ["file", "below_file", "dangling_link"])
+def test_out_naming_a_file_is_usage_error(tmp_path, capsys, command, blocker_kind):
+    # rejected when the config loads, before any compute or output
+    blocker = tmp_path / "taken"
+    if blocker_kind == "dangling_link":
+        blocker.symlink_to(tmp_path / "nowhere")
+    else:
+        blocker.write_text("kept\n")
+    out = blocker / "results" if blocker_kind == "below_file" else blocker
+    path = tmp_path / "config.yaml"
+    path.write_text(CONFIG.format(out=out))
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: out {str(out)!r}: {blocker} is not a directory\n"
+    assert blocker_kind == "dangling_link" or blocker.read_text() == "kept\n"
+    assert sorted(os.listdir(tmp_path)) == ["config.yaml", "taken"]
+
+
 class TestCluster:
     def test_writes_assignments_and_centroids(self, config_path):
         config, out = config_path
@@ -227,6 +250,50 @@ class TestOversample:
                 assert [row[1:] for row in manifest if row[0] == name] == [
                     [c, str(counts[c])] for c in sorted(counts, key=int)
                 ]
+
+    @pytest.mark.parametrize("mode", ["uclso", "smote"])
+    def test_label_names_quoted_as_csv_writer_does(self, tmp_path, mode):
+        # each synthetic row is one f-string; it must equal what csv.writer
+        # (QUOTE_MINIMAL) and _fmt write: a name holding the delimiter or
+        # the quote character is quoted, with the quote doubled, and a
+        # space alone does not quote
+        rng = np.random.default_rng(3)
+        names = ("a,b", 'say "hi"', "x y", "plain")
+        labels = (rng.random((60, 4)) < [0.2, 0.3, 0.25, 0.15]).astype(int)
+        ds = MultiLabelDataset(rng.normal(size=(60, 3)), labels, ("f0", "f1", "f2"), names)
+        arff, xml = str(tmp_path / "q.arff"), str(tmp_path / "q.xml")
+        write_mulan(ds, arff, xml)
+        path = tmp_path / "config.yaml"
+        path.write_text(
+            f"seed: 4\nout: {tmp_path / 'out'}\ndatasets:\n  - name: q\n"
+            f"    mulan: {{arff: {arff}, xml: {xml}}}\n"
+            f"oversample: {{k_clusters: 2, m_neighbors: 3, mode: {mode}}}\n"
+        )
+        assert main(["oversample", "--config", str(path)]) == 0
+        cfg = load_config(str(path))
+        ds = cfg.prepare(cfg.datasets[0].load())
+        assign = kmeans(ds.features, 2, seed=cfg.oversample.seed) if mode == "uclso" else None
+        header = ["label", "cluster", "r", "parent_u", "parent_v"] + [
+            f"feature_{j}" for j in range(ds.d)
+        ]
+        quoted = ['"a,b"', '"say ""hi"""', "x y", "plain"]
+        for l, aug in enumerate(iter_augments(ds, cfg.oversample, assign)):
+            prov = aug.extra.provenance
+            rows = [
+                [names[l], int(p.cluster), float(p.r), int(p.parent_u), int(p.parent_v),
+                 *(float(v) for v in point)]
+                for p, point in zip(prov, aug.extra.points)
+            ]
+            assert rows
+            reference = io.StringIO()
+            reference.write(f"# config_hash={cfg.config_hash()} seed={cfg.seed}\n")
+            writer = csv.writer(reference, lineterminator="\n")
+            writer.writerow(header)
+            writer.writerows([_fmt(v) for v in row] for row in rows)
+            written = tmp_path / "out" / f"q__label_{l}__synthetic.csv"
+            assert written.read_bytes() == reference.getvalue().encode("utf-8")
+            body = reference.getvalue().splitlines()[2:]
+            assert all(line.startswith(quoted[l] + ",") for line in body)
 
     def test_mode_none_is_error(self, tmp_path):
         path = tmp_path / "c.yaml"
