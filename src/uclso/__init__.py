@@ -16,7 +16,7 @@ from .dataset import (
     scale_min_max,
 )
 from .experiment import MethodSpec, MetricReport, run_cv
-from .linear import LinearModel, TrainConfig, score
+from .linear import TrainConfig, score
 from .metrics import ConfusionCounts, auc_label, confusion, f1_label, macro_average
 from .oversample import (
     AugmentedDataset,
@@ -43,7 +43,6 @@ __all__ = [
     "FoldPlan",
     "FriedmanResult",
     "LabelUnusableError",
-    "LinearModel",
     "MethodSpec",
     "MetricReport",
     "MultiLabelDataset",

@@ -280,11 +280,9 @@ def load_mulan(arff_path: str, xml_path: str) -> MultiLabelDataset:
         if attr.kind == "nominal":
             # map domain indices back to the declared values, expect "0"/"1"
             mapped = np.asarray(attr.values)[raw[:, col].astype(int)]
-            found = np.unique(mapped)
+            found = np.unique(mapped).tolist()
             if not set(found) <= {"0", "1"}:
-                raise ArffError(
-                    f"label {attr.name!r} has non-binary values {list(found)}"
-                )
+                raise ArffError(f"label {attr.name!r} has non-binary values {found}")
             labels[:, out_k] = mapped == "1"
         else:
             col_vals = raw[:, col]

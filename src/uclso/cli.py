@@ -212,37 +212,32 @@ def _naming(source: DatasetSource) -> Iterator[None]:
         raise DatasetError(f"dataset {source.name!r}: {exc}") from exc
 
 
-def _check_auc_defined(cfg: ExperimentConfig, source: DatasetSource) -> None:
-    """The rank tables need a defined AUC on every dataset. The fold plan
-    shows before any compute whether there is one, so a run that cannot
-    finish fails before it writes anything."""
-    ds = source.load()
-    with _naming(source):
-        ds = cfg.prepare(ds)
-        plan = make_fold_plan(ds.n, cfg.cv_reps, cfg.cv_folds, cfg.seed)
-    if not auc_defined(ds.labels, plan):
-        raise DatasetError(
-            f"dataset {source.name!r}: no cross-validation cell has a label "
-            "with both classes in its test fold, so no AUC can be defined"
-        )
-
-
 def cmd_experiment(cfg: ExperimentConfig) -> int:
     methods = [
         MethodSpec(name, replace(cfg.oversample, mode=name)) for name in cfg.methods
     ]
     ranked = len(cfg.datasets) >= 2 and len(methods) >= 2
-    if ranked:
-        for source in cfg.datasets:
-            _check_auc_defined(cfg, source)
-    # every dataset's reports exist before the first file is written, so a
-    # failing dataset leaves no half-written output directory
-    all_reports = []
+    # every dataset is loaded, prepared and planned once, before any
+    # compute. The rank tables need a defined AUC on every dataset, and the
+    # fold plan shows whether there is one, so a run that cannot finish
+    # fails before it computes or writes anything
+    prepared = []
     for source in cfg.datasets:
         ds = source.load()
         with _naming(source):
             ds = cfg.prepare(ds)
             plan = make_fold_plan(ds.n, cfg.cv_reps, cfg.cv_folds, cfg.seed)
+        if ranked and not auc_defined(ds.labels, plan):
+            raise DatasetError(
+                f"dataset {source.name!r}: no cross-validation cell has a label "
+                "with both classes in its test fold, so no AUC can be defined"
+            )
+        prepared.append((source, ds, plan))
+    # every dataset's reports exist before the first file is written, so a
+    # failing dataset leaves no half-written output directory
+    all_reports = []
+    for source, ds, plan in prepared:
+        with _naming(source):
             all_reports.append(run_cv(ds, methods, plan, cfg.train))
     os.makedirs(cfg.out_dir, exist_ok=True)
     f1_scores = np.zeros((len(cfg.datasets), len(methods)))
@@ -274,7 +269,7 @@ def cmd_experiment(cfg: ExperimentConfig) -> int:
         names = [m.name for m in methods]
         ds_names = [s.name for s in cfg.datasets]
         for metric, scores in (("f1", f1_scores), ("auc", auc_scores)):
-            rt = average_ranks(scores, names, ds_names, higher_is_better=True)
+            rt = average_ranks(scores, names, ds_names)
             rank_rows = [
                 [ds_names[i]]
                 + [v for pair in zip(rt.scores[i], rt.ranks[i]) for v in pair]

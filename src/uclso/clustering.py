@@ -12,6 +12,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
+# Lloyd iterations stop once no centroid moves by TOL or more, or after
+# MAX_ITER iterations.
+MAX_ITER = 300
+TOL = 1e-6
+
+
 class ClusteringError(ValueError):
     pass
 
@@ -92,15 +98,9 @@ def _assign_with_repair(
     return assignment, centroids, inertia
 
 
-def kmeans(
-    X: np.ndarray,
-    k: int,
-    seed: int,
-    max_iter: int = 300,
-    tol: float = 1e-6,
-) -> ClusterAssignment:
+def kmeans(X: np.ndarray, k: int, seed: int) -> ClusterAssignment:
     """Lloyd iterations from a k-means++ start until the centroid shift
-    drops below tol or max_iter is reached."""
+    drops below TOL or MAX_ITER is reached."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ClusteringError("X must be a non-empty 2-d matrix")
@@ -122,7 +122,7 @@ def kmeans(
             members = assignment == j
             new_centroids[j] = X[members].mean(axis=0)
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
-        if shift < tol or iterations >= max_iter:
+        if shift < TOL or iterations >= MAX_ITER:
             break
         centroids = new_centroids
     return ClusterAssignment(

@@ -98,14 +98,33 @@ def _section(value, allowed: tuple[str, ...], where: str) -> dict:
     return value
 
 
-def _toy_from_dict(d: dict, default_seed: int) -> ToyConfig:
+def _int(section: dict, key: str, default: int, where: str) -> int:
+    """section[key], or default, as a YAML integer: a float, bool or string
+    is rejected, not truncated or parsed."""
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where}: {key} must be an integer, got {value!r}")
+    return value
+
+
+def _float(section: dict, key: str, default: float | None, where: str) -> float:
+    """section[key], or default, as a YAML number; a bool or string is
+    rejected."""
+    value = section.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{where}: {key} must be a number, got {value!r}")
+    return float(value)
+
+
+def _toy_from_dict(d: dict, default_seed: int, where: str) -> ToyConfig:
+    seed = _int(d, "seed", default_seed, where)
     try:
         return ToyConfig(
             points_per_blob=d["points_per_blob"],
             blob_centers=tuple(tuple(c) for c in d["blob_centers"]),
             blob_spreads=d["blob_spreads"],
             minority_rules=tuple(d["minority_rules"]),
-            seed=int(d.get("seed", default_seed)),
+            seed=seed,
         )
     except KeyError as exc:
         raise ConfigError(f"toy config missing key {exc}") from None
@@ -132,10 +151,7 @@ def load_config(
         data["seed"] = int(seed_override)
     if out_override is not None:
         data["out"] = out_override
-    try:
-        seed = int(data.get("seed", 0))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid seed: {exc}") from None
+    seed = _int(data, "seed", 0, "config")
     out_dir = str(data.get("out", "results"))
     # every command makes out_dir, which fails if it, or the nearest of its
     # ancestors that exists (a dangling link counts), is not a directory
@@ -157,7 +173,8 @@ def load_config(
         where = f"dataset {name!r}"
         if "toy" in entry:
             toy = _section(entry["toy"], TOY_KEYS, f"{where} toy")
-            sources.append(DatasetSource(name, toy=_toy_from_dict(toy, seed + i)))
+            toy_cfg = _toy_from_dict(toy, seed + i, f"{where} toy")
+            sources.append(DatasetSource(name, toy=toy_cfg))
         elif "mulan" in entry:
             mulan = _section(entry["mulan"], MULAN_KEYS, f"{where} mulan")
             arff = mulan.get("arff")
@@ -186,38 +203,37 @@ def load_config(
         raise ConfigError("config names no methods")
 
     os_raw = _section(data.get("oversample", {}), OVERSAMPLE_KEYS, "oversample")
+    os_args = dict(
+        k_clusters=_int(os_raw, "k_clusters", 5, "oversample"),
+        m_neighbors=_int(os_raw, "m_neighbors", 5, "oversample"),
+        seed=_int(os_raw, "seed", seed, "oversample"),
+        mode=str(os_raw.get("mode", "uclso")),
+    )
     try:
-        oversample = OversampleConfig(
-            k_clusters=int(os_raw.get("k_clusters", 5)),
-            m_neighbors=int(os_raw.get("m_neighbors", 5)),
-            seed=int(os_raw.get("seed", seed)),
-            mode=str(os_raw.get("mode", "uclso")),
-        )
-    except (TypeError, ValueError) as exc:
+        oversample = OversampleConfig(**os_args)
+    except ValueError as exc:
         raise ConfigError(f"invalid oversample config: {exc}") from None
 
     tr = _section(data.get("train", {}), TRAIN_KEYS, "train")
+    train_args = dict(
+        reg_c=_float(tr, "reg_c", 1.0, "train"),
+        epochs=_int(tr, "epochs", 100, "train"),
+        learning_rate=_float(tr, "learning_rate", 1.0, "train"),
+        lr_decay=_float(tr, "lr_decay", None, "train") if "lr_decay" in tr else None,
+        batch_size=_int(tr, "batch_size", 32, "train"),
+        seed=_int(tr, "seed", seed, "train"),
+    )
     try:
-        train = TrainConfig(
-            reg_c=float(tr.get("reg_c", 1.0)),
-            epochs=int(tr.get("epochs", 100)),
-            learning_rate=float(tr.get("learning_rate", 1.0)),
-            lr_decay=(float(tr["lr_decay"]) if "lr_decay" in tr else None),
-            batch_size=int(tr.get("batch_size", 32)),
-            seed=int(tr.get("seed", seed)),
-        )
-    except (TypeError, ValueError) as exc:
+        train = TrainConfig(**train_args)
+    except ValueError as exc:
         raise ConfigError(f"invalid train config: {exc}") from None
 
     cv = _section(data.get("cv", {}), CV_KEYS, "cv")
     filt = _section(data.get("filter", {}), FILTER_KEYS, "filter")
-    try:
-        cv_reps = int(cv.get("reps", 10))
-        cv_folds = int(cv.get("folds", 2))
-        max_ir = float(filt.get("max_ir", 50.0))
-        min_pos = int(filt.get("min_pos", 20))
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid cv or filter config: {exc}") from None
+    cv_reps = _int(cv, "reps", 10, "cv")
+    cv_folds = _int(cv, "folds", 2, "cv")
+    max_ir = _float(filt, "max_ir", 50.0, "filter")
+    min_pos = _int(filt, "min_pos", 20, "filter")
     if cv_reps < 1 or cv_folds < 2:
         raise ConfigError(f"cv needs reps >= 1, folds >= 2; got {cv_reps}, {cv_folds}")
     # an imbalance ratio is at least 1 and labels with ir >= max_ir are

@@ -117,16 +117,18 @@ def auc_defined(labels: np.ndarray, plan: FoldPlan) -> bool:
 def _score_cell(
     ds: MultiLabelDataset,
     test_idx: np.ndarray,
-    models,
+    weights: np.ndarray,
+    bias: np.ndarray,
     constant_labels: tuple[str, ...],
     rep: int,
     fold: int,
 ) -> FoldCell:
+    """Score label l's model, weights[l] and bias[l], on the test rows."""
     X_test = ds.features[test_idx]
     y_test = ds.labels[test_idx]
     f1s, aucs, defined = [], [], []
-    for l, model in enumerate(models):
-        scores = score(model, X_test)
+    for l, (w, b) in enumerate(zip(weights, bias)):
+        scores = score(w, b, X_test)
         f1s.append(f1_label(confusion(y_test[:, l], (scores > 0.0).astype(int))))
         col = y_test[:, l]
         if 0 < col.sum() < col.size:
@@ -184,14 +186,15 @@ def _fit_group(
         targets += cell_targets
         seeds += cell_seeds
         start = end
-    models, constant = fit_lockstep(X, rows, targets, seeds, train_cfg)
+    weights, bias, _, constant = fit_lockstep(X, rows, targets, seeds, train_cfg)
 
     q = ds.q
     return [
         _score_cell(
             ds,
             test_idx,
-            models[c * q:(c + 1) * q],
+            weights[c * q:(c + 1) * q],
+            bias[c * q:(c + 1) * q],
             tuple(ds.label_names[i - c * q] for i in constant if i // q == c),
             rep,
             fold,

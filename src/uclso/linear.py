@@ -42,30 +42,13 @@ class TrainConfig:
             raise TrainingError("invalid batch_size")
 
 
-@dataclass(frozen=True)
-class TrainMeta:
-    reg_c: float
-    epochs_run: int
-    objective: float
-
-
-@dataclass(frozen=True)
-class LinearModel:
-    weights: np.ndarray
-    bias: float
-    train_meta: TrainMeta
-
-    def __post_init__(self):
-        self.weights.setflags(write=False)
-
-
 def fit_lockstep(
     X: np.ndarray,
     rows: Sequence[np.ndarray],
     targets: Sequence[np.ndarray],
     seeds: Sequence[int],
     cfg: TrainConfig,
-) -> tuple[list[LinearModel], list[int]]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
     """Fit one hinge-loss model per problem, all in one lockstep loop.
 
     Problem i trains on the rows X[rows[i]] with binary targets
@@ -76,9 +59,10 @@ def fit_lockstep(
     epoch has no steps left waits for the others.
 
     A problem whose targets hold a single class is not trained: it gets a
-    zero-weight scorer biased toward that class (see constant_model).
-    Returns the models in problem order and the indices of the constant
-    ones.
+    zero weight row, a bias of +1 or -1 toward that class and an objective
+    of 0. Returns, in problem order, the (problems x features) weights,
+    the biases and the final training objectives (the regularized mean
+    hinge loss), and the indices of the constant problems.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -86,7 +70,9 @@ def fit_lockstep(
     if not np.isfinite(X).all():
         raise TrainingError("non-finite feature values")
     d = X.shape[1]
-    models: list = [None] * len(rows)
+    weights = np.zeros((len(rows), d))
+    bias = np.zeros(len(rows))
+    objective = np.zeros(len(rows))
     constant = []
     fit = []
     for i, (r, y) in enumerate(zip(rows, targets)):
@@ -96,10 +82,10 @@ def fit_lockstep(
         if classes.size >= 2:
             fit.append(i)
             continue
-        models[i] = constant_model(d, 1.0 if classes[0] == 1 else -1.0)
+        bias[i] = 1.0 if classes[0] == 1 else -1.0
         constant.append(i)
     if not fit:
-        return models, constant
+        return weights, bias, objective, constant
 
     # models by decreasing row count, so those still in their epoch at any
     # step are a prefix [:active]
@@ -153,29 +139,24 @@ def fit_lockstep(
             w[:a] = wa - eta[j, :a, None] * grad_w
             b[:a] = b[:a] - eta[j, :a] * grad_b
 
+    weights[order] = w
+    bias[order] = b
     for k, i in enumerate(order):
         s = S[k, :n[k]]
         hinge = np.maximum(0.0, 1.0 - s * (X[rows[i]] @ w[k] + b[k])).mean()
-        objective = 0.5 * lam[k] * float(w[k] @ w[k]) + float(hinge)
-        models[i] = LinearModel(
-            w[k].copy(), float(b[k]), TrainMeta(cfg.reg_c, cfg.epochs, objective)
-        )
-    return models, constant
+        objective[i] = 0.5 * lam[k] * float(w[k] @ w[k]) + float(hinge)
+    return weights, bias, objective, constant
 
 
-def constant_model(d: int, bias: float) -> LinearModel:
-    """Zero-weight fallback used when a training fold is single-class."""
-    return LinearModel(np.zeros(d), float(bias), TrainMeta(0.0, 0, 0.0))
-
-
-def score(model: LinearModel, X: np.ndarray) -> np.ndarray:
+def score(weights: np.ndarray, bias: float, X: np.ndarray) -> np.ndarray:
+    """Decision values of one model, its weight row and bias, on X's rows."""
     X = np.asarray(X, dtype=float)
-    if X.shape[1] != model.weights.shape[0]:
+    if X.shape[1] != weights.shape[0]:
         raise TrainingError(
             f"feature dimension {X.shape[1]} does not match model "
-            f"({model.weights.shape[0]})"
+            f"({weights.shape[0]})"
         )
-    return X @ model.weights + model.bias
+    return X @ weights + bias
 
 
 def br_problems(

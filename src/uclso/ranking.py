@@ -9,6 +9,10 @@ import numpy as np
 from scipy.stats import chi2, norm, rankdata
 
 
+# significance level of the post-hoc comparisons
+ALPHA = 0.05
+
+
 class RankingError(ValueError):
     pass
 
@@ -41,13 +45,9 @@ class FriedmanResult:
     comparisons: tuple[Comparison, ...]
 
 
-def average_ranks(
-    scores: np.ndarray,
-    method_names,
-    dataset_names=None,
-    higher_is_better: bool = True,
-) -> RankTable:
-    """Per-dataset ranks (midrank ties) and their per-method means."""
+def average_ranks(scores: np.ndarray, method_names, dataset_names=None) -> RankTable:
+    """Per-dataset ranks, the highest score first (midrank ties), and their
+    per-method means."""
     scores = np.asarray(scores, dtype=float)
     if scores.ndim != 2:
         raise RankingError("scores must be a datasets x methods matrix")
@@ -60,8 +60,7 @@ def average_ranks(
         dataset_names = tuple(f"dataset_{i}" for i in range(n_data))
     if len(dataset_names) != n_data:
         raise RankingError("dataset_names length mismatch")
-    ranked = -scores if higher_is_better else scores
-    ranks = np.vstack([rankdata(row, method="average") for row in ranked])
+    ranks = np.vstack([rankdata(row, method="average") for row in -scores])
     return RankTable(
         tuple(dataset_names),
         tuple(method_names),
@@ -86,7 +85,7 @@ def finner_adjust(p_values: np.ndarray) -> np.ndarray:
     return adjusted
 
 
-def friedman(rt: RankTable, alpha: float = 0.05) -> FriedmanResult:
+def friedman(rt: RankTable) -> FriedmanResult:
     """Tie-corrected Friedman chi-square over the rank table, plus pairwise
     z-tests of every method against the best-ranked control with Finner
     p-value adjustment."""
@@ -128,7 +127,7 @@ def friedman(rt: RankTable, alpha: float = 0.05) -> FriedmanResult:
             z=float(z),
             p_raw=float(pr),
             p_adjusted=float(pa),
-            significant=bool(pa < alpha),
+            significant=bool(pa < ALPHA),
         )
         for j, z, pr, pa in zip(others, zs, p_raw, p_adj)
     )
@@ -137,7 +136,7 @@ def friedman(rt: RankTable, alpha: float = 0.05) -> FriedmanResult:
         dof=k - 1,
         p_value=float(p_value),
         control=control,
-        alpha=alpha,
+        alpha=ALPHA,
         comparisons=comparisons,
     )
 

@@ -2,6 +2,9 @@
 benchmark under `perfbench/` makes, in the form it makes them. A change
 that breaks one of those calls fails here, on every supported Python."""
 
+import ast
+from pathlib import Path
+
 import numpy as np
 
 import uclso
@@ -9,18 +12,19 @@ import uclso.arff_io
 import uclso.cli
 
 # the exports, in full: a name removed from the package, such as the
-# single-label fit and cell entry points run_cv's path replaced, must not
-# come back, and a new export is added here on purpose
+# single-label fit and cell entry points run_cv's path replaced, or the
+# per-model class the lockstep weight matrix replaced, must not come back,
+# and a new export is added here on purpose
 EXPORTS = {
     "ArffError", "AugmentedDataset", "ClusterAssignment", "ConfusionCounts",
     "DatasetError", "DatasetStats", "FoldPlan", "FriedmanResult",
-    "LabelUnusableError", "LinearModel", "MethodSpec", "MetricReport",
-    "MultiLabelDataset", "OversampleConfig", "RankTable", "SyntheticSet",
-    "ToyConfig", "TrainConfig", "auc_label", "average_ranks", "compute_stats",
-    "confusion", "f1_label", "filter_labels", "friedman", "generate_toy",
-    "interpolate", "kmeans", "load_mulan", "macro_average", "make_fold_plan",
-    "minority_class", "quota", "run_cv", "scale_min_max", "score",
-    "smote_augment", "uclso_augment", "write_mulan",
+    "LabelUnusableError", "MethodSpec", "MetricReport", "MultiLabelDataset",
+    "OversampleConfig", "RankTable", "SyntheticSet", "ToyConfig", "TrainConfig",
+    "auc_label", "average_ranks", "compute_stats", "confusion", "f1_label",
+    "filter_labels", "friedman", "generate_toy", "interpolate", "kmeans",
+    "load_mulan", "macro_average", "make_fold_plan", "minority_class", "quota",
+    "run_cv", "scale_min_max", "score", "smote_augment", "uclso_augment",
+    "write_mulan",
 }
 
 
@@ -67,3 +71,14 @@ def test_benchmark_calls_work_as_made():
         assert np.isfinite(report.summary()["macro_f1_mean"])
     assert callable(uclso.cli.main) and callable(uclso.arff_io.load_mulan)
     assert callable(uclso.write_mulan)
+
+
+def test_readme_library_example_runs(capsys):
+    # the README's library example uses only names the package exports
+    readme = (Path(__file__).parent.parent / "README.md").read_text(encoding="utf-8")
+    start = readme.index("```python\n", readme.index("\n## Library\n")) + 10
+    code = readme[start:readme.index("\n```", start)]
+    exec(compile(code, "README.md", "exec"), {})
+    printed = ast.literal_eval(capsys.readouterr().out)
+    assert set(printed) == {"none", "smote", "uclso"}
+    assert all(0.0 <= v <= 1.0 for v in printed.values())

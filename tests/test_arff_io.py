@@ -123,8 +123,19 @@ class TestLoadMulan:
             "@data\n1.0,2\n",
         )
         xml = write(tmp_path, "nb.xml", '<labels><label name="lab1"/></labels>')
-        with pytest.raises(ArffError, match="non-binary"):
+        with pytest.raises(ArffError) as err:
             load_mulan(arff, xml)
+        assert str(err.value) == "label 'lab1' has non-binary values"
+        # a nominal label lists its values as plain strings on every numpy
+        arff = write(
+            tmp_path,
+            "nominal.arff",
+            "@relation nb\n@attribute f1 numeric\n@attribute lab1 {0,1,2}\n"
+            "@data\n1.0,2\n2.0,0\n",
+        )
+        with pytest.raises(ArffError) as err:
+            load_mulan(arff, xml)
+        assert str(err.value) == "label 'lab1' has non-binary values ['0', '2']"
 
     def test_malformed_row_reports_line(self, tmp_path):
         arff = write(

@@ -12,7 +12,7 @@ from uclso.arff_io import write_mulan
 from uclso.cli import _fmt, main
 from uclso.dataset import MultiLabelDataset
 from uclso.clustering import kmeans
-from uclso.config import load_config
+from uclso.config import DatasetSource, load_config
 from uclso.oversample import iter_augments, uclso_augment
 
 CONFIG = """\
@@ -105,12 +105,13 @@ class TestStats:
             pytest.param("cv: {reps: 2, folds: 2}", "cv: {reps: 2, folds: 1}",
                          "cv needs reps >= 1, folds >= 2; got 2, 1", id="cv_folds_1"),
             pytest.param("cv: {reps: 2, folds: 2}", "cv: {reps: x, folds: 2}",
-                         "invalid cv or filter config", id="cv_reps_type"),
+                         "cv: reps must be an integer, got 'x'", id="cv_reps_type"),
             pytest.param("methods:", "filter: {min_pos: x}\nmethods:",
-                         "invalid cv or filter config", id="filter_type"),
+                         "filter: min_pos must be an integer, got 'x'", id="filter_type"),
             pytest.param("methods:", "filter: {enabled: 'false'}\nmethods:",
                          "filter.enabled must be a boolean", id="filter_enabled_type"),
-            pytest.param("seed: 7\n", "seed: x\n", "invalid seed", id="seed_type"),
+            pytest.param("seed: 7\n", "seed: x\n",
+                         "config: seed must be an integer, got 'x'", id="seed_type"),
             pytest.param("methods:", "scale: [1]\nmethods:",
                          "unknown scale mode", id="scale_type"),
             pytest.param("methods: [none, smote, uclso]", "methods: 5",
@@ -126,6 +127,45 @@ class TestStats:
                          "filter: min_pos must be >= 0, got -1", id="min_pos_range"),
             pytest.param("methods: [none, smote, uclso]", "methods: [uclso, uclso]",
                          "config: duplicate method 'uclso'", id="methods_duplicate"),
+            # integer keys take a YAML int only: no truncation, parsing or bools
+            pytest.param("seed: 7\n", "seed: 7.0\n",
+                         "config: seed must be an integer, got 7.0", id="seed_float"),
+            pytest.param("k_clusters: 3", "k_clusters: 2.7",
+                         "oversample: k_clusters must be an integer, got 2.7",
+                         id="k_clusters_float"),
+            pytest.param("m_neighbors: 5", "m_neighbors: '3'",
+                         "oversample: m_neighbors must be an integer, got '3'",
+                         id="m_neighbors_string"),
+            pytest.param("m_neighbors: 5", "m_neighbors: 5, seed: 1.0",
+                         "oversample: seed must be an integer, got 1.0",
+                         id="oversample_seed_float"),
+            pytest.param("epochs: 6", "epochs: 1.9",
+                         "train: epochs must be an integer, got 1.9", id="epochs_float"),
+            pytest.param("epochs: 6", "epochs: 6, batch_size: true",
+                         "train: batch_size must be an integer, got True",
+                         id="batch_size_bool"),
+            pytest.param("epochs: 6", "epochs: 6, seed: '4'",
+                         "train: seed must be an integer, got '4'", id="train_seed_string"),
+            pytest.param("reps: 2", "reps: 1.5",
+                         "cv: reps must be an integer, got 1.5", id="cv_reps_float"),
+            pytest.param("folds: 2", "folds: false",
+                         "cv: folds must be an integer, got False", id="cv_folds_bool"),
+            pytest.param("methods:", "filter: {min_pos: 3.0}\nmethods:",
+                         "filter: min_pos must be an integer, got 3.0", id="min_pos_float"),
+            pytest.param("      seed: 12\n", "      seed: '12'\n",
+                         "dataset 'toy_b' toy: seed must be an integer, got '12'",
+                         id="toy_seed_string"),
+            # float keys take a YAML int or float; PyYAML reads 1e-3 as a string
+            pytest.param("epochs: 6", "epochs: 6, reg_c: true",
+                         "train: reg_c must be a number, got True", id="reg_c_bool"),
+            pytest.param("epochs: 6", "epochs: 6, learning_rate: '0.5'",
+                         "train: learning_rate must be a number, got '0.5'",
+                         id="learning_rate_string"),
+            pytest.param("epochs: 6", "epochs: 6, lr_decay: 1e-3",
+                         "train: lr_decay must be a number, got '1e-3'",
+                         id="lr_decay_string"),
+            pytest.param("methods:", "filter: {max_ir: yes}\nmethods:",
+                         "filter: max_ir must be a number, got True", id="max_ir_bool"),
         ],
     )
     def test_rejected_config_is_usage_error(self, tmp_path, capsys, old, new, message):
@@ -385,6 +425,40 @@ class TestExperiment:
             "error: dataset 'toy_a': all labels dropped by filtering; dataset unusable\n"
         )
         assert not out.exists()
+
+    def test_each_dataset_loaded_once(self, config_path, monkeypatch):
+        # a ranked run checks every dataset's AUC before any compute, from
+        # the same load that its cross-validation then uses
+        loads = Counter()
+        load = DatasetSource.load
+
+        def counting_load(source):
+            loads[source.name] += 1
+            return load(source)
+
+        config, _ = config_path
+        monkeypatch.setattr(DatasetSource, "load", counting_load)
+        assert main(["experiment", "--config", config]) == 0
+        assert loads == {"toy_a": 1, "toy_b": 1}
+
+    def test_preparation_error_comes_before_any_compute(self, tmp_path, capsys,
+                                                        monkeypatch):
+        # one method, so no rank tables: toy_a keeps a label with 29
+        # positives, toy_b's only label has 16 and is dropped
+        out = tmp_path / "results"
+        path = tmp_path / "config.yaml"
+        path.write_text(
+            CONFIG.format(out=out)
+            .replace("methods: [none, smote, uclso]", "methods: [uclso]")
+            .replace("cv:", "filter: {enabled: true, min_pos: 20}\ncv:")
+        )
+        calls = []
+        monkeypatch.setattr("uclso.cli.run_cv", lambda *a, **k: calls.append(a))
+        assert main(["experiment", "--config", str(path)]) == 1
+        assert capsys.readouterr().err == (
+            "error: dataset 'toy_b': all labels dropped by filtering; dataset unusable\n"
+        )
+        assert calls == [] and not out.exists()
 
     def test_compute_error_names_dataset_and_writes_nothing(self, tmp_path, capsys):
         # toy_a's training folds hold 70 rows, toy_b's only 50: too few for

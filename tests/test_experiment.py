@@ -75,18 +75,17 @@ class TestRunCv:
 
         def spy(*args, **kwargs):
             result = fit_lockstep(*args, **kwargs)
-            fitted.append(result[0])
+            fitted.append(result[:2])  # weights, bias
             return result
 
         monkeypatch.setattr(experiment, "fit_lockstep", spy)
         monkeypatch.setattr(experiment, "GROUP_ELEMENTS", 1)
         cell = run_cv(ds, [method], plan, FAST)["uclso"].cells[0]
         run_cv(ds2, [method], plan, FAST)
-        ref, models = fitted[0], fitted[2]
-        assert len(fitted) == 4 and len(ref) == ds.q
-        for ma, mb in zip(ref, models):
-            assert np.array_equal(ma.weights, mb.weights)
-            assert ma.bias == mb.bias
+        (ref_w, ref_b), (w, b) = fitted[0], fitted[2]
+        assert len(fitted) == 4 and len(ref_w) == ds.q
+        assert np.array_equal(ref_w, w)
+        assert np.array_equal(ref_b, b)
         assert 0.0 <= cell.macro_f1 <= 1.0
 
     def test_single_class_training_label_flagged(self):
@@ -190,13 +189,13 @@ class TestMethodWideFit:
 
         def spy(*args, **kwargs):
             result = fit_lockstep(*args, **kwargs)
-            fitted.append(result[0])
+            fitted.append(result[:2])  # weights, bias
             return result
 
         monkeypatch.setattr(experiment, "fit_lockstep", spy)
         run_cv(ds, [method], plan, FAST)
-        (group,) = fitted
-        assert len(group) == 4 * ds.q
+        ((group_w, group_b),) = fitted
+        assert len(group_w) == 4 * ds.q
         for c, (rep, fold) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
             train_idx, _ = plan.train_test(rep, fold)
             train = ds.subset(train_idx)
@@ -208,16 +207,17 @@ class TestMethodWideFit:
             rows, targets, seeds = br_problems(
                 train.labels, 0, [len(aug.extra) for aug in augments], cell_seed
             )
-            per_cell, _ = fit_lockstep(X, rows, targets, seeds, FAST)
+            cell_w, cell_b, _, _ = fit_lockstep(X, rows, targets, seeds, FAST)
             for l in range(ds.q):
                 seed = int(np.random.SeedSequence([cell_seed, l]).generate_state(1)[0])
                 # the label's own augmented set: base rows, then its points
-                (alone,), _ = fit_lockstep(
+                (alone_w,), (alone_b,), _, _ = fit_lockstep(
                     X[rows[l]], [np.arange(len(rows[l]))], [targets[l]], [seed], FAST
                 )
-                for model in (per_cell[l], group[c * ds.q + l]):
-                    assert np.array_equal(alone.weights, model.weights)
-                    assert alone.bias == model.bias
+                k = c * ds.q + l
+                for w, b in ((cell_w[l], cell_b[l]), (group_w[k], group_b[k])):
+                    assert np.array_equal(alone_w, w)
+                    assert alone_b == b
 
 
     @pytest.mark.parametrize("name", ["none", "uclso"])

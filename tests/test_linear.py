@@ -6,15 +6,7 @@ import pytest
 from uclso.clustering import kmeans
 from uclso.dataset import MultiLabelDataset
 from uclso.experiment import _score_cell
-from uclso.linear import (
-    LinearModel,
-    TrainConfig,
-    TrainMeta,
-    br_problems,
-    constant_model,
-    fit_lockstep,
-    score,
-)
+from uclso.linear import TrainConfig, br_problems, fit_lockstep, score
 from uclso.oversample import OversampleConfig, iter_augments
 
 
@@ -55,13 +47,16 @@ def reference_fit(X, y, cfg):
 
 
 def fit_one(X, y, cfg):
-    """One model on all of X's rows, under cfg.seed."""
-    models, _ = fit_lockstep(X, [np.arange(len(X))], [y], [cfg.seed], cfg)
-    return models[0]
+    """The weights, bias and objective of one model on all of X's rows,
+    under cfg.seed."""
+    weights, bias, objective, _ = fit_lockstep(
+        X, [np.arange(len(X))], [y], [cfg.seed], cfg
+    )
+    return weights[0], bias[0], objective[0]
 
 
-def predict(model, X):
-    return (score(model, X) > 0.0).astype(int)
+def predict(w, b, X):
+    return (score(w, b, X) > 0.0).astype(int)
 
 
 def fit_cell(ds, os_cfg, train_cfg, assign=None):
@@ -94,14 +89,14 @@ class TestTrainLinear:
     def test_separable_1d(self):
         X = np.array([[-1.0]] * 20 + [[1.0]] * 20)
         y = np.array([0] * 20 + [1] * 20)
-        model = fit_one(X, y, TrainConfig(seed=1))
-        assert (predict(model, X) == y).all()
+        w, b, _ = fit_one(X, y, TrainConfig(seed=1))
+        assert (predict(w, b, X) == y).all()
 
     def test_no_signal_collapses_to_majority(self):
         X = np.ones((30, 2))
         y = np.array([1] * 5 + [0] * 25)
-        model = fit_one(X, y, TrainConfig(seed=1))
-        preds = predict(model, X)
+        w, b, _ = fit_one(X, y, TrainConfig(seed=1))
+        preds = predict(w, b, X)
         acc = (preds == y).mean()
         assert acc == pytest.approx(25 / 30)
 
@@ -109,17 +104,17 @@ class TestTrainLinear:
         X, y = blobs_2d(seed=3)
         X_test, y_test = blobs_2d(seed=4)
         assert grid_search_accuracy(X, y) == 1.0  # a perfect separator exists
-        model = fit_one(X, y, TrainConfig(seed=2))
-        acc = (predict(model, X_test) == y_test).mean()
+        w, b, _ = fit_one(X, y, TrainConfig(seed=2))
+        acc = (predict(w, b, X_test) == y_test).mean()
         assert acc >= 0.95
 
     def test_deterministic(self):
         X, y = blobs_2d(seed=5)
-        a = fit_one(X, y, TrainConfig(seed=9))
-        b = fit_one(X, y, TrainConfig(seed=9))
-        assert np.array_equal(a.weights, b.weights)
-        assert a.bias == b.bias
-        assert a.train_meta == b.train_meta
+        w1, b1, obj1 = fit_one(X, y, TrainConfig(seed=9))
+        w2, b2, obj2 = fit_one(X, y, TrainConfig(seed=9))
+        assert np.array_equal(w1, w2)
+        assert b1 == b2
+        assert obj1 == obj2
 
     def test_non_finite_rejected(self):
         X = np.array([[np.inf, 0.0], [0.0, 1.0]])
@@ -128,53 +123,50 @@ class TestTrainLinear:
 
     def test_objective_decreases_with_more_epochs(self):
         X, y = blobs_2d(seed=7)
-        short = fit_one(X, y, TrainConfig(seed=1, epochs=2))
-        long = fit_one(X, y, TrainConfig(seed=1, epochs=60))
-        assert long.train_meta.objective <= short.train_meta.objective + 1e-9
+        _, _, short = fit_one(X, y, TrainConfig(seed=1, epochs=2))
+        _, _, long = fit_one(X, y, TrainConfig(seed=1, epochs=60))
+        assert long <= short + 1e-9
 
 
 class TestScorePredict:
     def test_constant_bias(self):
-        model = constant_model(3, 0.7)
-        assert np.allclose(score(model, np.zeros((4, 3))), 0.7)
+        assert np.allclose(score(np.zeros(3), 0.7, np.ones((4, 3))), 0.7)
 
     def test_dot_product(self):
-        model = LinearModel(np.array([1.0, 0.0]), 0.5, TrainMeta(1.0, 0, 0.0))
-        assert score(model, np.array([[3.0, 9.0]]))[0] == pytest.approx(3.5)
+        assert score(np.array([1.0, 0.0]), 0.5, np.array([[3.0, 9.0]]))[0] == (
+            pytest.approx(3.5)
+        )
 
     def test_zero_padding_invariance(self):
         X, y = blobs_2d(seed=8)
-        model = fit_one(X, y, TrainConfig(seed=1))
-        padded = LinearModel(
-            np.concatenate([model.weights, [0.0]]), model.bias, model.train_meta
-        )
+        w, b, _ = fit_one(X, y, TrainConfig(seed=1))
         X_pad = np.hstack([X, np.ones((X.shape[0], 1))])
-        assert np.abs(score(model, X) - score(padded, X_pad)).max() < 1e-12
+        padded = score(np.concatenate([w, [0.0]]), b, X_pad)
+        assert np.abs(score(w, b, X) - padded).max() < 1e-12
 
     def test_threshold_strict_and_monotone(self):
         # scores -1, 0 and 2: a cell's F1 is 1 only if a score of exactly 0
         # predicts 0 and every other score predicts by its sign
-        model = LinearModel(np.array([1.0]), 0.0, TrainMeta(1.0, 0, 0.0))
+        weights = np.array([[1.0]])
         ds = MultiLabelDataset(
             np.array([[-1.0], [0.0], [2.0]]), np.array([[0], [0], [1]]), ("x",), ("l",)
         )
-        cell = _score_cell(ds, np.arange(3), [model], (), 0, 0)
+        cell = _score_cell(ds, np.arange(3), weights, np.array([0.0]), (), 0, 0)
         assert cell.f1 == (1.0,)
-        shifted = LinearModel(model.weights, 1e-9, model.train_meta)
-        assert _score_cell(ds, np.arange(3), [shifted], (), 0, 0).f1[0] < 1.0
+        shifted = _score_cell(ds, np.arange(3), weights, np.array([1e-9]), (), 0, 0)
+        assert shifted.f1[0] < 1.0
 
     def test_dimension_mismatch(self):
-        model = constant_model(3, 0.0)
         with pytest.raises(ValueError, match="dimension"):
-            score(model, np.zeros((2, 2)))
+            score(np.zeros(3), 0.0, np.zeros((2, 2)))
 
 
 class TestBrFit:
     def test_single_label_reduces_to_train_linear(self, fig1_toy):
         sub = fig1_toy.subset(np.arange(200))
         cfg = OversampleConfig(seed=1, mode="none")
-        models, constant = fit_cell(sub, cfg, TrainConfig(seed=3, epochs=10))
-        assert len(models) == sub.q
+        weights, bias, _, constant = fit_cell(sub, cfg, TrainConfig(seed=3, epochs=10))
+        assert weights.shape == (sub.q, sub.d) and bias.shape == (sub.q,)
         assert constant == []
 
     def test_none_mode_matches_plain_training_data(self, fig1_toy):
@@ -197,10 +189,10 @@ class TestBrFit:
         assign = kmeans(X, 2, seed=1)
         cfg_u = OversampleConfig(k_clusters=2, seed=1, mode="uclso")
         cfg_n = OversampleConfig(k_clusters=2, seed=1, mode="none")
-        a, _ = fit_cell(ds, cfg_u, TrainConfig(seed=2, epochs=10), assign)
-        b, _ = fit_cell(ds, cfg_n, TrainConfig(seed=2, epochs=10))
-        assert np.array_equal(a[0].weights, b[0].weights)
-        assert a[0].bias == b[0].bias
+        w_u, b_u, _, _ = fit_cell(ds, cfg_u, TrainConfig(seed=2, epochs=10), assign)
+        w_n, b_n, _, _ = fit_cell(ds, cfg_n, TrainConfig(seed=2, epochs=10))
+        assert np.array_equal(w_u, w_n)
+        assert np.array_equal(b_u, b_n)
 
     def test_single_class_label_gets_constant_scorer(self):
         rng = np.random.default_rng(0)
@@ -210,11 +202,11 @@ class TestBrFit:
             ("x0", "x1"),
             ("always_on", "rare"),
         )
-        models, constant = fit_cell(
+        weights, bias, _, constant = fit_cell(
             ds, OversampleConfig(seed=1, mode="none"), TrainConfig(seed=1, epochs=5)
         )
         assert constant == [0]
-        assert (predict(models[0], ds.features) == 1).all()
+        assert (predict(weights[0], bias[0], ds.features) == 1).all()
 
 
 class TestLockstep:
@@ -231,12 +223,12 @@ class TestLockstep:
             targets = [np.resize([0, 1, 1], k) for k in sizes]
             seeds = list(rng.integers(1 << 30, size=6))
             cfg = TrainConfig(epochs=9, batch_size=batch_size, lr_decay=lr_decay)
-            models, constant = fit_lockstep(X, rows, targets, seeds, cfg)
+            weights, bias, _, constant = fit_lockstep(X, rows, targets, seeds, cfg)
             assert constant == []
-            for model, r, y, seed in zip(models, rows, targets, seeds):
+            for w_k, b_k, r, y, seed in zip(weights, bias, rows, targets, seeds):
                 w, b = reference_fit(X[r], y, replace(cfg, seed=int(seed)))
-                assert np.abs(model.weights - w).max() <= 1e-12 * (1 + np.abs(w).max())
-                assert abs(model.bias - b) <= 1e-12 * (1 + abs(b))
+                assert np.abs(w_k - w).max() <= 1e-12 * (1 + np.abs(w).max())
+                assert abs(b_k - b) <= 1e-12 * (1 + abs(b))
 
     def test_fit_alone_equals_fit_in_group(self):
         rng = np.random.default_rng(3)
@@ -244,22 +236,25 @@ class TestLockstep:
         rows = [rng.choice(300, size=k, replace=False) for k in (250, 41, 120, 33)]
         targets = [(X[r, 0] + rng.normal(0, 0.5, r.size) > 0).astype(int) for r in rows]
         cfg = TrainConfig(epochs=12)
-        models, _ = fit_lockstep(X, rows, targets, [1, 2, 3, 4], cfg)
-        for model, r, y, seed in zip(models, rows, targets, (1, 2, 3, 4)):
-            alone = fit_one(X[r], y, replace(cfg, seed=seed))
-            assert np.array_equal(alone.weights, model.weights)
-            assert alone.bias == model.bias
-            assert alone.train_meta == model.train_meta
+        weights, bias, objective, _ = fit_lockstep(X, rows, targets, [1, 2, 3, 4], cfg)
+        for k, (r, y, seed) in enumerate(zip(rows, targets, (1, 2, 3, 4))):
+            w, b, obj = fit_one(X[r], y, replace(cfg, seed=seed))
+            assert np.array_equal(w, weights[k])
+            assert b == bias[k]
+            assert obj == objective[k]
 
-    def test_single_class_problem_gets_constant_model(self):
+    def test_single_class_problem_gets_constant_row(self):
         X = np.arange(20.0).reshape(10, 2)
         rows = [np.arange(10), np.arange(5), np.arange(3)]
         targets = [np.resize([0, 1], 10), np.ones(5, dtype=int), np.zeros(3, dtype=int)]
-        models, constant = fit_lockstep(X, rows, targets, [0, 1, 2], TrainConfig(epochs=2))
+        weights, bias, objective, constant = fit_lockstep(
+            X, rows, targets, [0, 1, 2], TrainConfig(epochs=2)
+        )
         assert constant == [1, 2]
-        assert models[1].bias == 1.0 and not models[1].weights.any()
-        assert models[2].bias == -1.0 and not models[2].weights.any()
-        assert models[0].train_meta.epochs_run == 2
+        assert weights.shape == (3, 2)
+        assert bias[1] == 1.0 and not weights[1].any() and objective[1] == 0.0
+        assert bias[2] == -1.0 and not weights[2].any() and objective[2] == 0.0
+        assert objective[0] > 0.0
 
     def test_row_count_must_match_targets(self):
         with pytest.raises(ValueError, match="match"):

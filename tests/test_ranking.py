@@ -21,12 +21,6 @@ class TestAverageRanks:
         rt = average_ranks(np.array([[0.9, 0.9, 0.7]]), ["a", "b", "c"])
         assert rt.ranks[0].tolist() == [1.5, 1.5, 3.0]
 
-    def test_lower_is_better_flag(self):
-        rt = average_ranks(
-            np.array([[0.1, 0.2, 0.3]]), ["a", "b", "c"], higher_is_better=False
-        )
-        assert rt.ranks[0].tolist() == [1.0, 2.0, 3.0]
-
     def test_row_sums_invariant(self):
         rng = np.random.default_rng(0)
         m = 6
