@@ -97,9 +97,10 @@ def _stats_row(name: str, ds, variant: str) -> list:
 
 
 def cmd_stats(cfg: ExperimentConfig) -> int:
+    # every dataset is loaded, and so checked, before any is computed on
+    loaded = [(source, source.load()) for source in cfg.datasets]
     rows = []
-    for source in cfg.datasets:
-        ds = source.load()
+    for source, ds in loaded:
         if cfg.scale == "minmax":
             ds = scale_min_max(ds)
         rows.append(_stats_row(source.name, ds, "raw"))
@@ -117,16 +118,28 @@ def cmd_stats(cfg: ExperimentConfig) -> int:
     return 0
 
 
+@contextmanager
+def _naming(source: DatasetSource) -> Iterator[None]:
+    """Re-raise a computation error inside the block as one that names
+    the dataset it was computed on."""
+    try:
+        yield
+    except ValueError as exc:
+        raise DatasetError(f"dataset {source.name!r}: {exc}") from exc
+
+
 def _per_dataset(cfg: ExperimentConfig, write) -> int:
-    """Call write(cfg, ds, dataset, out) on each prepared dataset, with `out` a
-    staging directory under cfg.out_dir. Its files move into cfg.out_dir
-    after the last dataset succeeds, and it is removed either way, so a
-    failed run adds nothing to cfg.out_dir."""
+    """Load every dataset, then call write(cfg, ds, dataset, out) on each
+    prepared one, with `out` a staging directory under cfg.out_dir. Its
+    files move into cfg.out_dir after the last dataset succeeds, and it is
+    removed either way, so a failed run adds nothing to cfg.out_dir."""
+    loaded = [(source, source.load()) for source in cfg.datasets]
     os.makedirs(cfg.out_dir, exist_ok=True)
     staging = tempfile.mkdtemp(prefix=".staging-", dir=cfg.out_dir)
     try:
-        for source in cfg.datasets:
-            write(cfg, cfg.prepare(source.load()), source.name, staging)
+        for source, ds in loaded:
+            with _naming(source):
+                write(cfg, cfg.prepare(ds), source.name, staging)
         for name in os.listdir(staging):
             os.replace(os.path.join(staging, name), os.path.join(cfg.out_dir, name))
     finally:
@@ -200,16 +213,6 @@ def _write_synthetic(cfg: ExperimentConfig, ds, dataset: str, out: str) -> None:
         ["label", "cluster", "count"],
         manifest,
     )
-
-
-@contextmanager
-def _naming(source: DatasetSource) -> Iterator[None]:
-    """Re-raise a computation error inside the block as one that names
-    the dataset it was computed on."""
-    try:
-        yield
-    except ValueError as exc:
-        raise DatasetError(f"dataset {source.name!r}: {exc}") from exc
 
 
 def cmd_experiment(cfg: ExperimentConfig) -> int:

@@ -36,22 +36,25 @@ class ClusterAssignment:
         self.centroids.setflags(write=False)
 
 
-def _sq_dists(X: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # (n, k) squared Euclidean distances; clip guards tiny negatives
+def _sq_dists(X: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    # (n, k) squared Euclidean distances, with x_sq the squared norms of
+    # X's rows; clip guards tiny negatives
     d2 = (
-        (X * X).sum(axis=1)[:, None]
+        x_sq[:, None]
         - 2.0 * X @ centroids.T
         + (centroids * centroids).sum(axis=1)[None, :]
     )
     return np.maximum(d2, 0.0)
 
 
-def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeanspp_init(
+    X: np.ndarray, x_sq: np.ndarray, k: int, rng: np.random.Generator
+) -> np.ndarray:
     n = X.shape[0]
     centroids = np.empty((k, X.shape[1]))
     first = rng.integers(n)
     centroids[0] = X[first]
-    closest = _sq_dists(X, centroids[0:1])[:, 0]
+    closest = _sq_dists(X, x_sq, centroids[0:1])[:, 0]
     for j in range(1, k):
         total = closest.sum()
         if total <= 0.0:
@@ -62,12 +65,12 @@ def _kmeanspp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarra
             idx = int(np.searchsorted(np.cumsum(closest), r, side="right"))
             idx = min(idx, n - 1)
         centroids[j] = X[idx]
-        closest = np.minimum(closest, _sq_dists(X, centroids[j:j + 1])[:, 0])
+        closest = np.minimum(closest, _sq_dists(X, x_sq, centroids[j:j + 1])[:, 0])
     return centroids
 
 
 def _assign_with_repair(
-    X: np.ndarray, centroids: np.ndarray
+    X: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray, float]:
     """Nearest-centroid assignment (ties to the lowest id). Empty clusters
     are repaired by moving their centroid onto the point farthest from its
@@ -75,7 +78,7 @@ def _assign_with_repair(
     clusters and never increases the total cost."""
     n = X.shape[0]
     k = centroids.shape[0]
-    d2 = _sq_dists(X, centroids)
+    d2 = _sq_dists(X, x_sq, centroids)
     assignment = d2.argmin(axis=1)
     counts = np.bincount(assignment, minlength=k)
     empties = np.flatnonzero(counts == 0)
@@ -93,7 +96,7 @@ def _assign_with_repair(
             assignment[j] = e
             centroids[e] = X[j]
             own[j] = 0.0
-        d2 = _sq_dists(X, centroids)
+        d2 = _sq_dists(X, x_sq, centroids)
     inertia = float(d2[np.arange(n), assignment].sum())
     return assignment, centroids, inertia
 
@@ -110,11 +113,12 @@ def kmeans(X: np.ndarray, k: int, seed: int) -> ClusterAssignment:
     if not 1 <= k <= n:
         raise ClusteringError(f"k={k} must be in [1, {n}]")
     rng = np.random.default_rng(seed)
-    centroids = _kmeanspp_init(X, k, rng)
+    x_sq = (X * X).sum(axis=1)  # fixed across every distance pass
+    centroids = _kmeanspp_init(X, x_sq, k, rng)
     history = []
     iterations = 0
     while True:
-        assignment, centroids, inertia = _assign_with_repair(X, centroids)
+        assignment, centroids, inertia = _assign_with_repair(X, x_sq, centroids)
         history.append(inertia)
         iterations += 1
         new_centroids = centroids.copy()

@@ -8,9 +8,11 @@ import json
 import os
 from dataclasses import dataclass, field
 
+import numpy as np
 import yaml
 
 from .dataset import (
+    DatasetError,
     MultiLabelDataset,
     ToyConfig,
     filter_labels,
@@ -34,9 +36,20 @@ class DatasetSource:
     xml_path: str | None = None
 
     def load(self) -> MultiLabelDataset:
+        """The dataset, generated or read. Every command loads its datasets
+        here, so a non-finite feature value is rejected before any compute."""
         if self.toy is not None:
-            return generate_toy(self.toy)
-        return load_mulan(self.arff_path, self.xml_path)
+            ds = generate_toy(self.toy)
+        else:
+            ds = load_mulan(self.arff_path, self.xml_path)
+        finite = np.isfinite(ds.features)
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            raise DatasetError(
+                f"dataset {self.name!r}: feature {ds.feature_names[col]!r} holds "
+                f"the non-finite value {float(ds.features[row, col])!r} in row {row}"
+            )
+        return ds
 
 
 @dataclass(frozen=True)

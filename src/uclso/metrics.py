@@ -1,12 +1,15 @@
 """Label-based evaluation metrics: per-label F1, rank-based AUC with
-midrank tie handling, and macro averaging over defined labels."""
+midrank tie handling, and macro averaging over defined labels.
+
+Midranks are computed here in numpy rather than with scipy.stats, whose
+import takes about a second: scipy is used only by the Friedman test in
+`ranking`, through `scipy.special`, and is imported on first use."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 
 class MetricError(ValueError):
@@ -47,9 +50,27 @@ def f1_label(c: ConfusionCounts) -> float:
     return 2 * c.tp / denom
 
 
+def midranks(x: np.ndarray) -> np.ndarray:
+    """1-based ranks of the 1-d array x, each tie group given the mean of
+    its ranks; all NaN when x holds a NaN. Equal, bit for bit, to
+    scipy.stats.rankdata(x, method="average")."""
+    x = np.asarray(x, dtype=float)
+    if np.isnan(x).any():
+        return np.full(x.shape, np.nan)
+    order = np.argsort(x, kind="stable")
+    y = x[order]
+    starts = np.flatnonzero(np.r_[True, y[1:] != y[:-1]])
+    counts = np.diff(starts, append=y.size)
+    ranks = np.empty(y.size)
+    # a group starting at 0-based position s holds ranks s+1 .. s+count
+    ranks[order] = np.repeat(starts + (counts + 1) / 2, counts)
+    return ranks
+
+
 def auc_label(scores: np.ndarray, truth: np.ndarray) -> float:
     """Mann-Whitney AUC: P(score+ > score-) + 0.5 * P(score+ = score-),
-    computed from midranks. Undefined when truth is single-class."""
+    computed from midranks. Undefined when truth is single-class; NaN when
+    the scores hold a NaN."""
     scores = np.asarray(scores, dtype=float)
     truth = np.asarray(truth).astype(int)
     if scores.shape != truth.shape:
@@ -58,7 +79,7 @@ def auc_label(scores: np.ndarray, truth: np.ndarray) -> float:
     n_neg = int((truth == 0).sum())
     if n_pos == 0 or n_neg == 0:
         raise MetricError("AUC undefined: truth contains a single class")
-    ranks = rankdata(scores, method="average")
+    ranks = midranks(scores)
     pos_rank_sum = float(ranks[truth == 1].sum())
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 

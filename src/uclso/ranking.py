@@ -1,12 +1,17 @@
 """Cross-method rank aggregation and the Friedman test with Finner-adjusted
-post-hoc comparisons against the best-ranked method."""
+post-hoc comparisons against the best-ranked method.
+
+Ranks are numpy midranks (`metrics.midranks`). scipy is used only by the
+Friedman test, for the chi-square and normal tail probabilities, through
+`scipy.special`, which `friedman` imports on first use."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2, norm, rankdata
+
+from .metrics import midranks
 
 
 # significance level of the post-hoc comparisons
@@ -60,7 +65,7 @@ def average_ranks(scores: np.ndarray, method_names, dataset_names=None) -> RankT
         dataset_names = tuple(f"dataset_{i}" for i in range(n_data))
     if len(dataset_names) != n_data:
         raise RankingError("dataset_names length mismatch")
-    ranks = np.vstack([rankdata(row, method="average") for row in -scores])
+    ranks = np.vstack([midranks(row) for row in -scores])
     return RankTable(
         tuple(dataset_names),
         tuple(method_names),
@@ -89,6 +94,10 @@ def friedman(rt: RankTable) -> FriedmanResult:
     """Tie-corrected Friedman chi-square over the rank table, plus pairwise
     z-tests of every method against the best-ranked control with Finner
     p-value adjustment."""
+    # imported here, not at module level, so that importing uclso does
+    # not pay for scipy: only this test needs it
+    from scipy.special import chdtrc, ndtr
+
     n_data, n_methods = rt.ranks.shape
     if n_methods < 2 or n_data < 2:
         raise RankingError("need at least 2 methods and 2 datasets")
@@ -110,7 +119,7 @@ def friedman(rt: RankTable) -> FriedmanResult:
     else:
         stat = raw_stat / correction
         stat = max(stat, 0.0)
-        p_value = float(chi2.sf(stat, k - 1))
+        p_value = float(chdtrc(k - 1, stat))  # chi2.sf(stat, k - 1)
 
     control_idx = int(np.argmin(rt.average_ranks))
     control = rt.method_names[control_idx]
@@ -119,7 +128,7 @@ def friedman(rt: RankTable) -> FriedmanResult:
     zs = np.array(
         [(rt.average_ranks[j] - rt.average_ranks[control_idx]) / se for j in others]
     )
-    p_raw = 2.0 * norm.sf(np.abs(zs))
+    p_raw = 2.0 * ndtr(-np.abs(zs))  # 2 * norm.sf(|z|)
     p_adj = finner_adjust(p_raw)
     comparisons = tuple(
         Comparison(

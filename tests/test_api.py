@@ -3,6 +3,9 @@ benchmark under `perfbench/` makes, in the form it makes them. A change
 that breaks one of those calls fails here, on every supported Python."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -82,3 +85,16 @@ def test_readme_library_example_runs(capsys):
     printed = ast.literal_eval(capsys.readouterr().out)
     assert set(printed) == {"none", "smote", "uclso"}
     assert all(0.0 <= v <= 1.0 for v in printed.values())
+
+
+def test_import_loads_no_scipy():
+    # scipy.stats alone took about a second to import; the Friedman test
+    # imports scipy.special when it first runs, and nothing else uses scipy
+    src = str(Path(uclso.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import sys, uclso, uclso.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "[]\n"

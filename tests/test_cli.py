@@ -358,7 +358,7 @@ def test_failed_dataset_leaves_output_directory_as_it_was(tmp_path, capsys, comm
     path = tmp_path / "config.yaml"
     path.write_text(CONFIG.format(out=out).replace("k_clusters: 3", "k_clusters: 120"))
     assert main([command, "--config", str(path)]) == 1
-    assert "error: k=120 must be in [1, 100]" in capsys.readouterr().err
+    assert "error: dataset 'toy_b': k=120 must be in [1, 100]" in capsys.readouterr().err
     assert os.listdir(out) == ["earlier.txt"]
     # a run that succeeds moves its files in and leaves no staging directory
     path.write_text(CONFIG.format(out=out))
@@ -366,6 +366,59 @@ def test_failed_dataset_leaves_output_directory_as_it_was(tmp_path, capsys, comm
     names = sorted(os.listdir(out))
     assert names[0] == "earlier.txt" and all(n.startswith("toy_") for n in names[1:])
     assert {n.split("__")[0] for n in names[1:]} == {"toy_a", "toy_b"}
+
+
+@pytest.mark.parametrize("command, mode", [
+    ("stats", "uclso"), ("cluster", "uclso"), ("oversample", "uclso"),
+    ("oversample", "smote"), ("experiment", "uclso"),
+])
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_non_finite_feature_is_rejected_before_any_compute(tmp_path, capsys, monkeypatch,
+                                                           command, mode, value):
+    # toy_a loads first and is finite; the ARFF's first non-finite value
+    # (row-major) is in row 5, a minority row, column f1
+    rng = np.random.default_rng(5)
+    features = rng.normal(size=(60, 3))
+    features[5, 1] = value
+    features[9, 0] = np.nan
+    labels = np.zeros((60, 1), dtype=int)
+    labels[:12, 0] = 1
+    arff, xml = str(tmp_path / "bad.arff"), str(tmp_path / "bad.xml")
+    write_mulan(MultiLabelDataset(features, labels, ("f0", "f1", "f2"), ("lab",)), arff, xml)
+    out = tmp_path / "results"
+    out.mkdir()
+    (out / "earlier.txt").write_text("kept\n")
+    text = CONFIG.format(out=out).replace("m_neighbors: 5", f"m_neighbors: 5, mode: {mode}")
+    text = text.replace(
+        "oversample:", f"  - name: bad\n    mulan: {{arff: {arff}, xml: {xml}}}\noversample:"
+    )
+    path = tmp_path / "config.yaml"
+    path.write_text(text)
+    calls = []
+    for name in ("compute_stats", "kmeans", "iter_augments", "run_cv"):
+        monkeypatch.setattr(f"uclso.cli.{name}", lambda *a, name=name, **k: calls.append(name))
+    assert main([command, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: dataset 'bad': feature 'f1' holds the non-finite value {value!r} "
+        "in row 5\n"
+    )
+    assert calls == []
+    assert os.listdir(out) == ["earlier.txt"]
+    assert (out / "earlier.txt").read_text() == "kept\n"
+
+
+def test_non_finite_toy_feature_is_rejected(tmp_path, capsys):
+    # YAML's .inf is a float, so a toy blob centre can make inf features
+    out = tmp_path / "results"
+    path = tmp_path / "config.yaml"
+    path.write_text(CONFIG.format(out=out).replace("[[0, 0], [4, 4]]", "[[0, 0], [4, .inf]]"))
+    assert main(["cluster", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        "error: dataset 'toy_b': feature 'x1' holds the non-finite value inf in row 50\n"
+    )
+    assert not out.exists()
 
 
 class TestExperiment:

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import rankdata
 
 from uclso.metrics import (
     ConfusionCounts,
@@ -10,6 +11,7 @@ from uclso.metrics import (
     confusion,
     f1_label,
     macro_average,
+    midranks,
 )
 
 
@@ -92,6 +94,41 @@ class TestAuc:
         assert auc_label(scores, truth) == pytest.approx(
             auc_label(transformed, truth), abs=1e-9
         )
+
+
+# a few values, so that ties are heavy, with both zeros and both infinities
+TIED_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e300, np.inf, -np.inf])
+
+
+class TestMidranks:
+    @given(st.lists(st.one_of(TIED_VALUES, st.floats(allow_nan=False)),
+                    min_size=1, max_size=80))
+    @settings(max_examples=500, deadline=None)
+    def test_equals_scipy_rankdata_bit_for_bit(self, values):
+        x = np.array(values)
+        got = midranks(x)
+        assert got.dtype == np.float64
+        assert got.tobytes() == rankdata(x, method="average").tobytes()
+
+    @given(st.lists(TIED_VALUES, min_size=1, max_size=400))
+    @settings(max_examples=200, deadline=None)
+    def test_heavy_ties_equal_scipy_rankdata(self, values):
+        x = np.array(values)
+        assert midranks(x).tobytes() == rankdata(x, method="average").tobytes()
+
+    def test_length_one(self):
+        assert midranks(np.array([-np.inf])).tolist() == [1.0]
+
+    def test_signed_zeros_tie(self):
+        assert midranks(np.array([0.0, -0.0, 1.0, -0.0])).tolist() == [2.0, 2.0, 4.0, 2.0]
+
+    def test_nan_gives_all_nan_as_rankdata_does(self):
+        x = np.array([1.0, np.nan, 0.0])
+        assert np.isnan(midranks(x)).all()
+        assert np.isnan(rankdata(x, method="average")).all()
+
+    def test_auc_of_nan_scores_is_nan(self):
+        assert np.isnan(auc_label([0.2, np.nan, 0.9, 0.1], [1, 0, 1, 0]))
 
 
 class TestMacroAverage:

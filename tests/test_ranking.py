@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.stats import chi2, norm
 
 from uclso.ranking import (
     RankingError,
@@ -84,6 +85,22 @@ class TestFriedman:
         rt = average_ranks(np.array([[1.0, 2.0]]), ["a", "b"])
         with pytest.raises(RankingError):
             friedman(rt)
+
+
+    @pytest.mark.parametrize("dof", range(1, 11))
+    def test_p_values_equal_scipy_stats(self, dof):
+        # chdtrc and ndtr are the functions chi2.sf and norm.sf evaluate;
+        # tables of 2 to 40 datasets, with and without rank ties
+        rng = np.random.default_rng(dof)
+        names = [f"m{i}" for i in range(dof + 1)]
+        for n_data in (2, 3, 5, 12, 40):
+            for levels in (3, 1000):
+                scores = rng.integers(0, levels, (n_data, dof + 1)).astype(float)
+                res = friedman(average_ranks(scores, names))
+                assert res.dof == dof
+                assert res.p_value == float(chi2.sf(res.chi_square, dof))
+                for c in res.comparisons:
+                    assert c.p_raw == float(2.0 * norm.sf(abs(c.z)))
 
 
 class TestFinner:
