@@ -3,7 +3,10 @@
 Two flavours share the same interpolation primitive: the cluster-guarded
 generator keeps parent pairs inside one k-means cluster with per-cluster
 quotas proportional to the cluster's minority share, while the plain
-SMOTE baseline draws neighbours from the global minority set.
+SMOTE baseline draws neighbours from the global minority set. Either way a
+parent's neighbours are its nearest other pool points by exact squared
+distance, ties to the lower index, found only for the points drawn as
+parents and in memory linear in the pool size.
 """
 
 from __future__ import annotations
@@ -114,71 +117,135 @@ def _label_rng(seed: int, l: int) -> np.random.Generator:
     return np.random.default_rng([seed, l])
 
 
-# Rows of the pool-by-pool distance matrix searched at a time: bounds the
-# index buffer of the partial selection.
+# Requested rows searched at a time: each buffer of the neighbour search
+# holds at most SORT_ROWS x p entries, p the pool size.
 SORT_ROWS = 256
 
 
-def neighbours(points: np.ndarray, m: int) -> np.ndarray:
-    """Indices of each point's m nearest other points, nearest first.
+def _difference_form(points: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """sum_k (points[i, k] - points[j, k])**2 per pair, summed in feature
+    order: a pair's value does not depend on the pairs computed with it."""
+    diff = points[i]
+    diff -= points[j]
+    diff *= diff
+    out = diff[:, 0].copy()
+    for k in range(1, points.shape[1]):
+        out += diff[:, k]
+    return out
 
-    Squared distances come from one pool-by-pool buffer built in place.
-    Each chunk of SORT_ROWS rows is partially selected (argpartition), and
-    only the m selected entries of a row are sorted, by distance and then
-    index. A row with more than m entries at or below its m-th distance,
-    or a NaN there, is stable-argsorted in full. The result is exactly the
-    first m columns of one full stable argsort of each row (NaN distances
-    last, as numpy sorts them)."""
+
+def neighbours(points: np.ndarray, m: int, rows: np.ndarray) -> np.ndarray:
+    """Indices of the m nearest other points of each point named in
+    `rows`, nearest first: row i of the result belongs to points[rows[i]].
+
+    Distances are the difference form sum_k (x_ik - x_jk)**2, summed in
+    feature order, and ties go to the lower index. The result is the first
+    m of a stable sort of each requested row by that distance, the same at
+    any SORT_ROWS and any BLAS thread count. Requested rows are searched
+    SORT_ROWS at a time: one BLAS product gives their expanded-form
+    distances to every point, which only pick the candidates whose
+    difference form is computed, so memory stays O(SORT_ROWS * p)."""
+    points = np.asarray(points, dtype=float)
+    rows = np.asarray(rows)
+    if points.ndim != 2:
+        raise OversampleError(f"points must be 2-d, got shape {points.shape}")
+    p, d = points.shape
+    if not np.isfinite(points).all():
+        raise OversampleError("non-finite entries in points")
+    if not 1 <= m <= p - 1:
+        raise OversampleError(f"m={m} must be in [1, {p - 1}]")
+    if (rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer)
+            or (rows.size and not 0 <= rows.min() <= rows.max() < p)):
+        raise OversampleError(f"rows must be 1-d integer indices in [0, {p})")
+    # The filter: with s_i = |x_i|^2 + max_j |x_j|^2, the BLAS product
+    # gives g_ij = |x_j|^2 - 2 x_i.x_j, the expanded-form distance less the
+    # row's constant |x_i|^2. By Higham (Accuracy and Stability of
+    # Numerical Algorithms, ch. 3), with u = 2**-53 and gamma_n = n u /
+    # (1 - n u): the computed squared norms are within gamma_d of theirs, the
+    # dot product within gamma_d sum_k |x_ik x_jk| <= gamma_d s_i / 2 in any
+    # summation order, and the subtraction rounds terms of total size at
+    # most 2 s_i, so g_ij + |x_i|^2 lies within 3 gamma_{d+2} s_i of the
+    # exact distance D_ij. The difference form sums d non-negative terms of
+    # three roundings each: within gamma_{d+2} D_ij <= 2 gamma_{d+2} s_i of
+    # D_ij. So the two computed forms differ by at most e_i = 5 gamma_{d+2}
+    # s_i, and an entry whose lower bound g_ij - e_i lies above the row's
+    # m-th smallest upper bound g + e_i has m points strictly nearer in the
+    # difference form: only entries with g_ij <= (m-th smallest g) + 2 e_i
+    # are candidates. Taking 8 gamma_{d+2} covers the rounding of s_i and of
+    # the threshold; the absolute term covers underflow (at most 4d + 8
+    # operations, each off by under 2**-1074, or under tiny if flushed to
+    # zero). A row with s_i past max / 8, where a form may overflow, takes
+    # every point as a candidate.
+    u = np.finfo(float).eps / 2
     sq = (points * points).sum(axis=1)
-    d2 = 2.0 * points @ points.T
-    np.subtract(sq[:, None], d2, out=d2)
-    d2 += sq[None, :]
-    np.fill_diagonal(d2, np.inf)
-    neigh = np.empty((points.shape[0], m), dtype=np.intp)
-    for start in range(0, points.shape[0], SORT_ROWS):
-        chunk = d2[start:start + SORT_ROWS]
-        row = np.arange(chunk.shape[0])[:, None]
-        near = np.argpartition(chunk, m - 1, axis=1)[:, :m]
-        kth = chunk[row, near[:, m - 1:]]
-        # argpartition picks arbitrarily among entries tied at (or NaN as) a
-        # row's m-th distance: those rows take the full stable sort instead
-        tied = np.flatnonzero((chunk <= kth).sum(axis=1) != m)
-        if tied.size:
-            near[tied] = np.argsort(chunk[tied], axis=1, kind="stable")[:, :m]
-        # a sorted copy: the chunk-wide index buffer is freed here
-        near = np.sort(near, axis=1)
-        order = np.argsort(chunk[row, near], axis=1, kind="stable")
-        neigh[start:start + SORT_ROWS] = near[row, order]
+    s = sq + sq.max()
+    slack = 2 * (8 * (d + 2) * u / (1 - (d + 2) * u) * s + (4 * d + 8) * np.finfo(float).tiny)
+    slack[~(s < np.finfo(float).max / 8)] = np.inf
+    neigh = np.empty((rows.size, m), dtype=np.intp)
+    for start in range(0, rows.size, SORT_ROWS):
+        neigh[start:start + SORT_ROWS] = _chunk_neighbours(
+            points, sq, slack, rows[start:start + SORT_ROWS], m
+        )
     return neigh
 
 
+def _chunk_neighbours(
+    points: np.ndarray, sq: np.ndarray, slack: np.ndarray, chunk: np.ndarray, m: int
+) -> np.ndarray:
+    """neighbours for the rows `chunk`, given the squared norms and each
+    row's filter slack (inf: every point is a candidate)."""
+    p, d = points.shape
+    own = (np.arange(chunk.size), chunk)
+    g = (-2.0 * points[chunk]) @ points.T
+    g += sq
+    g[own] = np.inf
+    kth = np.partition(g, m - 1, axis=1)[:, m - 1].copy()
+    row_slack = slack[chunk]
+    cand = g <= (kth + row_slack)[:, None]
+    del g
+    cand[np.isinf(row_slack)] = True
+    cand[own] = False
+    r, c = np.divmod(np.flatnonzero(cand), p)
+    del cand
+    # the two gathers of a slice hold at most SORT_ROWS x p coordinates
+    dist = np.empty(r.size)
+    step = max(1, SORT_ROWS * p // (2 * d))
+    for a in range(0, r.size, step):
+        dist[a:a + step] = _difference_form(points, chunk[r[a:a + step]], c[a:a + step])
+    order = np.lexsort((c, dist, r))
+    counts = np.bincount(r, minlength=chunk.size)
+    first = np.cumsum(counts) - counts
+    return c[order[first[:, None] + np.arange(m)]]
+
+
 def _synthesize(
-    features: np.ndarray,
+    points: np.ndarray,
     pool: np.ndarray,
     m_neighbors: int,
     rng: np.random.Generator,
     out: np.ndarray,
     prov: np.recarray,
 ) -> None:
-    """Fill `out` with interpolants between minority points of `pool`, one
-    row per point, and `prov` with each point's parents and position. The
-    draw order fixes the random stream: every parent slot, then every
-    neighbour slot, then every position."""
+    """Fill `out` with interpolants between the minority points of `pool`
+    (whose features are `points`), one row per point, and `prov` with each
+    point's parents and position. The draw order fixes the random stream:
+    every parent slot, then every neighbour slot, then every position."""
     if pool.size == 1:
         # degenerate neighbourhood: duplicate the lone minority point
         prov.parent_u = prov.parent_v = pool[0]
         prov.r = 0.0
-        out[:] = features[pool[0]]
+        out[:] = points[0]
         return
     count = out.shape[0]
     m = min(m_neighbors, pool.size - 1)
     slot = rng.integers(pool.size, size=count)
-    near = neighbours(features[pool], m)[slot, rng.integers(m, size=count)]
+    # neighbour lists only for the rows drawn as parents
+    parents, which = np.unique(slot, return_inverse=True)
+    near = neighbours(points, m, parents)[which, rng.integers(m, size=count)]
     # high - low rounds to 1, so r lies in [tiny, 1 - 2**-53]: never 0 or 1
     prov.r = rng.uniform(np.finfo(float).tiny, 1.0, count)
-    u, v = pool[slot], pool[near]
-    prov.parent_u, prov.parent_v = u, v
-    out[:] = interpolate(features[u], features[v], prov.r)
+    prov.parent_u, prov.parent_v = pool[slot], pool[near]
+    out[:] = interpolate(points[slot], points[near], prov.r)
 
 
 # (cluster, minority pool, count) of each pool a label's points come from
@@ -249,14 +316,19 @@ def _augment(
         raise OversampleError(
             f"output block has shape {out.shape}, label {l} needs {(total, ds.d)}"
         )
+    pools = [ds.features[pool] for _, pool, _ in draws]
+    if not all(np.isfinite(points).all() for points in pools):
+        raise OversampleError(
+            f"label {ds.label_names[l]!r}: non-finite feature values in its minority points"
+        )
     rng = _label_rng(cfg.seed, l)
     provenance = np.recarray(total, dtype=PROVENANCE)
     start = 0
-    for cluster, pool, count in draws:
+    for (cluster, pool, count), points in zip(draws, pools):
         end = start + count
         provenance.cluster[start:end] = cluster
         _synthesize(
-            ds.features, pool, cfg.m_neighbors, rng, out[start:end], provenance[start:end]
+            points, pool, cfg.m_neighbors, rng, out[start:end], provenance[start:end]
         )
         start = end
     return AugmentedDataset(ds, SyntheticSet(l, out, provenance), l)

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -329,54 +334,177 @@ def small_datasets(draw):
     return make_ds(features, labels), cfg
 
 
-def full_sort_neighbours(points, m):
-    d2 = (
-        (points * points).sum(axis=1)[:, None]
-        - 2.0 * points @ points.T
-        + (points * points).sum(axis=1)[None, :]
-    )
-    np.fill_diagonal(d2, np.inf)
-    return np.argsort(d2, axis=1, kind="stable")[:, :m]
+def brute_force_neighbours(points, m):
+    """Each point's m nearest other points by the difference form
+    sum_k (x_ik - x_jk)**2, summed in feature order, ties to the lower
+    index: a full stable sort of every row, the point itself removed."""
+    p, d = points.shape
+    t = points[:, None, 0] - points[None, :, 0]
+    d2 = t * t
+    for k in range(1, d):
+        t = points[:, None, k] - points[None, :, k]
+        d2 += t * t
+    order = np.argsort(d2, axis=1, kind="stable")
+    return order[order != np.arange(p)[:, None]].reshape(p, p - 1)[:, :m]
 
 
 @st.composite
 def neighbour_pools(draw):
     """(points, m) for the neighbour search: the small datasets' points, or
-    a pool of a few hundred points (past argpartition's simple selection
-    for small kth) on a coarse grid, with 0/1 features, or with non-finite
-    distances, so that ties at the m-th distance are common; d from 1 to 3,
-    m from 1 to p - 1."""
-    kind = draw(st.sampled_from(["small", "grid", "binary", "non-finite"]))
+    a pool of a few hundred points (more than one chunk of 256 rows) on a
+    coarse grid, with 0/1 features, with rows of 1e200
+    (whose squares overflow), or with few distinct points, so that ties at
+    the m-th distance are common; d from 1 to 3, m from 1 to p - 1. Or a
+    cancellation pool: 60-d points of magnitude 1e3 that lie 1e-9 apart,
+    where the expanded form |x|^2 - 2 x.y + |y|^2 gives 0.0 for every
+    pair."""
+    kind = draw(st.sampled_from(["small", "grid", "binary", "huge", "duplicates", "cancellation"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    p, d = draw(st.integers(200, 600)), draw(st.integers(1, 3))
     if kind == "small":
         points = draw(small_datasets())[0].features
+    elif kind == "duplicates":
+        distinct = rng.normal(size=(draw(st.integers(1, 8)), d))
+        points = distinct[rng.integers(distinct.shape[0], size=p)]
+    elif kind == "cancellation":
+        # every pair is a candidate: few points keep chunks of one row fast
+        points = 1e3 + rng.integers(-1, 2, size=(p // 10, 60)) * 1e-9
     else:
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        p, d = draw(st.integers(200, 600)), draw(st.integers(1, 3))
         levels = 2 if kind == "binary" else draw(st.integers(3, 12))
         points = rng.integers(0, levels, size=(p, d)) / (levels - 1)
-        if kind == "non-finite":
-            # squares of 1e200 overflow: inf and nan distances
+        if kind == "huge":
             points[rng.random(p) < 0.1] = 1e200
-            points[rng.random(p) < 0.05, 0] = np.nan
     p = points.shape[0]
     m = draw(st.one_of(st.integers(1, min(8, p - 1)), st.integers(1, p - 1), st.just(p - 1)))
     return points, m
 
 
-class TestSynthesisPaths:
-    @given(pool=neighbour_pools(), chunk=st.sampled_from([1, 2, 7, 64, 256]))
-    @settings(max_examples=150, deadline=None)
-    def test_chunked_neighbours_equal_full_sort(self, pool, chunk):
+def chunked_neighbours(points, m, rows, chunk):
+    saved = oversample.SORT_ROWS
+    oversample.SORT_ROWS = chunk
+    try:
+        return neighbours(points, m, rows)
+    finally:
+        oversample.SORT_ROWS = saved
+
+
+# lists of tiny, mid-size and wide pools, hashed in a fresh process so that
+# the BLAS thread count can be set; at d = 60 the filter's BLAS product has
+# other bits with one thread than with two
+THREADED_NEIGHBOURS = """
+import hashlib
+import numpy as np
+from uclso.oversample import neighbours
+rng = np.random.default_rng(5)
+digest = hashlib.sha256()
+for p, d in ((40, 3), (300, 60), (1500, 60), (600, 7)):
+    points = rng.normal(size=(p, d)) * rng.uniform(0.5, 20.0, size=d)
+    digest.update(neighbours(points, 5, np.arange(p)).tobytes())
+print(digest.hexdigest())
+"""
+
+
+class TestNeighbours:
+    @given(pool=neighbour_pools(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_requested_rows_equal_all_rows(self, pool, data):
         points, m = pool
-        saved = oversample.SORT_ROWS
-        oversample.SORT_ROWS = chunk
+        p = points.shape[0]
+        rows = np.array(data.draw(st.lists(st.integers(0, p - 1), max_size=2 * p)), dtype=np.intp)
+        chunk = data.draw(st.sampled_from([1, 7, 256]))
+        with np.errstate(over="ignore", invalid="ignore"):
+            every = neighbours(points, m, np.arange(p))
+            got = chunked_neighbours(points, m, rows, chunk)
+        assert got.shape == (rows.size, m)
+        assert np.array_equal(got, every[rows])
+
+    def test_cancellation_pair_is_resolved(self):
+        # the expanded form can give 0.0 for every pair here; exactly, b is
+        # nearer than c to a, and nearer than a to c
+        a = np.full(60, 1e3)
+        b, c = a.copy(), a.copy()
+        b[0] += 1e-9
+        c[:2] += 1e-9
+        points = np.array([c, a, b])
+        assert neighbours(points, 1, np.array([0, 1])).tolist() == [[2], [2]]
+
+    def test_distances_are_summed_in_feature_order(self):
+        # squared differences 1 and eight times 2**-54: summed in feature
+        # order, each 2**-54 rounds away and a ties with b at 1.0, so the
+        # lower index wins; a pairwise sum (numpy's) gives a 1 + 2**-52
+        a = np.array([1.0] + [2.0**-27] * 8)
+        b = np.array([1.0] + [0.0] * 8)
+        points = np.array([np.zeros(9), a, b])
+        assert neighbours(points, 1, np.array([0])).tolist() == [[1]]
+
+    def test_same_lists_at_any_blas_thread_count(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        digests = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+            proc = subprocess.run([sys.executable, "-c", THREADED_NEIGHBOURS], env=env,
+                                  capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            digests.append(proc.stdout)
+        assert digests[0] == digests[1]
+
+    @pytest.mark.parametrize("kind", ["normal", "duplicates"])
+    def test_memory_is_linear_in_pool_size(self, kind):
+        # every point a candidate is the worst case: all-duplicate points
+        p, d, m = 5000, 20, 5
+        rng = np.random.default_rng(3)
+        points = rng.normal(size=(p, d)) if kind == "normal" else np.ones((p, d))
+        rows = np.arange(0, p, 17)
+        bound = 6 * oversample.SORT_ROWS * p * 8
+        assert bound < p * p * 8 / 3
+        tracemalloc.start()
         try:
-            with np.errstate(over="ignore", invalid="ignore"):
-                got = neighbours(points, m)
-                want = full_sort_neighbours(points, m)
+            got = neighbours(points, m, rows)
+            peak = tracemalloc.get_traced_memory()[1]
         finally:
-            oversample.SORT_ROWS = saved
-        assert np.array_equal(got, want)
+            tracemalloc.stop()
+        assert peak < bound
+        if kind == "duplicates":
+            # every distance is 0: the m lowest other indices
+            want = [[j for j in range(m + 1) if j != i][:m] for i in rows]
+            assert got.tolist() == want
+
+    @pytest.mark.parametrize(
+        "points, m, rows, match",
+        [
+            (np.array([[0.0], [np.nan], [1.0]]), 1, [0], "non-finite"),
+            (np.array([[0.0], [np.inf], [1.0]]), 1, [0], "non-finite"),
+            (np.zeros(3), 1, [0], "2-d"),
+            (np.zeros((3, 1)), 0, [0], r"m=0 must be in \[1, 2\]"),
+            (np.zeros((3, 1)), 3, [0], r"m=3 must be in \[1, 2\]"),
+            (np.zeros((1, 1)), 1, [0], r"must be in \[1, 0\]"),
+            (np.zeros((3, 1)), 1, [[0]], "rows"),
+            (np.zeros((3, 1)), 1, [0.0], "rows"),
+            (np.zeros((3, 1)), 1, [True], "rows"),
+            (np.zeros((3, 1)), 1, [-1], "rows"),
+            (np.zeros((3, 1)), 1, [3], "rows"),
+            (np.zeros((3, 1)), 1, [], "rows"),  # an empty list is float
+        ],
+    )
+    def test_bad_arguments_rejected(self, points, m, rows, match):
+        with pytest.raises(OversampleError, match=match):
+            neighbours(points, m, np.asarray(rows))
+
+    def test_no_rows_no_lists(self):
+        assert neighbours(np.zeros((3, 1)), 2, np.array([], dtype=np.intp)).shape == (0, 2)
+
+
+class TestSynthesisPaths:
+    @given(pool=neighbour_pools())
+    @settings(max_examples=100, deadline=None)
+    def test_chunked_neighbours_equal_full_sort(self, pool):
+        points, m = pool
+        rows = np.arange(points.shape[0])
+        with np.errstate(over="ignore", invalid="ignore"):
+            want = brute_force_neighbours(points, m)
+            for chunk in (1, 2, 7, 64, 256):
+                assert np.array_equal(chunked_neighbours(points, m, rows, chunk), want)
 
     @given(data=small_datasets(), mode=st.sampled_from(["uclso", "smote", "none"]))
     @settings(max_examples=80, deadline=None)
@@ -422,6 +550,48 @@ class TestSynthesisPaths:
         ds = make_ds(np.arange(8.0).reshape(4, 2), [[1], [0], [0], [0]])
         with pytest.raises(OversampleError, match="block"):
             smote_augment(ds, 0, OversampleConfig(seed=1), out=np.empty((3, 2)))
+
+
+class TestNonFiniteFeatures:
+    """Library callers can pass a dataset the CLI would reject at load."""
+
+    @staticmethod
+    def two_blob_data(value):
+        # label l0's minority lies in blob A; l1's in both blobs, with the
+        # non-finite value in the minority row of the higher cluster id, so
+        # in l1's last uclso pool
+        rng = np.random.default_rng(2)
+        features = np.vstack([rng.normal(0, 0.1, (30, 2)), rng.normal(10, 0.1, (30, 2))])
+        labels = np.zeros((60, 2), dtype=int)
+        labels[10:20, 0] = 1
+        labels[[*range(5), *range(30, 35)], 1] = 1
+        assign = kmeans(features, 2, seed=0)
+        bad_row = 0 if assign.assignment[0] == 1 else 30
+        features[bad_row, 1] = value
+        return make_ds(features, labels), assign
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("mode", ["uclso", "smote"])
+    def test_rejected_before_any_point_is_written(self, mode, value):
+        ds, assign = self.two_blob_data(value)
+        cfg = OversampleConfig(k_clusters=2, seed=1, mode=mode)
+        block = np.full((synthetic_count(label_draws(ds, cfg, assign, 1)), 2), 7.0)
+        with pytest.raises(OversampleError, match="label 'l1': non-finite feature values"):
+            if mode == "uclso":
+                uclso_augment(ds, assign, 1, cfg, out=block)
+            else:
+                smote_augment(ds, 1, cfg, out=block)
+        assert (block == 7.0).all()
+
+    @pytest.mark.parametrize("mode", ["uclso", "smote"])
+    def test_iter_augments_names_the_label(self, mode):
+        ds, assign = self.two_blob_data(np.nan)
+        cfg = OversampleConfig(k_clusters=2, seed=1, mode=mode)
+        augments = iter_augments(ds, cfg, assign)
+        first = next(augments)
+        assert first.label_index == 0 and np.isfinite(first.extra.points).all()
+        with pytest.raises(OversampleError, match="label 'l1': non-finite feature values"):
+            next(augments)
 
 
 @st.composite
@@ -509,7 +679,7 @@ class TestVectorisedDraw:
         count = 28 - 12
         stream = np.random.default_rng([cfg.seed, 1])
         slot = stream.integers(pool.size, size=count)
-        near = full_sort_neighbours(ds.features[pool], 4)[slot, stream.integers(4, size=count)]
+        near = brute_force_neighbours(ds.features[pool], 4)[slot, stream.integers(4, size=count)]
         r = stream.uniform(np.finfo(float).tiny, 1.0, count)
         u, v = ds.features[pool[slot]], ds.features[pool[near]]
 
