@@ -2,7 +2,9 @@
 
 Subcommands: stats, cluster, oversample, experiment, toy-gen. All runs are
 driven by a YAML config file; every output embeds the config hash and the
-global seed so identical configs produce byte-identical artifacts.
+global seed so identical configs produce byte-identical artifacts. Every
+command writes its files through `_staged`, which publishes them into the
+output directory only when the whole run succeeds.
 
 Exit codes: 0 success, 1 computation error, 2 usage/config error.
 """
@@ -61,13 +63,36 @@ def _fmt(v) -> str:
     return str(v)
 
 
+def _csv_rows(fh, header: list[str], rows) -> None:
+    writer = csv.writer(fh, lineterminator="\n")
+    writer.writerow(header)
+    for row in rows:
+        writer.writerow([_fmt(v) for v in row])
+
+
 def _write_rows(path: str, cfg: ExperimentConfig, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(f"# config_hash={cfg.config_hash()} seed={cfg.seed}\n")
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        _csv_rows(fh, header, rows)
+
+
+@contextmanager
+def _staged(cfg: ExperimentConfig) -> Iterator[str]:
+    """A staging directory for a command's files. When the block succeeds
+    they move into cfg.out_dir, made then if missing. The staging directory
+    is made in cfg.out_dir, or in its nearest existing ancestor, and is
+    removed either way, so a failed run leaves the file system as it was."""
+    parent = os.path.abspath(cfg.out_dir)
+    while not os.path.isdir(parent):
+        parent = os.path.dirname(parent)
+    staging = tempfile.mkdtemp(prefix=".staging-", dir=parent)
+    try:
+        yield staging
+        os.makedirs(cfg.out_dir, exist_ok=True)
+        for name in os.listdir(staging):
+            os.replace(os.path.join(staging, name), os.path.join(cfg.out_dir, name))
+    finally:
+        shutil.rmtree(staging)
 
 
 def _csv_field(text: str) -> str:
@@ -109,12 +134,9 @@ def cmd_stats(cfg: ExperimentConfig) -> int:
             rows.append(_stats_row(source.name, filtered, "filtered"))
         except DatasetError as exc:
             print(f"warning: {source.name}: {exc}", file=sys.stderr)
-    writer = csv.writer(sys.stdout, lineterminator="\n")
-    writer.writerow(STATS_COLUMNS)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    _write_rows(os.path.join(cfg.out_dir, "stats.csv"), cfg, STATS_COLUMNS, rows)
+    with _staged(cfg) as out:
+        _write_rows(os.path.join(out, "stats.csv"), cfg, STATS_COLUMNS, rows)
+    _csv_rows(sys.stdout, STATS_COLUMNS, rows)
     return 0
 
 
@@ -130,20 +152,12 @@ def _naming(source: DatasetSource) -> Iterator[None]:
 
 def _per_dataset(cfg: ExperimentConfig, write) -> int:
     """Load every dataset, then call write(cfg, ds, dataset, out) on each
-    prepared one, with `out` a staging directory under cfg.out_dir. Its
-    files move into cfg.out_dir after the last dataset succeeds, and it is
-    removed either way, so a failed run adds nothing to cfg.out_dir."""
+    prepared one, with `out` the staging directory."""
     loaded = [(source, source.load()) for source in cfg.datasets]
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    staging = tempfile.mkdtemp(prefix=".staging-", dir=cfg.out_dir)
-    try:
+    with _staged(cfg) as out:
         for source, ds in loaded:
             with _naming(source):
-                write(cfg, cfg.prepare(ds), source.name, staging)
-        for name in os.listdir(staging):
-            os.replace(os.path.join(staging, name), os.path.join(cfg.out_dir, name))
-    finally:
-        shutil.rmtree(staging)
+                write(cfg, cfg.prepare(ds), source.name, out)
     return 0
 
 
@@ -236,107 +250,89 @@ def cmd_experiment(cfg: ExperimentConfig) -> int:
                 "with both classes in its test fold, so no AUC can be defined"
             )
         prepared.append((source, ds, plan))
-    # every dataset's reports exist before the first file is written, so a
-    # failing dataset leaves no half-written output directory
-    all_reports = []
-    for source, ds, plan in prepared:
-        with _naming(source):
-            all_reports.append(run_cv(ds, methods, plan, cfg.train))
-    os.makedirs(cfg.out_dir, exist_ok=True)
     f1_scores = np.zeros((len(cfg.datasets), len(methods)))
     auc_scores = np.zeros_like(f1_scores)
-    for di, (source, reports) in enumerate(zip(cfg.datasets, all_reports)):
-        for mi, method in enumerate(methods):
-            report = reports[method.name]
-            base = f"{source.name}__{method.name}"
-            _write_rows(
-                os.path.join(cfg.out_dir, f"{base}__cells.csv"),
-                cfg,
-                ["rep", "fold", "label", "metric", "value"],
-                report.rows(),
-            )
-            summary = report.summary()
-            summary["config_hash"] = cfg.config_hash()
-            summary["dataset"] = source.name
-            with open(
-                os.path.join(cfg.out_dir, f"{base}__summary.json"),
-                "w",
-                encoding="utf-8",
-            ) as fh:
-                json.dump(summary, fh, sort_keys=True, indent=2)
-                fh.write("\n")
-            f1_scores[di, mi] = summary["macro_f1_mean"]
-            auc_scores[di, mi] = summary["macro_auc_mean"]
-
-    if ranked:
-        names = [m.name for m in methods]
-        ds_names = [s.name for s in cfg.datasets]
-        for metric, scores in (("f1", f1_scores), ("auc", auc_scores)):
-            rt = average_ranks(scores, names, ds_names)
-            rank_rows = [
-                [ds_names[i]]
-                + [v for pair in zip(rt.scores[i], rt.ranks[i]) for v in pair]
-                for i in range(len(ds_names))
-            ]
-            rank_rows.append(
-                ["average_rank"]
-                + [v for a in rt.average_ranks for v in ("", float(a))]
-            )
-            header = ["dataset"] + [
-                col for n in names for col in (f"{n}_score", f"{n}_rank")
-            ]
-            _write_rows(
-                os.path.join(cfg.out_dir, f"rank_{metric}.csv"), cfg, header, rank_rows
-            )
-            result = friedman(rt)
-            fr_rows = [
-                ["chi_square", result.chi_square],
-                ["dof", result.dof],
-                ["p_value", result.p_value],
-                ["control", result.control],
-                ["alpha", result.alpha],
-            ]
-            for comp in result.comparisons:
-                fr_rows.append(
-                    [
-                        f"vs_{comp.method}",
-                        comp.z,
-                        comp.p_raw,
-                        comp.p_adjusted,
-                        int(comp.significant),
-                    ]
+    with _staged(cfg) as out:
+        for di, (source, ds, plan) in enumerate(prepared):
+            with _naming(source):
+                reports = run_cv(ds, methods, plan, cfg.train)
+            for mi, method in enumerate(methods):
+                report = reports[method.name]
+                base = f"{source.name}__{method.name}"
+                _write_rows(
+                    os.path.join(out, f"{base}__cells.csv"),
+                    cfg,
+                    ["rep", "fold", "label", "metric", "value"],
+                    report.rows(),
                 )
-            _write_rows(
-                os.path.join(cfg.out_dir, f"friedman_{metric}.csv"),
-                cfg,
-                ["field", "value", "p_raw", "p_adjusted", "significant"],
-                fr_rows,
-            )
-            _write_rows(
-                os.path.join(cfg.out_dir, f"cd_{metric}.csv"),
-                cfg,
-                ["method", "avg_rank", "group"],
-                critical_difference_rows(rt, result),
-            )
+                summary = report.summary()
+                summary["config_hash"] = cfg.config_hash()
+                summary["dataset"] = source.name
+                with open(
+                    os.path.join(out, f"{base}__summary.json"), "w", encoding="utf-8"
+                ) as fh:
+                    json.dump(summary, fh, sort_keys=True, indent=2)
+                    fh.write("\n")
+                f1_scores[di, mi] = summary["macro_f1_mean"]
+                auc_scores[di, mi] = summary["macro_auc_mean"]
+        if ranked:
+            names = [m.name for m in methods]
+            ds_names = [s.name for s in cfg.datasets]
+            for metric, scores in (("f1", f1_scores), ("auc", auc_scores)):
+                rt = average_ranks(scores, names, ds_names)
+                rank_rows = [
+                    [ds_names[i]]
+                    + [v for pair in zip(rt.scores[i], rt.ranks[i]) for v in pair]
+                    for i in range(len(ds_names))
+                ]
+                rank_rows.append(
+                    ["average_rank"]
+                    + [v for a in rt.average_ranks for v in ("", float(a))]
+                )
+                header = ["dataset"] + [
+                    col for n in names for col in (f"{n}_score", f"{n}_rank")
+                ]
+                _write_rows(
+                    os.path.join(out, f"rank_{metric}.csv"), cfg, header, rank_rows
+                )
+                result = friedman(rt)
+                fr_rows = [
+                    ["chi_square", result.chi_square],
+                    ["dof", result.dof],
+                    ["p_value", result.p_value],
+                    ["control", result.control],
+                    ["alpha", result.alpha],
+                ] + [
+                    [f"vs_{c.method}", c.z, c.p_raw, c.p_adjusted, int(c.significant)]
+                    for c in result.comparisons
+                ]
+                _write_rows(
+                    os.path.join(out, f"friedman_{metric}.csv"),
+                    cfg,
+                    ["field", "value", "p_raw", "p_adjusted", "significant"],
+                    fr_rows,
+                )
+                _write_rows(
+                    os.path.join(out, f"cd_{metric}.csv"),
+                    cfg,
+                    ["method", "avg_rank", "group"],
+                    critical_difference_rows(rt, result),
+                )
     return 0
 
 
 def cmd_toy_gen(cfg: ExperimentConfig) -> int:
-    os.makedirs(cfg.out_dir, exist_ok=True)
-    wrote = 0
-    for source in cfg.datasets:
-        if source.toy is None:
-            continue
-        ds = source.load()
-        write_mulan(
-            ds,
-            os.path.join(cfg.out_dir, f"{source.name}.arff"),
-            os.path.join(cfg.out_dir, f"{source.name}.xml"),
-            relation=source.name,
-        )
-        wrote += 1
-    if wrote == 0:
+    toys = [source for source in cfg.datasets if source.toy is not None]
+    if not toys:
         raise ConfigError("toy-gen: config contains no toy datasets")
+    with _staged(cfg) as out:
+        for source in toys:
+            write_mulan(
+                source.load(),
+                os.path.join(out, f"{source.name}.arff"),
+                os.path.join(out, f"{source.name}.xml"),
+                relation=source.name,
+            )
     return 0
 
 

@@ -6,7 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 import yaml
@@ -93,8 +93,8 @@ TOP_KEYS = (
 DATASET_KEYS = ("name", "toy", "mulan")
 TOY_KEYS = ("points_per_blob", "blob_centers", "blob_spreads", "minority_rules", "seed")
 MULAN_KEYS = ("arff", "xml")
-OVERSAMPLE_KEYS = ("k_clusters", "m_neighbors", "seed", "mode")
-TRAIN_KEYS = ("reg_c", "epochs", "learning_rate", "lr_decay", "batch_size", "seed")
+OVERSAMPLE_KEYS = tuple(f.name for f in fields(OversampleConfig))
+TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig))
 CV_KEYS = ("reps", "folds")
 FILTER_KEYS = ("enabled", "max_ir", "min_pos")
 
@@ -127,6 +127,25 @@ def _float(section: dict, key: str, default: float | None, where: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where}: {key} must be a number, got {value!r}")
     return float(value)
+
+
+def _from_fields(cls, section: dict, seed: int, where: str):
+    """cls from a config section. A missing field takes cls's default, or
+    for a seed the top-level seed; a given value is checked by the type of
+    its default, a number for a None default."""
+    args = {}
+    for f in fields(cls):
+        default = seed if f.name == "seed" else f.default
+        if isinstance(default, str):
+            args[f.name] = str(section.get(f.name, default))
+        elif isinstance(default, int):
+            args[f.name] = _int(section, f.name, default, where)
+        elif f.name in section or default is not None:
+            args[f.name] = _float(section, f.name, default, where)
+    try:
+        return cls(**args)
+    except ValueError as exc:
+        raise ConfigError(f"invalid {where} config: {exc}") from None
 
 
 def _toy_from_dict(d: dict, default_seed: int, where: str) -> ToyConfig:
@@ -183,6 +202,11 @@ def load_config(
     for i, entry in enumerate(raw_datasets):
         _section(entry, DATASET_KEYS, f"dataset entry {i}")
         name = str(entry.get("name", f"dataset_{i}"))
+        # a name becomes part of file names, and toy-gen's ARFF @relation line
+        if name in ("", ".", "..") or any(c in name for c in "/\0\r\n" + os.sep):
+            raise ConfigError(
+                f"dataset entry {i}: name {name!r} is not a plain file name"
+            )
         where = f"dataset {name!r}"
         if "toy" in entry:
             toy = _section(entry["toy"], TOY_KEYS, f"{where} toy")
@@ -216,30 +240,9 @@ def load_config(
         raise ConfigError("config names no methods")
 
     os_raw = _section(data.get("oversample", {}), OVERSAMPLE_KEYS, "oversample")
-    os_args = dict(
-        k_clusters=_int(os_raw, "k_clusters", 5, "oversample"),
-        m_neighbors=_int(os_raw, "m_neighbors", 5, "oversample"),
-        seed=_int(os_raw, "seed", seed, "oversample"),
-        mode=str(os_raw.get("mode", "uclso")),
-    )
-    try:
-        oversample = OversampleConfig(**os_args)
-    except ValueError as exc:
-        raise ConfigError(f"invalid oversample config: {exc}") from None
-
+    oversample = _from_fields(OversampleConfig, os_raw, seed, "oversample")
     tr = _section(data.get("train", {}), TRAIN_KEYS, "train")
-    train_args = dict(
-        reg_c=_float(tr, "reg_c", 1.0, "train"),
-        epochs=_int(tr, "epochs", 100, "train"),
-        learning_rate=_float(tr, "learning_rate", 1.0, "train"),
-        lr_decay=_float(tr, "lr_decay", None, "train") if "lr_decay" in tr else None,
-        batch_size=_int(tr, "batch_size", 32, "train"),
-        seed=_int(tr, "seed", seed, "train"),
-    )
-    try:
-        train = TrainConfig(**train_args)
-    except ValueError as exc:
-        raise ConfigError(f"invalid train config: {exc}") from None
+    train = _from_fields(TrainConfig, tr, seed, "train")
 
     cv = _section(data.get("cv", {}), CV_KEYS, "cv")
     filt = _section(data.get("filter", {}), FILTER_KEYS, "filter")

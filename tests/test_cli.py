@@ -3,11 +3,15 @@ import hashlib
 import io
 import json
 import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import uclso.cli
 from uclso.arff_io import write_mulan
 from uclso.cli import _fmt, main
 from uclso.dataset import MultiLabelDataset
@@ -166,6 +170,29 @@ class TestStats:
                          id="lr_decay_string"),
             pytest.param("methods:", "filter: {max_ir: yes}\nmethods:",
                          "filter: max_ir must be a number, got True", id="max_ir_bool"),
+            # a dataset name becomes file names and toy-gen's @relation line
+            pytest.param("name: toy_b", "name: ../escaped",
+                         "dataset entry 1: name '../escaped' is not a plain file name",
+                         id="name_parent"),
+            pytest.param("name: toy_b", "name: sub/toy_b",
+                         "dataset entry 1: name 'sub/toy_b' is not a plain file name",
+                         id="name_slash"),
+            pytest.param("name: toy_b", "name: ''",
+                         "dataset entry 1: name '' is not a plain file name", id="name_empty"),
+            pytest.param("name: toy_b", "name: .",
+                         "dataset entry 1: name '.' is not a plain file name", id="name_dot"),
+            pytest.param("name: toy_b", "name: ..",
+                         "dataset entry 1: name '..' is not a plain file name",
+                         id="name_dotdot"),
+            pytest.param("name: toy_b", 'name: "toy\\nb"',
+                         "dataset entry 1: name 'toy\\nb' is not a plain file name",
+                         id="name_newline"),
+            pytest.param("name: toy_b", 'name: "toy\\rb"',
+                         "dataset entry 1: name 'toy\\rb' is not a plain file name",
+                         id="name_return"),
+            pytest.param("name: toy_b", 'name: "toy\\0b"',
+                         "dataset entry 1: name 'toy\\x00b' is not a plain file name",
+                         id="name_nul"),
         ],
     )
     def test_rejected_config_is_usage_error(self, tmp_path, capsys, old, new, message):
@@ -348,24 +375,58 @@ class TestOversample:
         assert main(["oversample", "--config", str(path)]) == 2
 
 
-@pytest.mark.parametrize("command", ["cluster", "oversample"])
-def test_failed_dataset_leaves_output_directory_as_it_was(tmp_path, capsys, command):
-    # toy_a has 140 rows and toy_b 100: 120 clusters fail on toy_b, after
-    # toy_a's files are written to the staging directory
-    out = tmp_path / "results"
-    out.mkdir()
-    (out / "earlier.txt").write_text("kept\n")
+# The function each command is made to fail with on toy_b, the second
+# dataset; each gets its name, or a file name made from it, as an argument.
+FAILS_ON_TOY_B = {
+    "stats": "_stats_row",
+    "cluster": "_write_clusters",
+    "oversample": "_write_synthetic",
+    "experiment": "_write_rows",
+    "toy-gen": "write_mulan",
+}
+
+
+@pytest.mark.parametrize("command", list(FAILS_ON_TOY_B))
+def test_failed_dataset_leaves_output_directory_as_it_was(tmp_path, capsys, monkeypatch,
+                                                          command):
+    # toy_b fails after toy_a is computed and, in every command but stats,
+    # after toy_a's files are written. An --out that existed keeps exactly
+    # its files; a missing one, and its missing parent, stay missing
+    name = FAILS_ON_TOY_B[command]
+    real = getattr(uclso.cli, name)
+
+    def fail_on_toy_b(*args, **kwargs):
+        if any(isinstance(a, str) and "toy_b" in a for a in args):
+            raise ValueError("injected failure")
+        return real(*args, **kwargs)
+
+    existing = tmp_path / "existing"
+    existing.mkdir()
+    (existing / "earlier.txt").write_text("kept\n")
+    outs = [existing, tmp_path / "missing", tmp_path / "new" / "missing"]
     path = tmp_path / "config.yaml"
-    path.write_text(CONFIG.format(out=out).replace("k_clusters: 3", "k_clusters: 120"))
-    assert main([command, "--config", str(path)]) == 1
-    assert "error: dataset 'toy_b': k=120 must be in [1, 100]" in capsys.readouterr().err
-    assert os.listdir(out) == ["earlier.txt"]
+    monkeypatch.setattr(f"uclso.cli.{name}", fail_on_toy_b)
+    for out in outs:
+        path.write_text(CONFIG.format(out=out))
+        assert main([command, "--config", str(path)]) == 1
+        captured = capsys.readouterr()
+        named = "dataset 'toy_b': " if command in ("cluster", "oversample") else ""
+        assert captured.out == "" and captured.err == f"error: {named}injected failure\n"
+        assert sorted(os.listdir(tmp_path)) == ["config.yaml", "existing"]
+        assert os.listdir(existing) == ["earlier.txt"]
+        assert (existing / "earlier.txt").read_text() == "kept\n"
     # a run that succeeds moves its files in and leaves no staging directory
-    path.write_text(CONFIG.format(out=out))
-    assert main([command, "--config", str(path)]) == 0
-    names = sorted(os.listdir(out))
-    assert names[0] == "earlier.txt" and all(n.startswith("toy_") for n in names[1:])
-    assert {n.split("__")[0] for n in names[1:]} == {"toy_a", "toy_b"}
+    monkeypatch.undo()
+    for out in outs:
+        path.write_text(CONFIG.format(out=out))
+        assert main([command, "--config", str(path)]) == 0
+    assert sorted(os.listdir(tmp_path)) == ["config.yaml", "existing", "missing", "new"]
+    assert os.listdir(tmp_path / "new") == ["missing"]
+    published = [sorted(os.listdir(out)) for out in outs]
+    assert published[0] == sorted(["earlier.txt"] + published[1])
+    assert published[1] == published[2]
+    assert not any(n.startswith(".") for n in published[0])
+    assert command == "stats" or any(n.startswith("toy_b") for n in published[1])
 
 
 @pytest.mark.parametrize("command, mode", [
@@ -551,6 +612,52 @@ class TestExperiment:
         assert main(["experiment", "--config", config, "--out", out3, "--threads", "4"]) == 0
         d1, d2, d3 = read_all(out1), read_all(out2), read_all(out3)
         assert d1 == d2 == d3
+
+
+THREADED_RUN = """
+import hashlib, os, sys
+import numpy as np
+from uclso import (MethodSpec, MultiLabelDataset, OversampleConfig, TrainConfig,
+                   make_fold_plan, run_cv)
+from uclso.cli import main
+config, out = sys.argv[1:]
+assert main(["experiment", "--config", config, "--out", out]) == 0
+for name in sorted(os.listdir(out)):
+    with open(os.path.join(out, name), "rb") as fh:
+        print(name, hashlib.sha256(fh.read()).hexdigest())
+# a reduced wide_cv: at d = 60 a BLAS product's bits depend on the threads
+rng = np.random.default_rng(7)
+n, d, q = 2400, 60, 6
+X = rng.normal(0.0, 0.6, (6, d))[rng.integers(6, size=n)] + rng.normal(size=(n, d))
+Y = (rng.random((n, q)) < np.geomspace(0.03, 0.3, q)).astype(int)
+ds = MultiLabelDataset(X, Y, tuple(f"f{j}" for j in range(d)),
+                       tuple(f"y{l}" for l in range(q)))
+methods = [MethodSpec(m, OversampleConfig(k_clusters=5, seed=7, mode=m))
+           for m in ("none", "smote", "uclso")]
+reports = run_cv(ds, methods, make_fold_plan(n, 1, 2, 7), TrainConfig(epochs=2, seed=7))
+for name, report in reports.items():
+    print(name, report.cells)
+"""
+
+
+def test_whole_run_is_the_same_at_any_blas_thread_count(tmp_path):
+    # `uclso experiment` output hashes and wide run_cv cells, each run in
+    # a fresh process under one and under two BLAS threads
+    path = tmp_path / "config.yaml"
+    path.write_text(CONFIG.format(out="unused"))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    printed = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run(
+            [sys.executable, "-c", THREADED_RUN, str(path), str(tmp_path / threads)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        printed.append(proc.stdout)
+    assert printed[0].count("__cells.csv") == 6
+    assert printed[0] == printed[1]
 
 
 class TestToyGen:
