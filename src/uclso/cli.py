@@ -79,8 +79,9 @@ def _write_rows(path: str, cfg: ExperimentConfig, header: list[str], rows) -> No
 @contextmanager
 def _staged(cfg: ExperimentConfig) -> Iterator[str]:
     """A staging directory for a command's files. When the block succeeds
-    they move into cfg.out_dir, made then if missing. The staging directory
-    is made in cfg.out_dir, or in its nearest existing ancestor, and is
+    they move into cfg.out_dir, made then if missing, unless one of their
+    names is a directory there: then none moves. The staging directory is
+    made in cfg.out_dir, or in its nearest existing ancestor, and is
     removed either way, so a failed run leaves the file system as it was."""
     parent = os.path.abspath(cfg.out_dir)
     while not os.path.isdir(parent):
@@ -88,8 +89,13 @@ def _staged(cfg: ExperimentConfig) -> Iterator[str]:
     staging = tempfile.mkdtemp(prefix=".staging-", dir=parent)
     try:
         yield staging
+        names = os.listdir(staging)
+        for name in names:
+            target = os.path.join(cfg.out_dir, name)
+            if os.path.isdir(target):
+                raise ConfigError(f"output file {target} is a directory")
         os.makedirs(cfg.out_dir, exist_ok=True)
-        for name in os.listdir(staging):
+        for name in names:
             os.replace(os.path.join(staging, name), os.path.join(cfg.out_dir, name))
     finally:
         shutil.rmtree(staging)

@@ -1,17 +1,17 @@
 """Repeated cross-validation harness: per fold-cell clustering,
 augmentation, binary-relevance training and metric collection.
 
-Methods run one after another. Within a method, the (repetition, fold)
-cells are subset, clustered and augmented in turn, a group of cells at a
-time, into one training matrix per group, and all of the group's (cell,
-label) models are fit together in one lockstep run (see
-`linear.fit_lockstep`). Small cells share a group; a cell of large data
-is a group of its own (see GROUP_ELEMENTS). There is no thread pool.
-Each cell is pure given its derived seed, and a model's fit does not
+The (repetition, fold) cells are taken in turn. Each cell's training rows
+are subset once and shared by every method; each (cell, method) unit then
+clusters and augments them. A group of units at a time goes into one
+training matrix, which stores each cell's base rows once, and all of the
+group's (cell, method, label) models are fit together in one lockstep run
+(see `linear.fit_lockstep`). Small cells share a group; a unit of large
+data is a group of its own (see GROUP_ELEMENTS). There is no thread pool.
+Each unit is pure given its derived seed, and a model's fit does not
 depend on the models that share its run, so the report depends only on
 the inputs.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
@@ -157,91 +157,51 @@ def _score_cell(
 
 # Size of one lockstep group, in matrix elements: each training row is
 # stored once (d values) and sits in the row lists of up to q models. A
-# group takes cells until it holds GROUP_ELEMENTS // (d + q) rows, so many
-# small cells share one run while a cell of large data is a group of its
-# own, and memory stays near one cell's whatever the number of cells.
+# group takes (cell, method) units until it holds GROUP_ELEMENTS // (d + q)
+# rows, so many small cells share one run while a unit of large data is a
+# group of its own, and memory stays near one cell's whatever the number of
+# cells.
 GROUP_ELEMENTS = 1 << 20
 
 
 def _fit_group(
-    ds: MultiLabelDataset, train_cfg: TrainConfig, group: list
-) -> list[FoldCell]:
-    """Synthesize the group's cells, as _method_cells prepared them, into
-    one matrix, fit every (cell, label) model in one lockstep run and score
-    each cell."""
-    X = np.empty((sum(g[1].n + sum(g[5]) for g in group), ds.d))
+    ds: MultiLabelDataset, train_cfg: TrainConfig, group: list, size: int, cells: dict
+) -> None:
+    """Synthesize the group's units, as run_cv prepared them, into one
+    matrix of `size` rows, fit every (cell, method, label) model in one
+    lockstep run and append each unit's scored cell to cells[method name].
+    A cell's units are consecutive, and the first stores its base rows."""
+    X = np.empty((size, ds.d))
     rows, targets, seeds = [], [], []
-    start = 0
-    for (rep, fold, _, _), train_ds, os_cfg, assign, draws, counts in group:
-        synth = start + train_ds.n
-        end = synth + sum(counts)
-        X[start:synth] = train_ds.features
+    start = end = 0
+    for u, (_, train_ds, (rep, fold, _), os_cfg, assign, draws, counts) in enumerate(group):
+        if u == 0 or train_ds is not group[u - 1][1]:
+            start, end = end, end + train_ds.n
+            X[start:end] = train_ds.features
+        synth = end
+        end += sum(counts)
         # each label's points land in X; its provenance is dropped with it
         for _ in iter_augments(train_ds, os_cfg, assign, X[synth:end], draws):
             pass
-        cell_rows, cell_targets, cell_seeds = br_problems(
-            train_ds.labels, start, counts, _cell_seed(train_cfg.seed, rep, fold)
+        unit_rows, unit_targets, unit_seeds = br_problems(
+            train_ds.labels, start, synth, counts, _cell_seed(train_cfg.seed, rep, fold)
         )
-        rows += cell_rows
-        targets += cell_targets
-        seeds += cell_seeds
-        start = end
+        rows += unit_rows
+        targets += unit_targets
+        seeds += unit_seeds
     weights, bias, _, constant = fit_lockstep(X, rows, targets, seeds, train_cfg)
 
     q = ds.q
-    return [
-        _score_cell(
+    for u, (name, _, (rep, fold, test_idx), *_) in enumerate(group):
+        cells[name].append(_score_cell(
             ds,
             test_idx,
-            weights[c * q:(c + 1) * q],
-            bias[c * q:(c + 1) * q],
-            tuple(ds.label_names[i - c * q] for i in constant if i // q == c),
+            weights[u * q:(u + 1) * q],
+            bias[u * q:(u + 1) * q],
+            tuple(ds.label_names[i - u * q] for i in constant if i // q == u),
             rep,
             fold,
-        )
-        for c, ((rep, fold, _, test_idx), *_) in enumerate(group)
-    ]
-
-
-def _method_cells(
-    ds: MultiLabelDataset,
-    method: MethodSpec,
-    train_cfg: TrainConfig,
-    cells: list[tuple[int, int, np.ndarray, np.ndarray]],
-) -> list[FoldCell]:
-    """One method over the given (rep, fold, train_idx, test_idx) cells.
-
-    1. Per cell: subset the training rows, cluster them (uclso) and work
-       out each label's draws, and so its synthetic count.
-    2. Per group of cells (see GROUP_ELEMENTS): allocate one matrix with,
-       per cell, its base rows, then each label's synthetic rows, which
-       synthesis writes in place.
-    3. Fit every (cell, label) model of the group in one lockstep run.
-    4. Score each cell on its test rows.
-    """
-    max_rows = GROUP_ELEMENTS // (ds.d + ds.q)
-    results: list[FoldCell] = []
-    group: list = []
-    group_rows = 0
-    for cell in cells:
-        rep, fold, train_idx, _ = cell
-        train_ds = ds.subset(train_idx)
-        os_cfg = replace(
-            method.oversample, seed=_cell_seed(method.oversample.seed, rep, fold)
-        )
-        assign = None
-        if os_cfg.mode == "uclso":
-            assign = kmeans(train_ds.features, os_cfg.k_clusters, seed=os_cfg.seed)
-        draws = [label_draws(train_ds, os_cfg, assign, l) for l in range(ds.q)]
-        counts = [synthetic_count(d) for d in draws]
-        group.append((cell, train_ds, os_cfg, assign, draws, counts))
-        group_rows += train_ds.n + sum(counts)
-        if group_rows >= max_rows:
-            results += _fit_group(ds, train_cfg, group)
-            group, group_rows = [], 0
-    if group:
-        results += _fit_group(ds, train_cfg, group)
-    return results
+        ))
 
 
 def run_cv(
@@ -253,6 +213,15 @@ def run_cv(
 ) -> dict[str, MetricReport]:
     """Evaluate every method over every (repetition, fold) cell.
 
+    1. Per cell: subset the training rows once; per method, cluster them
+       (uclso) and work out each label's draws, and so its synthetic count.
+    2. Per group of (cell, method) units (see GROUP_ELEMENTS): allocate one
+       matrix with each cell's base rows once and each unit's synthetic
+       rows, which synthesis writes in place.
+    3. Fit every (cell, method, label) model of the group in one lockstep
+       run.
+    4. Score each unit on its cell's test rows.
+
     threads is accepted for compatibility and ignored: cells run in order
     in this thread.
     """
@@ -261,17 +230,39 @@ def run_cv(
     names = [m.name for m in methods]
     if len(set(names)) != len(names):
         raise ValueError("duplicate method names")
-    cells = [
-        (rep, fold, *plan.train_test(rep, fold))
-        for rep in range(plan.repetitions)
-        for fold in range(plan.folds_per_rep)
-    ]
-    reports = {}
-    for method in methods:
-        reports[method.name] = MetricReport(
+    max_rows = GROUP_ELEMENTS // (ds.d + ds.q)
+    cells: dict[str, list[FoldCell]] = {name: [] for name in names}
+    group: list = []
+    group_rows = 0
+    for rep in range(plan.repetitions):
+        for fold in range(plan.folds_per_rep):
+            train_idx, test_idx = plan.train_test(rep, fold)
+            train_ds = ds.subset(train_idx)
+            for method in methods:
+                os_cfg = replace(
+                    method.oversample, seed=_cell_seed(method.oversample.seed, rep, fold)
+                )
+                assign = None
+                if os_cfg.mode == "uclso":
+                    assign = kmeans(train_ds.features, os_cfg.k_clusters, seed=os_cfg.seed)
+                draws = [label_draws(train_ds, os_cfg, assign, l) for l in range(ds.q)]
+                counts = [synthetic_count(d) for d in draws]
+                if not group or group[-1][1] is not train_ds:
+                    group_rows += train_ds.n  # the cell's base rows, once per group
+                cell = (rep, fold, test_idx)
+                group.append((method.name, train_ds, cell, os_cfg, assign, draws, counts))
+                group_rows += sum(counts)
+                if group_rows >= max_rows:
+                    _fit_group(ds, train_cfg, group, group_rows, cells)
+                    group, group_rows = [], 0
+    if group:
+        _fit_group(ds, train_cfg, group, group_rows, cells)
+    return {
+        method.name: MetricReport(
             method=method.name,
             label_names=ds.label_names,
-            cells=tuple(_method_cells(ds, method, train_cfg, cells)),
+            cells=tuple(cells[method.name]),
             seed=method.oversample.seed,
         )
-    return reports
+        for method in methods
+    }

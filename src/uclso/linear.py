@@ -7,11 +7,8 @@ early stop. Many independent models are fit in lockstep, as one
 (models x features) weight matrix over one shared row matrix: each step
 advances every model by one minibatch of its own rows, with its own random
 stream, step counter and regularization. A model's arithmetic does not
-depend on which other models share its run, so fitting it alone, with the
-other labels of its cell, or with other cells of its method gives bit-equal
-weights, as long as the minibatch width, min(batch_size, largest row
-count), is the same: always so when each run has a problem with at least
-batch_size rows.
+depend on which other models share its run, so fitting it alone or with
+any other models gives bit-equal weights.
 """
 
 from __future__ import annotations
@@ -80,6 +77,8 @@ def fit_lockstep(
             raise TrainingError("X rows must match y length")
         classes = np.unique(y)
         if classes.size >= 2:
+            if np.min(r) < 0 or np.max(r) >= X.shape[0]:
+                raise TrainingError("row index out of range of X")
             fit.append(i)
             continue
         bias[i] = 1.0 if classes[0] == 1 else -1.0
@@ -88,62 +87,74 @@ def fit_lockstep(
         return weights, bias, objective, constant
 
     # models by decreasing row count, so those still in their epoch at any
-    # step are a prefix [:active]
+    # step are a prefix [:a]
     order = sorted(fit, key=lambda i: -len(rows[i]))
     M = len(order)
     B = cfg.batch_size
     n = np.array([len(rows[i]) for i in order])
-    width = min(B, int(n[0]))  # rows per minibatch slot
     steps = -(-n // B)
-    cols = int(steps[0]) * width
-    # each model's rows and +-1 targets, padded to `cols` with row 0 and
-    # target 0: a padding slot has margin 0 and adds nothing to a gradient
-    R = np.zeros((M, cols), dtype=np.intp)
-    S = np.zeros((M, cols))
-    for k, i in enumerate(order):
-        R[k, :n[k]] = rows[i]
-        S[k, :n[k]] = np.where(np.asarray(targets[i]) == 1, 1.0, -1.0)
-    # this epoch's order of slots, as flat indices into R and S
-    P = np.arange(M * cols).reshape(M, cols)
-    rngs = [np.random.default_rng(seeds[i]) for i in order]
+    cols = int(steps[0]) * B
+    # each model's rows and +-1 targets in this epoch's order, padded to
+    # `cols` with row 0 and target 0: a padding slot has margin 0 and adds
+    # nothing to a gradient. Every minibatch slot is B wide, also when all
+    # models have fewer rows, so no model's arithmetic depends on another's.
+    index = np.int32 if X.shape[0] <= np.iinfo(np.int32).max else np.intp
+    rows_e = np.zeros((M, cols), dtype=index)
+    s_e = np.zeros((M, cols), dtype=np.int8)
+    models = [(np.random.default_rng(seeds[i]), np.asarray(rows[i], dtype=index),
+               np.where(np.asarray(targets[i]) == 1, 1, -1).astype(np.int8),
+               rows_e[k, :n[k]], s_e[k, :n[k]]) for k, i in enumerate(order)]
     lam = 1.0 / (cfg.reg_c * n)
     decay = lam if cfg.lr_decay is None else cfg.lr_decay
     lr = cfg.learning_rate
-    active = [int((steps > j).sum()) for j in range(int(steps[0]))]
-    step = np.arange(len(active))[:, None]
+    step = np.arange(int(steps[0]))[:, None]
     # true size of each model's minibatch j: the gradient divides by it
     batch = np.minimum(B, n[None, :] - B * step)
 
+    eta = np.empty(batch.shape)
     w = np.zeros((M, d))
     b = np.zeros(M)
+    Xb = np.empty((M, B, d))  # step j's minibatch rows, in Xb[:a]
+    margins = np.empty((M, B, 1))
+    # step j's views: the first `a` models, those still in their epoch
+    views = []
+    for j in range(len(step)):
+        a = int((steps > j).sum())
+        slots = slice(j * B, (j + 1) * B)
+        views.append((rows_e[:a, slots], s_e[:a, slots], Xb[:a], margins[:a],
+                      w[:a], w[:a, :, None], b[:a], b[:a, None], lam[:a, None],
+                      batch[j, :a], batch[j, :a, None], eta[j, :a], eta[j, :a, None]))
     for epoch in range(cfg.epochs):
-        for k in range(M):
-            P[k, :n[k]] = rngs[k].permutation(int(n[k])) + k * cols
-        rows_e = R.take(P)
-        s_e = S.take(P)
+        for rng, r, s, r_e, s_e_k in models:
+            perm = rng.permutation(r.size)
+            r.take(perm, out=r_e, mode="clip")
+            s.take(perm, out=s_e_k, mode="clip")
         # step size of each model's minibatch j: its t-th step overall
         t = (epoch * steps + 1 + step).astype(float)
-        eta = lr / (1.0 + lr * decay * t)
-        for j, a in enumerate(active):
-            slots = slice(j * width, (j + 1) * width)
-            Xb = X.take(rows_e[:a, slots], axis=0)
-            sb = s_e[:a, slots]
-            wa = w[:a]
-            margins = sb * (np.matmul(Xb, wa[:, :, None])[:, :, 0] + b[:a, None])
-            viol = sb * (margins < 1.0)  # +-1 where the hinge is active, else 0
-            size = batch[j, :a]
-            # each model's violators summed row after row, in batch order
-            hinge_sum = np.einsum("mb,mbd->md", viol, Xb)
-            grad_w = lam[:a, None] * wa - hinge_sum / size[:, None]
-            grad_b = -viol.sum(axis=1) / size
-            w[:a] = wa - eta[j, :a, None] * grad_w
-            b[:a] = b[:a] - eta[j, :a] * grad_b
+        np.divide(lr, 1.0 + lr * decay * t, out=eta)
+        for rj, sj, xb, m3, wa, wa3, ba, ba2, la, size, size2, ej, ej2 in views:
+            X.take(rj, axis=0, out=xb, mode="clip")
+            np.matmul(xb, wa3, out=m3)
+            m = m3[:, :, 0]
+            m += ba2
+            m *= sj
+            # +-1 where the hinge is active, else 0 (signed, as sj * 0.0)
+            viol = np.multiply(sj, m < 1.0, dtype=float)
+            # at d > 1 each model's violators are summed row after row, in
+            # batch order; at d = 1 einsum sums the batch axis in SIMD lanes
+            hinge = np.einsum("mb,mbd->md", viol, xb)
+            hinge /= size2
+            grad_w = la * wa - hinge
+            grad_w *= ej2
+            wa -= grad_w
+            grad_b = viol.sum(axis=1) / size
+            grad_b *= ej
+            ba += grad_b  # bit for bit b - eta * (-sum / size)
 
     weights[order] = w
     bias[order] = b
-    for k, i in enumerate(order):
-        s = S[k, :n[k]]
-        hinge = np.maximum(0.0, 1.0 - s * (X[rows[i]] @ w[k] + b[k])).mean()
+    for k, (i, (_, r, s, _, _)) in enumerate(zip(order, models)):
+        hinge = np.maximum(0.0, 1.0 - s * (X[r] @ w[k] + b[k])).mean()
         objective[i] = 0.5 * lam[k] * float(w[k] @ w[k]) + float(hinge)
     return weights, bias, objective, constant
 
@@ -160,24 +171,27 @@ def score(weights: np.ndarray, bias: float, X: np.ndarray) -> np.ndarray:
 
 
 def br_problems(
-    labels: np.ndarray, start: int, extra_counts: Sequence[int], seed: int
+    labels: np.ndarray, start: int, synth: int, extra_counts: Sequence[int], seed: int
 ) -> tuple[list[np.ndarray], list[np.ndarray], list[int]]:
     """Rows, targets and seeds of one cell's binary-relevance problems.
 
-    The cell's training matrix holds its n base rows from row `start`,
-    then extra_counts[0] synthetic rows of label 0, then those of label 1,
-    and so on. Label l's model trains on the base rows and its own
-    synthetic rows, which are all relevant, under a seed derived from
+    The training matrix holds the cell's n base rows from row `start`, and
+    from row `synth` extra_counts[0] synthetic rows of label 0, then those
+    of label 1, and so on. Label l's model trains on the base rows and its
+    own synthetic rows, which are all relevant, under a seed derived from
     (seed, l).
     """
     n, q = labels.shape
-    base = np.arange(start, start + n)
+    end = max(start + n, synth + sum(extra_counts))
+    index = np.int32 if end <= np.iinfo(np.int32).max else np.intp  # as fit_lockstep's
+    base = np.arange(start, start + n, dtype=index)
+    labels = labels.astype(np.int8)
     rows, targets, seeds = [], [], []
-    offset = start + n
+    offset = synth
     for l in range(q):
         k = extra_counts[l]
-        rows.append(np.concatenate([base, np.arange(offset, offset + k)]))
-        targets.append(np.concatenate([labels[:, l], np.ones(k, dtype=int)]))
+        rows.append(np.concatenate([base, np.arange(offset, offset + k, dtype=index)]))
+        targets.append(np.concatenate([labels[:, l], np.ones(k, dtype=np.int8)]))
         seeds.append(int(np.random.SeedSequence([seed, l]).generate_state(1)[0]))
         offset += k
     return rows, targets, seeds

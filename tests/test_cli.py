@@ -429,6 +429,27 @@ def test_failed_dataset_leaves_output_directory_as_it_was(tmp_path, capsys, monk
     assert command == "stats" or any(n.startswith("toy_b") for n in published[1])
 
 
+@pytest.mark.parametrize("command, blocked", [
+    ("cluster", "toy_b__centroids.csv"), ("experiment", "toy_b__uclso__cells.csv"),
+])
+def test_output_name_taken_by_a_directory_publishes_nothing(tmp_path, capsys, command,
+                                                            blocked):
+    # the run computes everything, then finds a target it cannot replace:
+    # a usage error that names it, and --out keeps exactly what it had
+    out = tmp_path / "results"
+    (out / blocked).mkdir(parents=True)
+    (out / "earlier.txt").write_text("kept\n")
+    path = tmp_path / "config.yaml"
+    path.write_text(CONFIG.format(out=out))
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: output file {out / blocked} is a directory\n"
+    assert sorted(os.listdir(out)) == sorted([blocked, "earlier.txt"])
+    assert os.listdir(out / blocked) == []
+    assert sorted(os.listdir(tmp_path)) == ["config.yaml", "results"]
+
+
 @pytest.mark.parametrize("command, mode", [
     ("stats", "uclso"), ("cluster", "uclso"), ("oversample", "uclso"),
     ("oversample", "smote"), ("experiment", "uclso"),

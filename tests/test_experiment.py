@@ -205,7 +205,7 @@ class TestMethodWideFit:
             X = np.vstack([train.features] + [aug.extra.points for aug in augments])
             cell_seed = _cell_seed(FAST.seed, rep, fold)
             rows, targets, seeds = br_problems(
-                train.labels, 0, [len(aug.extra) for aug in augments], cell_seed
+                train.labels, 0, train.n, [len(aug.extra) for aug in augments], cell_seed
             )
             cell_w, cell_b, _, _ = fit_lockstep(X, rows, targets, seeds, FAST)
             for l in range(ds.q):
@@ -247,6 +247,126 @@ class TestMethodWideFit:
         rows = [r for _, r in groups]
         pairs, count = cells((ds.d + ds.q) * (rows[0] + rows[1]))
         assert 1 < count < 4 and pairs == whole
+
+def same_cells(a, b):
+    """Whether two sequences of FoldCells are bit-equal field by field. A
+    FoldCell with an undefined AUC never equals another under ==, since
+    nan != nan; repr round-trips every float, so equal reprs are equal bits
+    with nan equal to nan."""
+    return repr(tuple(a)) == repr(tuple(b))
+
+
+def tiny_ds(d, seed=0, n=44):
+    """Training folds of 22 rows, fewer than batch_size: the none method's
+    problems are shorter than a minibatch and the augmented ones longer."""
+    rng = np.random.default_rng(seed)
+    X = np.vstack([rng.normal(0.0, 1.0, (n - 12, d)), rng.normal(2.5, 0.7, (12, d))])
+    labels = np.zeros((n, 2), dtype=int)
+    labels[n - 12:, 0] = 1
+    labels[:, 1] = (rng.random(n) < 0.4).astype(int)
+    names = tuple(f"x{i}" for i in range(d))
+    return MultiLabelDataset(X, labels, names, ("rare", "even"))
+
+
+ALL = ("none", "smote", "uclso")
+
+
+class TestCrossMethodGroups:
+    def fits(self, monkeypatch):
+        """Spy on fit_lockstep: the (matrix, rows, weights, bias) of each run."""
+        runs = []
+
+        def spy(X, rows, targets, seeds, cfg):
+            result = fit_lockstep(X, rows, targets, seeds, cfg)
+            runs.append((X, rows, result[0], result[1]))
+            return result
+
+        monkeypatch.setattr(experiment, "fit_lockstep", spy)
+        return runs
+
+    def test_three_methods_are_one_lockstep_run(self, monkeypatch):
+        runs = self.fits(monkeypatch)
+        ds = small_ds()
+        plan = make_fold_plan(ds.n, 2, 2, seed=1)
+        run_cv(ds, methods(*ALL), plan, FAST)
+        assert len(runs) == 1
+        assert len(runs[0][1]) == 4 * len(ALL) * ds.q
+
+    @pytest.mark.parametrize("ds", [small_ds(), tiny_ds(1), tiny_ds(2), tiny_ds(1, seed=4)],
+                             ids=["small", "tiny_d1", "tiny_d2", "tiny_d1_seed4"])
+    def test_each_method_equals_its_run_alone(self, monkeypatch, ds):
+        # bit-equal models, so equal cells: the merged run, each method run
+        # on its own, and every (cell, method) unit fit alone
+        runs = self.fits(monkeypatch)
+        plan = make_fold_plan(ds.n, 2, 2, seed=1)
+        merged = run_cv(ds, methods(*ALL), plan, FAST)
+        ((_, rows, merged_w, merged_b),) = runs
+        if ds.n < 100:
+            # the none method's problems are shorter than a minibatch,
+            # an augmented one is longer
+            sizes = [len(r) for r in rows]
+            assert max(sizes[:ds.q]) < FAST.batch_size < max(sizes)
+        runs.clear()
+        monkeypatch.setattr(experiment, "GROUP_ELEMENTS", 1)
+        units = run_cv(ds, methods(*ALL), plan, FAST)
+        assert len(runs) == 4 * len(ALL)
+        unit_runs = runs[:]
+        for m, name in enumerate(ALL):
+            alone = run_cv(ds, methods(name), plan, FAST)[name]
+            assert same_cells(alone.cells, merged[name].cells)
+            assert same_cells(units[name].cells, merged[name].cells)
+            for c in range(4):
+                u = c * len(ALL) + m  # units are cell-major, method-minor
+                _, _, w, b = unit_runs[u]
+                assert np.array_equal(w, merged_w[u * ds.q:(u + 1) * ds.q])
+                assert np.array_equal(b, merged_b[u * ds.q:(u + 1) * ds.q])
+
+    @pytest.mark.parametrize("budget", ["one_cell", "split_cells", "default"])
+    def test_group_holds_each_cell_once_within_its_cap(self, monkeypatch, budget):
+        # a group's matrix: the distinct cells' base rows once each, then
+        # each unit's synthetic rows; it closes at the unit that takes it to
+        # its cap, so it holds less than the cap plus that unit's rows
+        runs = self.fits(monkeypatch)
+        ds = small_ds()
+        plan = make_fold_plan(ds.n, 2, 2, seed=1)
+        n, q = ds.n // 2, ds.q  # rows of each training fold, labels
+        if budget != "default":
+            per = {"one_cell": n, "split_cells": n + 1}[budget]
+            monkeypatch.setattr(experiment, "GROUP_ELEMENTS", (ds.d + q) * per)
+        cap = experiment.GROUP_ELEMENTS // (ds.d + q)
+        reports = run_cv(ds, methods(*ALL), plan, FAST)
+        folds = [ds.features[plan.train_test(rep, fold)[0]]
+                 for rep in range(2) for fold in range(2)]
+        cells_per_run = []
+        for k, (X, rows, _, _) in enumerate(runs):
+            # problems start with their cell's base rows: one block per cell
+            starts = sorted({int(r[0]) for r in rows})
+            cells = [next(c for c, f in enumerate(folds) if np.array_equal(X[s:s + n], f))
+                     for s in starts]
+            assert len(set(cells)) == len(cells)
+            cells_per_run.append(cells)
+            synthetic = sum(len(r) - n for r in rows)
+            assert len(X) == n * len(starts) + synthetic
+            last = rows[-q:]
+            new_cell = all(int(r[0]) != int(last[0][0]) for r in rows[:-q])
+            last_unit = n * new_cell + sum(len(r) - n for r in last)
+            assert len(X) - last_unit < cap
+            assert k == len(runs) - 1 or len(X) >= cap
+        assert sum(len(rows) for _, rows, _, _ in runs) == 4 * len(ALL) * q
+        if budget == "one_cell":
+            # a cell's base rows fill the cap: every unit is a group alone
+            assert len(runs) == 4 * len(ALL)
+        if budget == "split_cells":
+            # a cell's none unit and the next unit fill the cap: each cell's
+            # units are split over two groups, each storing its base rows
+            assert cells_per_run == [[c] for c in range(4) for _ in range(2)]
+        if budget == "default":
+            assert len(runs) == 1
+        monkeypatch.setattr(experiment, "GROUP_ELEMENTS", 1)
+        alone = run_cv(ds, methods(*ALL), plan, FAST)
+        for name in ALL:
+            assert same_cells(alone[name].cells, reports[name].cells)
+
 
 class TestAucDefined:
     def test_plan_and_labels_decide(self):

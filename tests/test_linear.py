@@ -6,7 +6,7 @@ import pytest
 from uclso.clustering import kmeans
 from uclso.dataset import MultiLabelDataset
 from uclso.experiment import _score_cell
-from uclso.linear import TrainConfig, br_problems, fit_lockstep, score
+from uclso.linear import TrainConfig, TrainingError, br_problems, fit_lockstep, score
 from uclso.oversample import OversampleConfig, iter_augments
 
 
@@ -65,7 +65,7 @@ def fit_cell(ds, os_cfg, train_cfg, assign=None):
     augments = list(iter_augments(ds, os_cfg, assign))
     X = np.vstack([ds.features] + [aug.extra.points for aug in augments])
     rows, targets, seeds = br_problems(
-        ds.labels, 0, [len(aug.extra) for aug in augments], train_cfg.seed
+        ds.labels, 0, ds.n, [len(aug.extra) for aug in augments], train_cfg.seed
     )
     return fit_lockstep(X, rows, targets, seeds, train_cfg)
 
@@ -173,7 +173,7 @@ class TestBrFit:
         cfg = OversampleConfig(seed=1, mode="none")
         augments = list(iter_augments(fig1_toy, cfg))
         rows, targets, _ = br_problems(
-            fig1_toy.labels, 0, [len(aug.extra) for aug in augments], 0
+            fig1_toy.labels, 0, fig1_toy.n, [len(aug.extra) for aug in augments], 0
         )
         for l, aug in enumerate(augments):
             assert len(aug.extra) == 0
@@ -231,17 +231,25 @@ class TestLockstep:
                 assert abs(b_k - b) <= 1e-12 * (1 + abs(b))
 
     def test_fit_alone_equals_fit_in_group(self):
-        rng = np.random.default_rng(3)
-        X = rng.normal(size=(300, 3))
-        rows = [rng.choice(300, size=k, replace=False) for k in (250, 41, 120, 33)]
-        targets = [(X[r, 0] + rng.normal(0, 0.5, r.size) > 0).astype(int) for r in rows]
-        cfg = TrainConfig(epochs=12)
-        weights, bias, objective, _ = fit_lockstep(X, rows, targets, [1, 2, 3, 4], cfg)
-        for k, (r, y, seed) in enumerate(zip(rows, targets, (1, 2, 3, 4))):
-            w, b, obj = fit_one(X[r], y, replace(cfg, seed=seed))
-            assert np.array_equal(w, weights[k])
-            assert b == bias[k]
-            assert obj == objective[k]
+        # at d = 1 einsum sums each minibatch in SIMD lanes, so a model's
+        # bits would depend on how wide the run pads its minibatches; the
+        # last six problems are shorter than one (here a 13-row problem
+        # padded to its own size instead of batch_size gets other bits)
+        for d in (1, 2, 3, 60):
+            rng = np.random.default_rng(3)
+            X = rng.normal(size=(300, d))
+            sizes = (250, 41, 120, 33, 9, 20, 13, 25, 7, 30)
+            rows = [rng.choice(300, size=k, replace=False) for k in sizes]
+            targets = [(X[r, 0] + rng.normal(0, 0.5, r.size) > 0).astype(int) for r in rows]
+            seeds = range(1, len(sizes) + 1)
+            cfg = TrainConfig(epochs=12)
+            weights, bias, objective, constant = fit_lockstep(X, rows, targets, seeds, cfg)
+            assert constant == []
+            for k, (r, y, seed) in enumerate(zip(rows, targets, seeds)):
+                w, b, obj = fit_one(X[r], y, replace(cfg, seed=seed))
+                assert np.array_equal(w, weights[k])
+                assert b == bias[k]
+                assert obj == objective[k]
 
     def test_single_class_problem_gets_constant_row(self):
         X = np.arange(20.0).reshape(10, 2)
@@ -255,6 +263,13 @@ class TestLockstep:
         assert bias[1] == 1.0 and not weights[1].any() and objective[1] == 0.0
         assert bias[2] == -1.0 and not weights[2].any() and objective[2] == 0.0
         assert objective[0] > 0.0
+
+    @pytest.mark.parametrize("bad", [-1, 4])
+    def test_row_index_out_of_range_is_rejected(self, bad):
+        rows = [np.array([0, 1, 2, bad])]
+        with pytest.raises(TrainingError, match="out of range"):
+            fit_lockstep(np.zeros((4, 2)), rows, [np.array([0, 1, 0, 1])], [0],
+                         TrainConfig())
 
     def test_row_count_must_match_targets(self):
         with pytest.raises(ValueError, match="match"):

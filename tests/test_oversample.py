@@ -289,7 +289,7 @@ class TestSmoteAugment:
         labels = np.array([[1]] * 10 + [[0]] * 90)
         ds = make_ds(rng.normal(size=(100, 2)), labels)
         aug = smote_augment(ds, 0, OversampleConfig(seed=3))
-        _, (y,), _ = br_problems(ds.labels, 0, [len(aug.extra)], 0)
+        _, (y,), _ = br_problems(ds.labels, 0, ds.n, [len(aug.extra)], 0)
         assert y.size == 180
         assert (y[100:] == 1).all()
 
