@@ -157,13 +157,17 @@ def _naming(source: DatasetSource) -> Iterator[None]:
 
 
 def _per_dataset(cfg: ExperimentConfig, write) -> int:
-    """Load every dataset, then call write(cfg, ds, dataset, out) on each
-    prepared one, with `out` the staging directory."""
-    loaded = [(source, source.load()) for source in cfg.datasets]
+    """Load and prepare every dataset, then call write(cfg, ds, dataset,
+    out) on each, with `out` the staging directory."""
+    prepared = []
+    for source in cfg.datasets:
+        ds = source.load()
+        with _naming(source):
+            prepared.append((source, cfg.prepare(ds)))
     with _staged(cfg) as out:
-        for source, ds in loaded:
+        for source, ds in prepared:
             with _naming(source):
-                write(cfg, cfg.prepare(ds), source.name, out)
+                write(cfg, ds, source.name, out)
     return 0
 
 

@@ -113,14 +113,16 @@ def _section(value, allowed: tuple[str, ...], where: str) -> dict:
 
 def _int(section: dict, key: str, default: int, where: str) -> int:
     """section[key], or default, as a YAML integer: a float, bool or string
-    is rejected, not truncated or parsed."""
+    is rejected, not truncated or parsed, and so is a negative seed."""
     value = section.get(key, default)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigError(f"{where}: {key} must be an integer, got {value!r}")
+    if key == "seed" and value < 0:
+        raise ConfigError(f"{where}: seed must be >= 0, got {value}")
     return value
 
 
-def _float(section: dict, key: str, default: float | None, where: str) -> float:
+def _float(section: dict, key: str, default: float, where: str) -> float:
     """section[key], or default, as a YAML number; a bool or string is
     rejected."""
     value = section.get(key, default)
@@ -131,8 +133,7 @@ def _float(section: dict, key: str, default: float | None, where: str) -> float:
 
 def _from_fields(cls, section: dict, seed: int, where: str):
     """cls from a config section. A missing field takes cls's default, or
-    for a seed the top-level seed; a given value is checked by the type of
-    its default, a number for a None default."""
+    for a seed the top-level seed; a given value must be of its type."""
     args = {}
     for f in fields(cls):
         default = seed if f.name == "seed" else f.default
@@ -140,7 +141,7 @@ def _from_fields(cls, section: dict, seed: int, where: str):
             args[f.name] = str(section.get(f.name, default))
         elif isinstance(default, int):
             args[f.name] = _int(section, f.name, default, where)
-        elif f.name in section or default is not None:
+        else:
             args[f.name] = _float(section, f.name, default, where)
     try:
         return cls(**args)

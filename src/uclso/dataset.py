@@ -3,7 +3,7 @@ cross-validation fold planning and synthetic toy-data generation."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -72,13 +72,7 @@ class MultiLabelDataset:
     def subset(self, rows) -> "MultiLabelDataset":
         """New dataset restricted to the given row indices (order kept)."""
         rows = np.asarray(rows, dtype=int)
-        return MultiLabelDataset(
-            self.features[rows].copy(),
-            self.labels[rows].copy(),
-            self.feature_names,
-            self.label_names,
-            self.feature_type,
-        )
+        return replace(self, features=self.features[rows], labels=self.labels[rows])
 
 
 @dataclass(frozen=True)
@@ -226,14 +220,8 @@ def filter_labels(
         keep.append(k)
     if not keep:
         raise DatasetError("all labels dropped by filtering; dataset unusable")
-    filtered = MultiLabelDataset(
-        ds.features,
-        ds.labels[:, keep].copy(),
-        ds.feature_names,
-        tuple(ds.label_names[k] for k in keep),
-        ds.feature_type,
-    )
-    return filtered, report
+    label_names = tuple(ds.label_names[k] for k in keep)
+    return replace(ds, labels=ds.labels[:, keep], label_names=label_names), report
 
 
 def make_fold_plan(n: int, reps: int, folds: int, seed: int) -> FoldPlan:
@@ -289,6 +277,4 @@ def scale_min_max(ds: MultiLabelDataset) -> MultiLabelDataset:
     hi = ds.features.max(axis=0)
     span = np.where(hi > lo, hi - lo, 1.0)
     scaled = (ds.features - lo) / span
-    return MultiLabelDataset(
-        scaled, ds.labels.copy(), ds.feature_names, ds.label_names, ds.feature_type
-    )
+    return replace(ds, features=scaled)

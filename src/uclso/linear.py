@@ -2,13 +2,14 @@
 stochastic subgradient descent, one independent model per label.
 
 Training is the fixed-T minibatch Pegasos update (Shalev-Shwartz, Singer
-& Srebro, ICML 2007): every fit runs exactly `epochs` passes; there is no
-early stop. Many independent models are fit in lockstep, as one
-(models x features) weight matrix over one shared row matrix: each step
-advances every model by one minibatch of its own rows, with its own random
-stream, step counter and regularization. A model's arithmetic does not
-depend on which other models share its run, so fitting it alone or with
-any other models gives bit-equal weights.
+& Srebro, ICML 2007): `epochs` passes, no early stop. A model of n rows
+has regularization lambda = 1 / (reg_c * n) and its t-th step has size
+eta_t = 1 / (1 + lambda * t). Many independent models are fit in
+lockstep, as one (models x features) weight matrix over one shared row
+matrix: each step advances every model by one minibatch of its own rows,
+with its own random stream, step counter and regularization. A model's
+arithmetic does not depend on which other models share its run, so
+fitting it alone or with any other models gives bit-equal weights.
 """
 
 from __future__ import annotations
@@ -27,16 +28,12 @@ class TrainingError(ValueError):
 class TrainConfig:
     reg_c: float = 1.0  # inverse regularization strength
     epochs: int = 100
-    learning_rate: float = 1.0
-    lr_decay: float | None = None  # defaults to lambda = 1 / (reg_c * n)
     batch_size: int = 32
     seed: int = 0
 
     def __post_init__(self):
-        if self.reg_c <= 0 or self.epochs < 1 or self.learning_rate <= 0:
-            raise TrainingError("reg_c, epochs and learning_rate must be positive")
-        if self.batch_size < 1:
-            raise TrainingError("invalid batch_size")
+        if self.reg_c <= 0 or self.epochs < 1 or self.batch_size < 1:
+            raise TrainingError("reg_c, epochs and batch_size must be positive")
 
 
 def fit_lockstep(
@@ -105,8 +102,6 @@ def fit_lockstep(
                np.where(np.asarray(targets[i]) == 1, 1, -1).astype(np.int8),
                rows_e[k, :n[k]], s_e[k, :n[k]]) for k, i in enumerate(order)]
     lam = 1.0 / (cfg.reg_c * n)
-    decay = lam if cfg.lr_decay is None else cfg.lr_decay
-    lr = cfg.learning_rate
     step = np.arange(int(steps[0]))[:, None]
     # true size of each model's minibatch j: the gradient divides by it
     batch = np.minimum(B, n[None, :] - B * step)
@@ -131,7 +126,7 @@ def fit_lockstep(
             s.take(perm, out=s_e_k, mode="clip")
         # step size of each model's minibatch j: its t-th step overall
         t = (epoch * steps + 1 + step).astype(float)
-        np.divide(lr, 1.0 + lr * decay * t, out=eta)
+        np.divide(1.0, 1.0 + lam * t, out=eta)
         for rj, sj, xb, m3, wa, wa3, ba, ba2, la, size, size2, ej, ej2 in views:
             X.take(rj, axis=0, out=xb, mode="clip")
             np.matmul(xb, wa3, out=m3)

@@ -162,12 +162,8 @@ class TestStats:
             # float keys take a YAML int or float; PyYAML reads 1e-3 as a string
             pytest.param("epochs: 6", "epochs: 6, reg_c: true",
                          "train: reg_c must be a number, got True", id="reg_c_bool"),
-            pytest.param("epochs: 6", "epochs: 6, learning_rate: '0.5'",
-                         "train: learning_rate must be a number, got '0.5'",
-                         id="learning_rate_string"),
-            pytest.param("epochs: 6", "epochs: 6, lr_decay: 1e-3",
-                         "train: lr_decay must be a number, got '1e-3'",
-                         id="lr_decay_string"),
+            pytest.param("epochs: 6", "epochs: 6, reg_c: 1e-3",
+                         "train: reg_c must be a number, got '1e-3'", id="reg_c_string"),
             pytest.param("methods:", "filter: {max_ir: yes}\nmethods:",
                          "filter: max_ir must be a number, got True", id="max_ir_bool"),
             # a dataset name becomes file names and toy-gen's @relation line
@@ -193,6 +189,23 @@ class TestStats:
             pytest.param("name: toy_b", 'name: "toy\\0b"',
                          "dataset entry 1: name 'toy\\x00b' is not a plain file name",
                          id="name_nul"),
+            # the step size follows from reg_c alone; there is no step-size key
+            pytest.param("epochs: 6", "epochs: 6, lr_decay: 0.05",
+                         "train: unknown key 'lr_decay' (accepted: reg_c, epochs, "
+                         "batch_size, seed)", id="lr_decay_unknown"),
+            pytest.param("epochs: 6", "epochs: 6, learning_rate: 0.5",
+                         "train: unknown key 'learning_rate'", id="learning_rate_unknown"),
+            # numpy's generators take no negative seed
+            pytest.param("seed: 7\n", "seed: -1\n",
+                         "config: seed must be >= 0, got -1", id="seed_negative"),
+            pytest.param("m_neighbors: 5", "m_neighbors: 5, seed: -2",
+                         "oversample: seed must be >= 0, got -2",
+                         id="oversample_seed_negative"),
+            pytest.param("epochs: 6", "epochs: 6, seed: -3",
+                         "train: seed must be >= 0, got -3", id="train_seed_negative"),
+            pytest.param("      seed: 12\n", "      seed: -12\n",
+                         "dataset 'toy_b' toy: seed must be >= 0, got -12",
+                         id="toy_seed_negative"),
         ],
     )
     def test_rejected_config_is_usage_error(self, tmp_path, capsys, old, new, message):
@@ -546,8 +559,8 @@ class TestExperiment:
 
     @pytest.mark.parametrize("methods", ["[none, smote, uclso]", "[uclso]"])
     def test_preparation_error_names_dataset(self, tmp_path, capsys, methods):
-        # ranked runs (two datasets, three methods) prepare every dataset
-        # before any compute; unranked runs prepare it in the compute loop
+        # ranked runs (two datasets, three methods) and unranked ones alike
+        # prepare every dataset before any compute
         out = tmp_path / "results"
         path = tmp_path / "config.yaml"
         path.write_text(
@@ -579,7 +592,8 @@ class TestExperiment:
     def test_preparation_error_comes_before_any_compute(self, tmp_path, capsys,
                                                         monkeypatch):
         # one method, so no rank tables: toy_a keeps a label with 29
-        # positives, toy_b's only label has 16 and is dropped
+        # positives, toy_b's only label has 16 and is dropped. Every
+        # command that computes per dataset fails before toy_a's compute
         out = tmp_path / "results"
         path = tmp_path / "config.yaml"
         path.write_text(
@@ -588,12 +602,15 @@ class TestExperiment:
             .replace("cv:", "filter: {enabled: true, min_pos: 20}\ncv:")
         )
         calls = []
-        monkeypatch.setattr("uclso.cli.run_cv", lambda *a, **k: calls.append(a))
-        assert main(["experiment", "--config", str(path)]) == 1
-        assert capsys.readouterr().err == (
-            "error: dataset 'toy_b': all labels dropped by filtering; dataset unusable\n"
-        )
-        assert calls == [] and not out.exists()
+        for name in ("kmeans", "iter_augments", "run_cv"):
+            monkeypatch.setattr(f"uclso.cli.{name}", lambda *a, **k: calls.append(a))
+        for command in ("experiment", "cluster", "oversample"):
+            assert main([command, "--config", str(path)]) == 1
+            assert capsys.readouterr().err == (
+                "error: dataset 'toy_b': all labels dropped by filtering; "
+                "dataset unusable\n"
+            )
+            assert calls == [] and not out.exists()
 
     def test_compute_error_names_dataset_and_writes_nothing(self, tmp_path, capsys):
         # toy_a's training folds hold 70 rows, toy_b's only 50: too few for
@@ -697,6 +714,14 @@ class TestToyGen:
         )
         assert np.array_equal(ds.features, back.features)
         assert np.array_equal(ds.labels, back.labels)
+
+
+@pytest.mark.parametrize("command", ["cluster", "oversample", "experiment"])
+def test_negative_seed_override_is_usage_error(config_path, capsys, command):
+    config, out = config_path
+    assert main([command, "--config", config, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: config: seed must be >= 0, got -1\n"
+    assert not os.path.exists(out)
 
 
 def test_seed_override_changes_hash(config_path):

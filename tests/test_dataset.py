@@ -50,6 +50,13 @@ class TestMultiLabelDataset:
         with pytest.raises(ValueError):
             tiny_ds.features[0, 0] = 5.0
 
+    def test_subset_shares_no_memory_with_its_parent(self, tiny_ds):
+        sub = tiny_ds.subset([2, 0])
+        for part, whole in ((sub.features, tiny_ds.features), (sub.labels, tiny_ds.labels)):
+            assert np.array_equal(part, whole[[2, 0]])
+            assert not np.shares_memory(part, whole)
+            assert not part.flags.writeable
+
 
 class TestComputeStats:
     def test_hand_counted_example(self):

@@ -23,7 +23,6 @@ def reference_fit(X, y, cfg):
     n, d = X.shape
     s = np.where(y == 1, 1.0, -1.0)
     lam = 1.0 / (cfg.reg_c * n)
-    decay = cfg.lr_decay if cfg.lr_decay is not None else lam
     rng = np.random.default_rng(cfg.seed)
     w = np.zeros(d)
     b = 0.0
@@ -35,7 +34,7 @@ def reference_fit(X, y, cfg):
             Xb, sb = X[batch], s[batch]
             viol = sb * (Xb @ w + b) < 1.0
             t += 1
-            eta = cfg.learning_rate / (1.0 + cfg.learning_rate * decay * t)
+            eta = 1.0 / (1.0 + lam * t)
             grad_w = lam * w
             grad_b = 0.0
             if viol.any():
@@ -211,10 +210,11 @@ class TestBrFit:
 
 class TestLockstep:
     @pytest.mark.parametrize("batch_size", [1, 7, 32, 500])
-    @pytest.mark.parametrize("lr_decay", [None, 0.05])
-    def test_agrees_with_reference_loop(self, batch_size, lr_decay):
+    @pytest.mark.parametrize("reg_c", [None, 0.05])
+    def test_agrees_with_reference_loop(self, batch_size, reg_c):
         # problems of mixed sizes over one shared matrix: most sizes leave a
-        # partial last batch, and batch_size 500 exceeds every row count
+        # partial last batch, and batch_size 500 exceeds every row count.
+        # reg_c None is the default; 0.05 regularizes 20 times as strongly
         rng = np.random.default_rng(batch_size)
         for d in (1, 2, 5):
             X = rng.normal(size=(400, d)) * rng.uniform(0.1, 10, d)
@@ -222,7 +222,7 @@ class TestLockstep:
             rows = [rng.choice(400, size=k, replace=False) for k in sizes]
             targets = [np.resize([0, 1, 1], k) for k in sizes]
             seeds = list(rng.integers(1 << 30, size=6))
-            cfg = TrainConfig(epochs=9, batch_size=batch_size, lr_decay=lr_decay)
+            cfg = TrainConfig(epochs=9, batch_size=batch_size, reg_c=reg_c or TrainConfig.reg_c)
             weights, bias, _, constant = fit_lockstep(X, rows, targets, seeds, cfg)
             assert constant == []
             for w_k, b_k, r, y, seed in zip(weights, bias, rows, targets, seeds):
