@@ -32,7 +32,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.reg_c <= 0 or self.epochs < 1 or self.batch_size < 1:
+        # not > 0 also rejects a NaN reg_c, which would make every weight NaN
+        if not self.reg_c > 0 or self.epochs < 1 or self.batch_size < 1:
             raise TrainingError("reg_c, epochs and batch_size must be positive")
 
 

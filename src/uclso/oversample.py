@@ -120,6 +120,12 @@ def _label_rng(seed: int, l: int) -> np.random.Generator:
 # Requested rows searched at a time: each buffer of the neighbour search
 # holds at most SORT_ROWS x p entries, p the pool size.
 SORT_ROWS = 256
+# Fewest candidate pairs per difference-form slice, so that a small pool
+# costs few numpy calls per feature.
+MIN_PAIRS = 2**14
+# From this pool size on, when the pool holds at least 8m points, a row's
+# filter threshold comes from its 2m column-block minima, not a partition.
+BLOCK_MIN_POOL = 512
 
 
 def _difference_form(points: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -142,9 +148,10 @@ def neighbours(points: np.ndarray, m: int, rows: np.ndarray) -> np.ndarray:
     feature order, and ties go to the lower index. The result is the first
     m of a stable sort of each requested row by that distance, the same at
     any SORT_ROWS and any BLAS thread count. Requested rows are searched
-    SORT_ROWS at a time: one BLAS product gives their expanded-form
-    distances to every point, which only pick the candidates whose
-    difference form is computed, so memory stays O(SORT_ROWS * p)."""
+    SORT_ROWS at a time: one single-precision BLAS product gives their
+    expanded-form distances to every point, which only pick the candidates
+    whose difference form is computed, so memory stays
+    O(SORT_ROWS * p + MIN_PAIRS * d)."""
     points = np.asarray(points, dtype=float)
     rows = np.asarray(rows)
     if points.ndim != 2:
@@ -157,65 +164,115 @@ def neighbours(points: np.ndarray, m: int, rows: np.ndarray) -> np.ndarray:
     if (rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer)
             or (rows.size and not 0 <= rows.min() <= rows.max() < p)):
         raise OversampleError(f"rows must be 1-d integer indices in [0, {p})")
-    # The filter: with s_i = |x_i|^2 + max_j |x_j|^2, the BLAS product
-    # gives g_ij = |x_j|^2 - 2 x_i.x_j, the expanded-form distance less the
-    # row's constant |x_i|^2. By Higham (Accuracy and Stability of
-    # Numerical Algorithms, ch. 3), with u = 2**-53 and gamma_n = n u /
-    # (1 - n u): the computed squared norms are within gamma_d of theirs, the
-    # dot product within gamma_d sum_k |x_ik x_jk| <= gamma_d s_i / 2 in any
-    # summation order, and the subtraction rounds terms of total size at
-    # most 2 s_i, so g_ij + |x_i|^2 lies within 3 gamma_{d+2} s_i of the
-    # exact distance D_ij. The difference form sums d non-negative terms of
-    # three roundings each: within gamma_{d+2} D_ij <= 2 gamma_{d+2} s_i of
-    # D_ij. So the two computed forms differ by at most e_i = 5 gamma_{d+2}
-    # s_i, and an entry whose lower bound g_ij - e_i lies above the row's
-    # m-th smallest upper bound g + e_i has m points strictly nearer in the
-    # difference form: only entries with g_ij <= (m-th smallest g) + 2 e_i
-    # are candidates. Taking 8 gamma_{d+2} covers the rounding of s_i and of
-    # the threshold; the absolute term covers underflow (at most 4d + 8
-    # operations, each off by under 2**-1074, or under tiny if flushed to
-    # zero). A row with s_i past max / 8, where a form may overflow, takes
-    # every point as a candidate.
-    u = np.finfo(float).eps / 2
-    sq = (points * points).sum(axis=1)
-    s = sq + sq.max()
-    slack = 2 * (8 * (d + 2) * u / (1 - (d + 2) * u) * s + (4 * d + 8) * np.finfo(float).tiny)
-    slack[~(s < np.finfo(float).max / 8)] = np.inf
+    # The filter: y is the pool less its float64 mean, w is y rounded to
+    # float32, and s_i = |y_i|^2 + max_j |y_j|^2. Distances do not change
+    # under translation; without the centring the slack below would grow
+    # with the pool's offset from 0. The float32 BLAS product gives
+    # g_ij = |w_j|^2 - 2 w_i.w_j, an expanded-form distance less the row's
+    # constant |w_i|^2. By Higham (Accuracy and Stability of Numerical
+    # Algorithms, ch. 3), with u = 2**-24 and gamma_n = n u / (1 - n u):
+    # - the computed squared norms are within gamma_d of |w_j|^2, the dot
+    #   product within gamma_d sum_k |w_ik w_jk| <= gamma_d s_i / 2 in any
+    #   summation order, and the last addition rounds a value of size at
+    #   most 2 s_i, so g_ij + |w_i|^2 lies within 2 gamma_{d+1} s_i of
+    #   |w_i - w_j|^2;
+    # - each coordinate of w is the exact centred one with a relative error
+    #   under 1.01 u (the centring's rounding, then the cast's), so
+    #   |w_i - w_j|^2 lies within 6.1 u s_i of the exact distance D_ij;
+    # - the difference form sums d non-negative float64 terms of three
+    #   roundings each, within 2 gamma_{d+2}(2**-53) s_i of D_ij, as D_ij
+    #   <= 2 s_i.
+    # With gamma_{d+2} >= 3u, these sum to under 4.1 gamma_{d+2} s_i, even
+    # with s_i's own rounding. Inputs a BLAS flushes to zero add under
+    # 2u s_i, so the two computed forms differ by at most e_i =
+    # 5 gamma_{d+2} s_i. An entry whose lower bound g_ij - e_i lies above
+    # an upper bound t_i + e_i on the row's m-th smallest g has m points
+    # strictly nearer in the difference form, so only entries with
+    # g_ij <= t_i + 2 e_i are candidates; t_i is the m-th smallest entry,
+    # or on large pools a bound on it (_chunk_neighbours). Taking
+    # 8 gamma_{d+2} covers the threshold's rounding to float32 (under
+    # 2u s_i); the absolute term covers underflow (at most 4d + 8
+    # operations, each off by under float32's tiny). A row with s_i past
+    # float32's max / 8, where the product may overflow, takes every point
+    # as a candidate; below it, no value the filter computes overflows.
+    u = 2.0**-24
+    single = np.finfo(np.float32)
+    centred = points - points.mean(axis=0)
+    norms = (centred * centred).sum(axis=1)
+    s = norms + norms.max()
+    slack = 2 * (8 * (d + 2) * u / (1 - (d + 2) * u) * s + (4 * d + 8) * float(single.tiny))
+    slack[~(s < float(single.max) / 8)] = np.inf
+    with np.errstate(over="ignore", invalid="ignore"):
+        w = centred.astype(np.float32)
+        sq = (w * w).sum(axis=1)
+    del centred
     neigh = np.empty((rows.size, m), dtype=np.intp)
     for start in range(0, rows.size, SORT_ROWS):
         neigh[start:start + SORT_ROWS] = _chunk_neighbours(
-            points, sq, slack, rows[start:start + SORT_ROWS], m
+            points, w, sq, slack, rows[start:start + SORT_ROWS], m
         )
     return neigh
 
 
 def _chunk_neighbours(
-    points: np.ndarray, sq: np.ndarray, slack: np.ndarray, chunk: np.ndarray, m: int
+    points: np.ndarray,
+    w: np.ndarray,
+    sq: np.ndarray,
+    slack: np.ndarray,
+    chunk: np.ndarray,
+    m: int,
 ) -> np.ndarray:
-    """neighbours for the rows `chunk`, given the squared norms and each
-    row's filter slack (inf: every point is a candidate)."""
+    """neighbours for the rows `chunk`, given the centred float32 points w,
+    their squared norms and each row's filter slack (inf: every point is a
+    candidate)."""
     p, d = points.shape
     own = (np.arange(chunk.size), chunk)
-    g = (-2.0 * points[chunk]) @ points.T
-    g += sq
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = (-2 * w[chunk]) @ w.T
+        g += sq
     g[own] = np.inf
-    kth = np.partition(g, m - 1, axis=1)[:, m - 1].copy()
+    low = g
+    if p >= BLOCK_MIN_POOL and p >= 8 * m:
+        low = _block_minima(g, 2 * m)
+    kth = np.partition(low, m - 1, axis=1)[:, m - 1].copy()
+    del low
     row_slack = slack[chunk]
-    cand = g <= (kth + row_slack)[:, None]
+    cand = g <= (kth + row_slack).astype(np.float32)[:, None]
     del g
     cand[np.isinf(row_slack)] = True
     cand[own] = False
     r, c = np.divmod(np.flatnonzero(cand), p)
     del cand
-    # the two gathers of a slice hold at most SORT_ROWS x p coordinates
+    # the two gathers of a slice hold at most max(SORT_ROWS x p,
+    # 2 MIN_PAIRS x d) coordinates
     dist = np.empty(r.size)
-    step = max(1, SORT_ROWS * p // (2 * d))
+    step = max(MIN_PAIRS, SORT_ROWS * p // (2 * d))
     for a in range(0, r.size, step):
         dist[a:a + step] = _difference_form(points, chunk[r[a:a + step]], c[a:a + step])
-    order = np.lexsort((c, dist, r))
+    # c ascends within each row, and lexsort is stable: ties go to the lower index
+    order = np.lexsort((dist, r))
     counts = np.bincount(r, minlength=chunk.size)
     first = np.cumsum(counts) - counts
     return c[order[first[:, None] + np.arange(m)]]
+
+
+def _block_minima(g: np.ndarray, blocks: int) -> np.ndarray:
+    """Per row of g, the minimum of each block of columns j = b mod
+    `blocks` up to the last whole stride, then the remaining columns.
+    These are distinct entries of the row, so their m-th smallest is at
+    least the row's m-th smallest: an upper bound found without a
+    partition. Strided blocks each hold columns from the whole row, so a
+    pool whose order follows its geometry (sorted points) still gives a
+    tight bound, where contiguous blocks would not."""
+    whole = g.shape[1] // blocks * blocks
+    x = g[:, :whole].reshape(g.shape[0], -1, blocks)
+    while x.shape[1] > 1:  # halve the strides, folding an odd one in
+        half = x.shape[1] // 2
+        folded = np.minimum(x[:, :half], x[:, half:2 * half])
+        if x.shape[1] % 2:
+            np.minimum(folded[:, :1], x[:, 2 * half:], out=folded[:, :1])
+        x = folded
+    return np.concatenate([x[:, 0], g[:, whole:]], axis=1)
 
 
 def _synthesize(
@@ -243,9 +300,18 @@ def _synthesize(
     parents, which = np.unique(slot, return_inverse=True)
     near = neighbours(points, m, parents)[which, rng.integers(m, size=count)]
     # high - low rounds to 1, so r lies in [tiny, 1 - 2**-53]: never 0 or 1
-    prov.r = rng.uniform(np.finfo(float).tiny, 1.0, count)
+    r = rng.uniform(np.finfo(float).tiny, 1.0, count)
+    if not ((r > 0.0) & (r < 1.0)).all():
+        raise OversampleError("interpolation position not in (0, 1)")
+    prov.r = r
     prov.parent_u, prov.parent_v = pool[slot], pool[near]
-    out[:] = interpolate(points[slot], points[near], prov.r)
+    # interpolate's u + (v - u) * r, in its order, in place
+    u = points[slot]
+    # every index is valid; mode clip writes straight into out, raise buffers
+    np.take(points, near, axis=0, out=out, mode="clip")
+    out -= u
+    out *= r[:, None]
+    out += u
 
 
 # (cluster, minority pool, count) of each pool a label's points come from

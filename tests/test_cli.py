@@ -164,6 +164,10 @@ class TestStats:
                          "train: reg_c must be a number, got True", id="reg_c_bool"),
             pytest.param("epochs: 6", "epochs: 6, reg_c: 1e-3",
                          "train: reg_c must be a number, got '1e-3'", id="reg_c_string"),
+            # NaN passes the number check; reg_c must be > 0, which NaN is not
+            pytest.param("epochs: 6", "epochs: 6, reg_c: .nan",
+                         "invalid train config: reg_c, epochs and batch_size must be positive",
+                         id="reg_c_nan"),
             pytest.param("methods:", "filter: {max_ir: yes}\nmethods:",
                          "filter: max_ir must be a number, got True", id="max_ir_bool"),
             # a dataset name becomes file names and toy-gen's @relation line

@@ -100,6 +100,50 @@ class TestAuc:
 TIED_VALUES = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, 1e300, np.inf, -np.inf])
 
 
+def midrank_auc(scores, truth):
+    """The midrank formula: (sum of positive midranks - n_pos (n_pos + 1)
+    / 2) / (n_pos n_neg)."""
+    n_pos, n_neg = int((truth == 1).sum()), int((truth == 0).sum())
+    pos_rank_sum = float(midranks(scores)[truth == 1].sum())
+    return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
+
+
+class TestAucProperty:
+    @given(st.lists(st.tuples(st.one_of(TIED_VALUES, st.floats(allow_nan=False)),
+                              st.booleans()), min_size=2, max_size=300))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_midrank_formula_bit_for_bit(self, pairs):
+        scores = np.array([s for s, _ in pairs])
+        truth = np.array([t for _, t in pairs], dtype=int)
+        if truth.sum() in (0, truth.size):
+            return
+        got = auc_label(scores, truth)
+        assert type(got) is float
+        assert np.float64(got).tobytes() == np.float64(midrank_auc(scores, truth)).tobytes()
+
+    @given(st.lists(TIED_VALUES, min_size=1, max_size=50), st.integers(0, 50))
+    @settings(max_examples=100, deadline=None)
+    def test_single_positive(self, negatives, at):
+        scores = np.array(negatives)
+        at = min(at, scores.size)
+        scores = np.insert(scores, at, scores[at % scores.size])
+        truth = np.zeros(scores.size, dtype=int)
+        truth[at] = 1
+        assert auc_label(scores, truth) == midrank_auc(scores, truth)
+        assert auc_label(scores, truth) == brute_force_auc(scores, truth)
+
+    @given(st.lists(st.floats(allow_nan=False), min_size=2, max_size=40), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_any_nan_gives_nan(self, values, data):
+        scores = np.array(values)
+        scores[data.draw(st.integers(0, scores.size - 1))] = np.nan
+        truth = np.arange(scores.size) % 2
+        assert np.isnan(auc_label(scores, truth))
+
+    def test_signed_zeros_tie(self):
+        assert auc_label(np.array([0.0, -0.0, -0.0, 0.0]), np.array([1, 0, 1, 0])) == 0.5
+
+
 class TestMidranks:
     @given(st.lists(st.one_of(TIED_VALUES, st.floats(allow_nan=False)),
                     min_size=1, max_size=80))

@@ -352,13 +352,17 @@ def brute_force_neighbours(points, m):
 def neighbour_pools(draw):
     """(points, m) for the neighbour search: the small datasets' points, or
     a pool of a few hundred points (more than one chunk of 256 rows) on a
-    coarse grid, with 0/1 features, with rows of 1e200
-    (whose squares overflow), or with few distinct points, so that ties at
-    the m-th distance are common; d from 1 to 3, m from 1 to p - 1. Or a
-    cancellation pool: 60-d points of magnitude 1e3 that lie 1e-9 apart,
-    where the expanded form |x|^2 - 2 x.y + |y|^2 gives 0.0 for every
-    pair."""
-    kind = draw(st.sampled_from(["small", "grid", "binary", "huge", "duplicates", "cancellation"]))
+    coarse grid, with 0/1 features, with rows of 1e200 (whose squares
+    overflow) or of 1e20 (whose squares overflow float32 only), scaled to
+    1e-25 to 1e-19 (where float32 products underflow), or with few
+    distinct points, so that ties at the m-th distance are common; d from
+    1 to 3, m from 1 to p - 1. Or a cancellation pool: 60-d points of
+    magnitude 1e3 that lie 1e-9 apart, where the expanded form
+    |x|^2 - 2 x.y + |y|^2 gives 0.0 for every pair. Or a large pool of 512
+    to 1500 Gaussian points in up to 60 dimensions, at or above the size
+    from which the filter bounds its threshold by block minima."""
+    kind = draw(st.sampled_from(["small", "grid", "binary", "huge", "huge32", "underflow",
+                                 "duplicates", "cancellation", "large"]))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     p, d = draw(st.integers(200, 600)), draw(st.integers(1, 3))
     if kind == "small":
@@ -367,13 +371,18 @@ def neighbour_pools(draw):
         distinct = rng.normal(size=(draw(st.integers(1, 8)), d))
         points = distinct[rng.integers(distinct.shape[0], size=p)]
     elif kind == "cancellation":
-        # every pair is a candidate: few points keep chunks of one row fast
+        # few points keep chunks of one row fast
         points = 1e3 + rng.integers(-1, 2, size=(p // 10, 60)) * 1e-9
+    elif kind == "large":
+        p = draw(st.integers(oversample.BLOCK_MIN_POOL, 1500))
+        points = rng.normal(size=(p, draw(st.integers(1, 60))))
     else:
         levels = 2 if kind == "binary" else draw(st.integers(3, 12))
         points = rng.integers(0, levels, size=(p, d)) / (levels - 1)
-        if kind == "huge":
-            points[rng.random(p) < 0.1] = 1e200
+        if kind in ("huge", "huge32"):
+            points[rng.random(p) < 0.1] = 1e200 if kind == "huge" else 1e20
+        elif kind == "underflow":
+            points *= draw(st.sampled_from([1e-25, 1e-20, 1e-19]))
     p = points.shape[0]
     m = draw(st.one_of(st.integers(1, min(8, p - 1)), st.integers(1, p - 1), st.just(p - 1)))
     return points, m
@@ -427,6 +436,33 @@ class TestNeighbours:
         c[:2] += 1e-9
         points = np.array([c, a, b])
         assert neighbours(points, 1, np.array([0, 1])).tolist() == [[2], [2]]
+
+    @pytest.mark.parametrize("kind", ["offset", "sorted"])
+    def test_large_pool_keeps_few_candidates(self, monkeypatch, kind):
+        # offset: far from 0 and narrow, so the filter must work on the
+        # centred pool, or float32's rounding of |x|^2 (about 6e7 here)
+        # makes every point a candidate. sorted: long along one axis and in
+        # that order, so column blocks must be strided, or the other blocks'
+        # minima lie far away and loosen the threshold
+        rng = np.random.default_rng(14)
+        points = rng.normal(size=(1500, 60))
+        if kind == "offset":
+            points = 1000 + 10 * points
+        else:
+            points[:, 0] *= 100
+            points = points[np.argsort(points[:, 0])]
+        pairs = []
+        difference_form = oversample._difference_form
+
+        def counted(points, i, j):
+            pairs.append(i.size)
+            return difference_form(points, i, j)
+
+        monkeypatch.setattr(oversample, "_difference_form", counted)
+        m, rows = 5, np.arange(1500)
+        got = neighbours(points, m, rows)
+        assert sum(pairs) <= 4 * m * rows.size
+        assert np.array_equal(got, brute_force_neighbours(points, m))
 
     def test_distances_are_summed_in_feature_order(self):
         # squared differences 1 and eight times 2**-54: summed in feature
@@ -545,6 +581,31 @@ class TestSynthesisPaths:
                 assert synthetic_count(label_draws(ds, mode_cfg, assign, l)) == drawn
             none_cfg = OversampleConfig(cfg.k_clusters, cfg.m_neighbors, cfg.seed, "none")
             assert synthetic_count(label_draws(ds, none_cfg, assign, l)) == 0
+
+    @given(data=small_datasets(), mode=st.sampled_from(["uclso", "smote"]))
+    @settings(max_examples=80, deadline=None)
+    def test_points_equal_interpolate_bit_for_bit(self, data, mode):
+        ds, cfg = data
+        cfg = OversampleConfig(cfg.k_clusters, cfg.m_neighbors, cfg.seed, mode)
+        assign = kmeans(ds.features, cfg.k_clusters, seed=cfg.seed)
+        for aug in iter_augments(ds, cfg, assign):
+            if isinstance(aug, LabelUnusableError):
+                continue
+            prov, points = aug.extra.provenance, aug.extra.points
+            drawn = prov.r > 0.0  # r is 0 only for a pool of one, which is copied
+            want = interpolate(ds.features[prov.parent_u[drawn]],
+                               ds.features[prov.parent_v[drawn]], prov.r[drawn])
+            assert points[drawn].tobytes() == want.tobytes()
+
+    def test_wide_points_equal_interpolate_bit_for_bit(self):
+        rng = np.random.default_rng(15)
+        labels = (rng.random((2000, 1)) < 0.2).astype(int)
+        ds = make_ds(rng.normal(size=(2000, 60)) * rng.uniform(0.1, 1e3, 60), labels)
+        aug = smote_augment(ds, 0, OversampleConfig(seed=5, mode="smote"))
+        prov = aug.extra.provenance
+        assert len(aug.extra) > 1000
+        want = interpolate(ds.features[prov.parent_u], ds.features[prov.parent_v], prov.r)
+        assert aug.extra.points.tobytes() == want.tobytes()
 
     def test_block_of_wrong_size_rejected(self):
         ds = make_ds(np.arange(8.0).reshape(4, 2), [[1], [0], [0], [0]])
