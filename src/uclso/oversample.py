@@ -189,7 +189,7 @@ def neighbours(points: np.ndarray, m: int, rows: np.ndarray) -> np.ndarray:
     # an upper bound t_i + e_i on the row's m-th smallest g has m points
     # strictly nearer in the difference form, so only entries with
     # g_ij <= t_i + 2 e_i are candidates; t_i is the m-th smallest entry,
-    # or on large pools a bound on it (_chunk_neighbours). Taking
+    # or on large pools a bound on it (_block_minima). Taking
     # 8 gamma_{d+2} covers the threshold's rounding to float32 (under
     # 2u s_i); the absolute term covers underflow (at most 4d + 8
     # operations, each off by under float32's tiny). A row with s_i past
