@@ -5,12 +5,16 @@ case-insensitive keywords. Nominal feature attributes are one-hot encoded
 at load; label attributes must be binary (0/1). Missing values (`?`) are
 rejected.
 
-A dense data block is parsed in one vectorised pass (numpy's `loadtxt`).
-Sparse rows, quoted tokens, and any block that pass does not take (a
-missing value, a row with the wrong number of fields, a token outside a
-nominal domain or one `loadtxt` cannot read) go through the line parser,
-which reads a row at a time. Either way the values are the same, and
-error messages and line numbers come from the line parser.
+The data block is streamed: each pass re-reads it from the first line
+after @data, so a load holds the value matrix but never the block's text.
+A dense block is parsed in one vectorised pass (numpy's `loadtxt`, fed
+the rows one at a time, with nominal tokens mapped to their domain index
+as they are read). Sparse rows, quoted tokens, and any block that pass
+does not take (a missing value, a row with the wrong number of fields, a
+token outside a nominal domain or one `loadtxt` cannot read) go through
+the line parser, which parses a row at a time into a preallocated
+matrix. Either way the values are the same, and error messages and line
+numbers come from the line parser. A UTF-8 byte-order mark is skipped.
 """
 
 from __future__ import annotations
@@ -129,86 +133,107 @@ def read_arff(path: str) -> tuple[list[_Attribute], np.ndarray]:
     Nominal cells hold the index of their value in the declared domain.
     """
     attributes: list[_Attribute] = []
-    linenos: list[int] = []
-    lines: list[str] = []
-    in_data = False
-    with open(path, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
+    # utf-8-sig: a byte-order mark at the start of the file is not text
+    with open(path, "r", encoding="utf-8-sig") as fh:
+        # readline, not iteration: _DataBlock needs fh.tell(), which text
+        # files disable while they are iterated
+        for lineno, raw in enumerate(iter(fh.readline, ""), start=1):
             line = raw.strip()
             if not line or line.startswith("%"):
                 continue
             low = line.lower()
-            if not in_data:
-                if low.startswith("@relation"):
-                    continue
-                if low.startswith("@attribute"):
-                    m = _ATTR_RE.match(line)
-                    if not m:
-                        raise ArffError("malformed @attribute", lineno)
-                    attributes.append(_parse_attribute(m.group(1), lineno))
-                    continue
-                if low.startswith("@data"):
-                    if not attributes:
-                        raise ArffError("@data before any @attribute", lineno)
-                    in_data = True
-                    continue
-                raise ArffError(f"unexpected header line {line!r}", lineno)
-            linenos.append(lineno)
-            lines.append(line)
-    if not in_data:
-        raise ArffError("no @data section found", None)
-    if not lines:
-        raise ArffError("empty @data section", None)
-    values = _parse_dense(lines, attributes)
-    if values is None:
-        values = np.asarray(
-            [_parse_row(line, attributes, n) for n, line in zip(linenos, lines)],
-            dtype=float,
-        )
+            if low.startswith("@relation"):
+                continue
+            if low.startswith("@attribute"):
+                m = _ATTR_RE.match(line)
+                if not m:
+                    raise ArffError("malformed @attribute", lineno)
+                attributes.append(_parse_attribute(m.group(1), lineno))
+                continue
+            if low.startswith("@data"):
+                if not attributes:
+                    raise ArffError("@data before any @attribute", lineno)
+                break
+            raise ArffError(f"unexpected header line {line!r}", lineno)
+        else:
+            raise ArffError("no @data section found", None)
+        block = _DataBlock(fh, lineno)
+        if next(iter(block), None) is None:
+            raise ArffError("empty @data section", None)
+        values = _parse_dense(block, attributes)
+        if values is None:
+            values = _parse_lines(block, attributes)
     return attributes, values
 
 
-# characters that send a data block to the line parser: sparse rows,
-# quotes, missing values, and NUL, which numpy drops from the end of a
-# string where the line parser keeps it
-_LINE_PARSER_ONLY = ("{", "'", '"', "?", "\x00")
+class _DataBlock:
+    """The data rows of an open ARFF file, as (line number, stripped line)
+    pairs without blank and % lines. Each pass seeks back to the first
+    line after @data, so no pass holds the block's text."""
+
+    def __init__(self, fh, data_lineno: int):
+        self.fh = fh
+        self.start = fh.tell()
+        self.data_lineno = data_lineno
+
+    def __iter__(self):
+        self.fh.seek(self.start)
+        for lineno, raw in enumerate(iter(self.fh.readline, ""), start=self.data_lineno + 1):
+            line = raw.strip()
+            if line and not line.startswith("%"):
+                yield lineno, line
 
 
-def _parse_dense(lines: list[str], attributes: list[_Attribute]) -> np.ndarray | None:
+def _parse_dense(block: _DataBlock, attributes: list[_Attribute]) -> np.ndarray | None:
     """The raw value matrix of a dense block in one vectorised pass, or None
     when the block holds anything this pass does not take. The caller then
     runs the line parser, which gives the error and its line number."""
-    block = "\n".join(lines)
-    if any(ch in block for ch in _LINE_PARSER_ONLY):
-        return None
-    # loadtxt with usecols reads ragged rows without complaint
     commas = len(attributes) - 1
-    if any(line.count(",") != commas for line in lines):
-        return None
-    numeric = [i for i, a in enumerate(attributes) if a.kind == "numeric"]
-    nominal = [i for i, a in enumerate(attributes) if a.kind == "nominal"]
-    out = np.empty((len(lines), len(attributes)))
+
+    def lines():
+        for _, line in block:
+            # loadtxt takes its field count from the first row, so a block
+            # whose rows are all one field short would read without error.
+            # The characters are the line parser's: sparse rows, quotes,
+            # missing values, % (a comment only at the start of a line),
+            # and NUL, which numpy drops from the end of a string where the
+            # line parser keeps it
+            if (line.count(",") != commas or "{" in line or "'" in line
+                    or '"' in line or "?" in line or "%" in line or "\x00" in line):
+                raise ValueError("a row for the line parser")
+            yield line
+
+    converters = {
+        col: _DomainIndex((v, float(a.values.index(v))) for v in a.values).__getitem__
+        for col, a in enumerate(attributes) if a.kind == "nominal"
+    }
     try:
-        # comments=None: with "#", loadtxt reads "1#2" as 1.0
-        if numeric:
-            out[:, numeric] = np.loadtxt(
-                lines, delimiter=",", comments=None, usecols=numeric, ndmin=2
-            )
-        if nominal:
-            tokens = np.loadtxt(
-                lines, delimiter=",", comments=None, usecols=nominal, ndmin=2,
-                dtype=str,
-            )
+        # comments=None: with "#", loadtxt reads "1#2" as 1.0. encoding=None
+        # hands converters str, not bytes, on numpy 1.x too
+        return np.loadtxt(lines(), delimiter=",", comments=None, ndmin=2,
+                          converters=converters, encoding=None)
     except ValueError:
         return None
-    for j, col in enumerate(nominal):
-        domain = attributes[col].values
-        index = {v: float(domain.index(v)) for v in domain}
-        distinct, inverse = np.unique(tokens[:, j], return_inverse=True)
-        found = [index.get(tok.strip()) for tok in distinct.tolist()]
-        if None in found:
-            return None
-        out[:, col] = np.asarray(found)[inverse]
+
+
+class _DomainIndex(dict):
+    """Nominal value → domain index, looked up by loadtxt for each nominal
+    cell. A token is looked up as read, then stripped as the line parser
+    strips it; a token outside the domain raises ValueError."""
+
+    def __missing__(self, token: str) -> float:
+        stripped = token.strip()
+        if stripped == token:
+            raise ValueError(f"{token!r} is not in the domain")
+        return self[stripped]
+
+
+def _parse_lines(block: _DataBlock, attributes: list[_Attribute]) -> np.ndarray:
+    """The line parser: each row parsed on its own into a preallocated
+    matrix. Raises the ArffError of the first bad row."""
+    out = np.empty((sum(1 for _ in block), len(attributes)))
+    for i, (lineno, line) in enumerate(block):
+        out[i] = _parse_row(line, attributes, lineno)
     return out
 
 

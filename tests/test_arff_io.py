@@ -1,5 +1,6 @@
 import os
 import tempfile
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -343,3 +344,73 @@ def test_tokens_only_float_reads_go_to_line_parser(tmp_path):
     path = tmp_path / "u.arff"
     path.write_text(HEADER + "@data\n1_0,1,\uff12\n", encoding="utf-8")
     assert np.array_equal(read_arff(str(path))[1], [[10, 1, 2]])
+
+
+def test_byte_order_mark_is_skipped(tmp_path):
+    sparse = HEADER + "@data\n{0 1.5, 2 2}\n{1 1}\n"
+    for text in (DENSE, sparse):
+        plain = tmp_path / "plain.arff"
+        plain.write_text(text, encoding="utf-8")
+        bom = tmp_path / "bom.arff"
+        bom.write_text(text, encoding="utf-8-sig")
+        assert bom.read_bytes()[:3] == b"\xef\xbb\xbf"
+        attributes, raw = read_arff(str(plain))
+        bom_attributes, bom_raw = read_arff(str(bom))
+        assert bom_attributes == attributes
+        assert bom_raw.dtype == raw.dtype and bom_raw.shape == raw.shape
+        assert bom_raw.tobytes() == raw.tobytes()
+
+
+def test_sparse_row_semantics(tmp_path):
+    # the line parser's reading of sparse rows, which item 5's vectorised
+    # sparse pass must keep: {} is all zeros, a repeated index keeps its
+    # last value, and indices may come in any order
+    path = write(tmp_path, "s.arff", HEADER + "@data\n{}\n{0 1, 0 2}\n{2 7, 0 3, 1 1}\n")
+    _, raw = read_arff(path)
+    assert raw.tobytes() == np.array([[0, 0, 0], [2, 0, 0], [3, 1, 7]], dtype=float).tobytes()
+
+
+def traced_peak(fn):
+    tracemalloc.start()
+    try:
+        result = fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak
+
+
+def test_dense_load_holds_the_matrix_not_the_text(tmp_path):
+    # the data block is streamed: the text of a 3000x48 file is about
+    # twice its matrix, and holding it as lines and as one string, as an
+    # earlier reader did, peaked at about 8 times the matrix
+    rng = np.random.default_rng(4)
+    n, d, q = 3000, 40, 8
+    ds = MultiLabelDataset(rng.normal(size=(n, d)), rng.integers(0, 2, size=(n, q)),
+                           tuple(f"f{j}" for j in range(d)), tuple(f"y{j}" for j in range(q)))
+    arff = str(tmp_path / "d.arff")
+    write_mulan(ds, arff, str(tmp_path / "d.xml"))
+    with no_line_parser():
+        (_, raw), peak = traced_peak(lambda: read_arff(arff))
+    assert raw.shape == (n, d + q)
+    assert peak < 2 * raw.nbytes
+
+
+def test_sparse_load_holds_the_matrix_and_one_row(tmp_path):
+    # the shape of Mulan's text datasets; the line parser fills a
+    # preallocated matrix, where a list of Python float rows peaked at
+    # about 2.2 times the matrix
+    rng = np.random.default_rng(5)
+    n, width = 3000, 530
+    path = tmp_path / "s.arff"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("@relation s\n")
+        fh.writelines(f"@attribute f{j} numeric\n" for j in range(500))
+        fh.writelines(f"@attribute y{j} {{0,1}}\n" for j in range(width - 500))
+        fh.write("@data\n")
+        for _ in range(n):
+            cells = np.flatnonzero(rng.random(width) < 0.04)
+            fh.write("{" + ",".join(f"{j} 1" for j in cells) + "}\n")
+    (_, raw), peak = traced_peak(lambda: read_arff(str(path)))
+    assert raw.shape == (n, width) and 0.03 < raw.mean() < 0.05
+    assert peak < 1.25 * raw.nbytes
