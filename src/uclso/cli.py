@@ -26,7 +26,7 @@ from dataclasses import replace
 import numpy as np
 
 from .arff_io import ArffError, write_mulan
-from .clustering import kmeans
+from .clustering import check_k, kmeans
 from .config import ConfigError, DatasetSource, ExperimentConfig, load_config
 from .dataset import (
     DatasetError,
@@ -36,8 +36,7 @@ from .dataset import (
     scale_min_max,
 )
 from .experiment import MethodSpec, auc_defined, run_cv
-from .metrics import MetricError
-from .oversample import LabelUnusableError, OversampleError, iter_augments
+from .oversample import LabelUnusableError, iter_augments
 from .ranking import average_ranks, critical_difference_rows, friedman
 
 STATS_COLUMNS = [
@@ -156,27 +155,32 @@ def _naming(source: DatasetSource) -> Iterator[None]:
         raise DatasetError(f"dataset {source.name!r}: {exc}") from exc
 
 
-def _per_dataset(cfg: ExperimentConfig, write) -> int:
-    """Load and prepare every dataset, then call write(cfg, ds, dataset,
-    out) on each, with `out` the staging directory."""
+def _per_dataset(cfg: ExperimentConfig, write, clustered: bool) -> int:
+    """Load and prepare every dataset, checking k_clusters against its rows
+    if `clustered`. Then call write(cfg, ds, assign, dataset, out) on each,
+    `assign` its k-means clustering (or None), `out` the staging directory."""
+    k = cfg.oversample.k_clusters
     prepared = []
     for source in cfg.datasets:
         ds = source.load()
         with _naming(source):
-            prepared.append((source, cfg.prepare(ds)))
+            ds = cfg.prepare(ds)
+            if clustered:
+                check_k(k, ds.n)
+            prepared.append((source, ds))
     with _staged(cfg) as out:
         for source, ds in prepared:
             with _naming(source):
-                write(cfg, ds, source.name, out)
+                assign = kmeans(ds.features, k, cfg.oversample.seed) if clustered else None
+                write(cfg, ds, assign, source.name, out)
     return 0
 
 
 def cmd_cluster(cfg: ExperimentConfig) -> int:
-    return _per_dataset(cfg, _write_clusters)
+    return _per_dataset(cfg, _write_clusters, True)
 
 
-def _write_clusters(cfg: ExperimentConfig, ds, dataset: str, out: str) -> None:
-    assign = kmeans(ds.features, cfg.oversample.k_clusters, seed=cfg.oversample.seed)
+def _write_clusters(cfg: ExperimentConfig, ds, assign, dataset: str, out: str) -> None:
     _write_rows(
         os.path.join(out, f"{dataset}__assignments.csv"),
         cfg,
@@ -194,15 +198,12 @@ def _write_clusters(cfg: ExperimentConfig, ds, dataset: str, out: str) -> None:
 def cmd_oversample(cfg: ExperimentConfig) -> int:
     if cfg.oversample.mode == "none":
         raise ConfigError("oversample mode is 'none': nothing to oversample")
-    return _per_dataset(cfg, _write_synthetic)
+    return _per_dataset(cfg, _write_synthetic, cfg.oversample.mode == "uclso")
 
 
-def _write_synthetic(cfg: ExperimentConfig, ds, dataset: str, out: str) -> None:
+def _write_synthetic(cfg: ExperimentConfig, ds, assign, dataset: str, out: str) -> None:
     """One file per label, each written as soon as the label is drawn, so
     no more than one label's points are held at a time; then the manifest."""
-    assign = None
-    if cfg.oversample.mode == "uclso":
-        assign = kmeans(ds.features, cfg.oversample.k_clusters, seed=cfg.oversample.seed)
     header = ["label", "cluster", "r", "parent_u", "parent_v"] + [
         f"feature_{j}" for j in range(ds.d)
     ]
@@ -254,6 +255,9 @@ def cmd_experiment(cfg: ExperimentConfig) -> int:
         with _naming(source):
             ds = cfg.prepare(ds)
             plan = make_fold_plan(ds.n, cfg.cv_reps, cfg.cv_folds, cfg.seed)
+            if "uclso" in cfg.methods:
+                # uclso clusters training folds of n - ceil(n / folds) rows or more
+                check_k(cfg.oversample.k_clusters, ds.n - -(-ds.n // cfg.cv_folds))
         if ranked and not auc_defined(ds.labels, plan):
             raise DatasetError(
                 f"dataset {source.name!r}: no cross-validation cell has a label "
@@ -388,7 +392,7 @@ def main(argv=None) -> int:
     except (ConfigError, ArffError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (DatasetError, OversampleError, MetricError, ValueError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -101,6 +101,12 @@ def _assign_with_repair(
     return assignment, centroids, inertia
 
 
+def check_k(k: int, n: int) -> None:
+    """Raise ClusteringError unless k-means can make k clusters of n rows."""
+    if not 1 <= k <= n:
+        raise ClusteringError(f"k={k} must be in [1, {n}]")
+
+
 def kmeans(X: np.ndarray, k: int, seed: int) -> ClusterAssignment:
     """Lloyd iterations from a k-means++ start until the centroid shift
     drops below TOL or MAX_ITER is reached."""
@@ -109,24 +115,20 @@ def kmeans(X: np.ndarray, k: int, seed: int) -> ClusterAssignment:
         raise ClusteringError("X must be a non-empty 2-d matrix")
     if not np.isfinite(X).all():
         raise ClusteringError("non-finite entries in X")
-    n = X.shape[0]
-    if not 1 <= k <= n:
-        raise ClusteringError(f"k={k} must be in [1, {n}]")
+    check_k(k, X.shape[0])
     rng = np.random.default_rng(seed)
     x_sq = (X * X).sum(axis=1)  # fixed across every distance pass
     centroids = _kmeanspp_init(X, x_sq, k, rng)
     history = []
-    iterations = 0
     while True:
         assignment, centroids, inertia = _assign_with_repair(X, x_sq, centroids)
         history.append(inertia)
-        iterations += 1
         new_centroids = centroids.copy()
         for j in range(k):
             members = assignment == j
             new_centroids[j] = X[members].mean(axis=0)
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
-        if shift < TOL or iterations >= MAX_ITER:
+        if shift < TOL or len(history) >= MAX_ITER:
             break
         centroids = new_centroids
     return ClusterAssignment(
@@ -134,6 +136,6 @@ def kmeans(X: np.ndarray, k: int, seed: int) -> ClusterAssignment:
         assignment=assignment,
         centroids=centroids,
         inertia=inertia,
-        iterations_run=iterations,
+        iterations_run=len(history),
         inertia_history=tuple(history),
     )

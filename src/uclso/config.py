@@ -185,7 +185,9 @@ def load_config(
     if out_override is not None:
         data["out"] = out_override
     seed = _int(data, "seed", 0, "config")
-    out_dir = str(data.get("out", "results"))
+    out_dir = data.get("out", "results")
+    if not isinstance(out_dir, str) or not out_dir:
+        raise ConfigError(f"config: out must be a non-empty string, got {out_dir!r}")
     # every command makes out_dir, which fails if it, or the nearest of its
     # ancestors that exists (a dangling link counts), is not a directory
     existing = os.path.abspath(out_dir)

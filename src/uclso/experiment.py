@@ -55,15 +55,9 @@ class MetricReport:
     cells: tuple[FoldCell, ...]
     seed: int
 
-    def macro_f1_values(self) -> np.ndarray:
-        return np.array([c.macro_f1 for c in self.cells])
-
-    def macro_auc_values(self) -> np.ndarray:
-        return np.array([c.macro_auc for c in self.cells])
-
     def summary(self) -> dict:
-        f1s = self.macro_f1_values()
-        aucs = self.macro_auc_values()
+        f1s = np.array([c.macro_f1 for c in self.cells])
+        aucs = np.array([c.macro_auc for c in self.cells])
         undefined = int(np.isnan(aucs).sum())
         defined = aucs.size - undefined  # np.nanmean/np.nanstd warn on too few
         reps = sorted({c.rep for c in self.cells})
@@ -189,7 +183,7 @@ def _fit_group(
         rows += unit_rows
         targets += unit_targets
         seeds += unit_seeds
-    weights, bias, _, constant = fit_lockstep(X, rows, targets, seeds, train_cfg)
+    weights, bias, constant = fit_lockstep(X, rows, targets, seeds, train_cfg)
 
     q = ds.q
     for u, (name, _, (rep, fold, test_idx), *_) in enumerate(group):

@@ -9,7 +9,8 @@ lockstep, as one (models x features) weight matrix over one shared row
 matrix: each step advances every model by one minibatch of its own rows,
 with its own random stream, step counter and regularization. A model's
 arithmetic does not depend on which other models share its run, so
-fitting it alone or with any other models gives bit-equal weights.
+fitting it alone or with any other models gives bit-equal weights. A
+fit returns each model's weight row and bias only; it computes no loss.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ def fit_lockstep(
     targets: Sequence[np.ndarray],
     seeds: Sequence[int],
     cfg: TrainConfig,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, list[int]]:
+) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Fit one hinge-loss model per problem, all in one lockstep loop.
 
     Problem i trains on the rows X[rows[i]] with binary targets
@@ -54,10 +55,9 @@ def fit_lockstep(
     epoch has no steps left waits for the others.
 
     A problem whose targets hold a single class is not trained: it gets a
-    zero weight row, a bias of +1 or -1 toward that class and an objective
-    of 0. Returns, in problem order, the (problems x features) weights,
-    the biases and the final training objectives (the regularized mean
-    hinge loss), and the indices of the constant problems.
+    zero weight row and a bias of +1 or -1 toward that class. Returns, in
+    problem order, the (problems x features) weights and the biases, and
+    the indices of the constant problems.
     """
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
@@ -67,7 +67,6 @@ def fit_lockstep(
     d = X.shape[1]
     weights = np.zeros((len(rows), d))
     bias = np.zeros(len(rows))
-    objective = np.zeros(len(rows))
     constant = []
     fit = []
     for i, (r, y) in enumerate(zip(rows, targets)):
@@ -82,7 +81,7 @@ def fit_lockstep(
         bias[i] = 1.0 if classes[0] == 1 else -1.0
         constant.append(i)
     if not fit:
-        return weights, bias, objective, constant
+        return weights, bias, constant
 
     # models by decreasing row count, so those still in their epoch at any
     # step are a prefix [:a]
@@ -149,10 +148,7 @@ def fit_lockstep(
 
     weights[order] = w
     bias[order] = b
-    for k, (i, (_, r, s, _, _)) in enumerate(zip(order, models)):
-        hinge = np.maximum(0.0, 1.0 - s * (X[r] @ w[k] + b[k])).mean()
-        objective[i] = 0.5 * lam[k] * float(w[k] @ w[k]) + float(hinge)
-    return weights, bias, objective, constant
+    return weights, bias, constant
 
 
 def score(weights: np.ndarray, bias: float, X: np.ndarray) -> np.ndarray:

@@ -17,6 +17,7 @@ from uclso.cli import _fmt, main
 from uclso.dataset import MultiLabelDataset
 from uclso.clustering import kmeans
 from uclso.config import DatasetSource, load_config
+from uclso.experiment import run_cv
 from uclso.oversample import iter_augments, uclso_augment
 
 CONFIG = """\
@@ -243,6 +244,30 @@ def test_out_naming_a_file_is_usage_error(tmp_path, capsys, command, blocker_kin
     assert sorted(os.listdir(tmp_path)) == ["config.yaml", "taken"]
 
 
+@pytest.mark.parametrize("command", ["stats", "cluster", "oversample", "experiment", "toy-gen"])
+@pytest.mark.parametrize("how, shown", [("yaml_null", "None"), ("flag_empty", "''")])
+def test_empty_or_null_out_is_usage_error(tmp_path, capsys, monkeypatch, command, how,
+                                          shown):
+    # rejected when the config loads, before any compute. The run starts in
+    # tmp_path, so a directory made from the value would show up there
+    monkeypatch.chdir(tmp_path)
+    calls = []
+    for name in ("compute_stats", "kmeans", "iter_augments", "run_cv", "write_mulan"):
+        monkeypatch.setattr(f"uclso.cli.{name}", lambda *a, name=name, **k: calls.append(name))
+    argv = [command, "--config", "config.yaml"]
+    if how == "yaml_null":
+        (tmp_path / "config.yaml").write_text(CONFIG.format(out=""))
+    else:
+        (tmp_path / "config.yaml").write_text(CONFIG.format(out="results"))
+        argv += ["--out", ""]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: config: out must be a non-empty string, got {shown}\n"
+    assert calls == []
+    assert os.listdir(tmp_path) == ["config.yaml"]
+
+
 class TestCluster:
     def test_writes_assignments_and_centroids(self, config_path):
         config, out = config_path
@@ -390,6 +415,30 @@ class TestOversample:
             "oversample: {mode: none}\n"
         )
         assert main(["oversample", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("command, mode", [
+    ("cluster", "uclso"), ("cluster", "smote"), ("oversample", "uclso"),
+])
+def test_too_large_k_fails_before_clustering(tmp_path, capsys, monkeypatch, command, mode):
+    # toy_a has 140 rows, toy_b 100: k-means cannot make 120 clusters of
+    # toy_b's, and the check comes before toy_a is clustered. cluster
+    # clusters in every mode
+    out = tmp_path / "results"
+    path = tmp_path / "config.yaml"
+    text = CONFIG.format(out=out).replace("k_clusters: 3", f"k_clusters: 120, mode: {mode}")
+    path.write_text(text)
+    calls = []
+    for name in ("kmeans", "iter_augments"):
+        monkeypatch.setattr(f"uclso.cli.{name}", lambda *a, name=name, **k: calls.append(name))
+    assert main([command, "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "error: dataset 'toy_b': k=120 must be in [1, 100]\n"
+    assert calls == [] and not out.exists()
+    if command == "oversample":
+        # smote oversampling clusters nothing, so it does not check k
+        monkeypatch.undo()
+        path.write_text(text.replace("mode: uclso", "mode: smote"))
+        assert main([command, "--config", str(path)]) == 0
 
 
 # The function each command is made to fail with on toy_b, the second
@@ -616,15 +665,53 @@ class TestExperiment:
             )
             assert calls == [] and not out.exists()
 
-    def test_compute_error_names_dataset_and_writes_nothing(self, tmp_path, capsys):
+    def test_compute_error_names_dataset_and_writes_nothing(self, tmp_path, capsys,
+                                                            monkeypatch):
         # toy_a's training folds hold 70 rows, toy_b's only 50: too few for
-        # 60 clusters, so the error comes after toy_a's compute
+        # 60 clusters. The check runs while the datasets are prepared, so
+        # the error comes before toy_a's cross-validation
         out = tmp_path / "results"
         path = tmp_path / "config.yaml"
         path.write_text(CONFIG.format(out=out).replace("k_clusters: 3", "k_clusters: 60"))
+        calls = []
+        monkeypatch.setattr("uclso.cli.run_cv", lambda *a, **k: calls.append(a))
         assert main(["experiment", "--config", str(path)]) == 1
-        assert "error: dataset 'toy_b': k=60 must be in [1, 50]" in capsys.readouterr().err
+        assert capsys.readouterr().err == "error: dataset 'toy_b': k=60 must be in [1, 50]\n"
+        assert calls == []
         assert not out.exists()
+        # without uclso no fold is clustered, so k is not checked
+        monkeypatch.undo()
+        path.write_text(
+            path.read_text().replace("methods: [none, smote, uclso]", "methods: [none, smote]")
+        )
+        assert main(["experiment", "--config", str(path)]) == 0
+
+    @pytest.mark.parametrize("k, code", [(66, 0), (67, 1)])
+    def test_k_bound_is_the_smallest_training_fold(self, tmp_path, capsys, monkeypatch, k,
+                                                   code):
+        # toy_b's 100 rows in 3 folds of 34, 33 and 33: training folds of
+        # 66, 67 and 67 rows. A k that fits stops no run; one that does not
+        # stops it before run_cv
+        out = tmp_path / "results"
+        text = CONFIG.format(out=out)
+        text = text[:text.index("  - name: toy_a")] + text[text.index("  - name: toy_b"):]
+        path = tmp_path / "config.yaml"
+        path.write_text(
+            text.replace("k_clusters: 3", f"k_clusters: {k}")
+            .replace("cv: {reps: 2, folds: 2}", "cv: {reps: 1, folds: 3}")
+            .replace("methods: [none, smote, uclso]", "methods: [uclso]")
+        )
+        runs = []
+
+        def spy(*args, **kwargs):
+            runs.append(args)
+            return run_cv(*args, **kwargs)
+
+        monkeypatch.setattr("uclso.cli.run_cv", spy)
+        assert main(["experiment", "--config", str(path)]) == code
+        err = capsys.readouterr().err
+        assert err == ("" if code == 0 else "error: dataset 'toy_b': k=67 must be in [1, 66]\n")
+        assert len(runs) == (code == 0) and out.exists() == (code == 0)
 
     @pytest.mark.parametrize("keep", ["toy_b only", "uclso only"])
     def test_no_defined_auc_without_ranking_still_runs(self, tmp_path, keep):

@@ -207,11 +207,11 @@ class TestMethodWideFit:
             rows, targets, seeds = br_problems(
                 train.labels, 0, train.n, [len(aug.extra) for aug in augments], cell_seed
             )
-            cell_w, cell_b, _, _ = fit_lockstep(X, rows, targets, seeds, FAST)
+            cell_w, cell_b, _ = fit_lockstep(X, rows, targets, seeds, FAST)
             for l in range(ds.q):
                 seed = int(np.random.SeedSequence([cell_seed, l]).generate_state(1)[0])
                 # the label's own augmented set: base rows, then its points
-                (alone_w,), (alone_b,), _, _ = fit_lockstep(
+                (alone_w,), (alone_b,), _ = fit_lockstep(
                     X[rows[l]], [np.arange(len(rows[l]))], [targets[l]], [seed], FAST
                 )
                 k = c * ds.q + l

@@ -46,12 +46,18 @@ def reference_fit(X, y, cfg):
 
 
 def fit_one(X, y, cfg):
-    """The weights, bias and objective of one model on all of X's rows,
-    under cfg.seed."""
-    weights, bias, objective, _ = fit_lockstep(
-        X, [np.arange(len(X))], [y], [cfg.seed], cfg
-    )
-    return weights[0], bias[0], objective[0]
+    """The weights and bias of one model on all of X's rows, under
+    cfg.seed."""
+    weights, bias, _ = fit_lockstep(X, [np.arange(len(X))], [y], [cfg.seed], cfg)
+    return weights[0], bias[0]
+
+
+def objective(w, b, X, y, cfg):
+    """The regularized training objective of model (w, b) on X's rows:
+    0.5 * lambda * |w|^2 plus the mean hinge loss, lambda = 1 / (reg_c * n)."""
+    s = np.where(y == 1, 1.0, -1.0)
+    lam = 1.0 / (cfg.reg_c * len(X))
+    return 0.5 * lam * float(w @ w) + float(np.maximum(0.0, 1.0 - s * (X @ w + b)).mean())
 
 
 def predict(w, b, X):
@@ -88,13 +94,13 @@ class TestTrainLinear:
     def test_separable_1d(self):
         X = np.array([[-1.0]] * 20 + [[1.0]] * 20)
         y = np.array([0] * 20 + [1] * 20)
-        w, b, _ = fit_one(X, y, TrainConfig(seed=1))
+        w, b = fit_one(X, y, TrainConfig(seed=1))
         assert (predict(w, b, X) == y).all()
 
     def test_no_signal_collapses_to_majority(self):
         X = np.ones((30, 2))
         y = np.array([1] * 5 + [0] * 25)
-        w, b, _ = fit_one(X, y, TrainConfig(seed=1))
+        w, b = fit_one(X, y, TrainConfig(seed=1))
         preds = predict(w, b, X)
         acc = (preds == y).mean()
         assert acc == pytest.approx(25 / 30)
@@ -103,17 +109,16 @@ class TestTrainLinear:
         X, y = blobs_2d(seed=3)
         X_test, y_test = blobs_2d(seed=4)
         assert grid_search_accuracy(X, y) == 1.0  # a perfect separator exists
-        w, b, _ = fit_one(X, y, TrainConfig(seed=2))
+        w, b = fit_one(X, y, TrainConfig(seed=2))
         acc = (predict(w, b, X_test) == y_test).mean()
         assert acc >= 0.95
 
     def test_deterministic(self):
         X, y = blobs_2d(seed=5)
-        w1, b1, obj1 = fit_one(X, y, TrainConfig(seed=9))
-        w2, b2, obj2 = fit_one(X, y, TrainConfig(seed=9))
+        w1, b1 = fit_one(X, y, TrainConfig(seed=9))
+        w2, b2 = fit_one(X, y, TrainConfig(seed=9))
         assert np.array_equal(w1, w2)
         assert b1 == b2
-        assert obj1 == obj2
 
     def test_non_finite_rejected(self):
         X = np.array([[np.inf, 0.0], [0.0, 1.0]])
@@ -122,8 +127,10 @@ class TestTrainLinear:
 
     def test_objective_decreases_with_more_epochs(self):
         X, y = blobs_2d(seed=7)
-        _, _, short = fit_one(X, y, TrainConfig(seed=1, epochs=2))
-        _, _, long = fit_one(X, y, TrainConfig(seed=1, epochs=60))
+        short_cfg = TrainConfig(seed=1, epochs=2)
+        long_cfg = TrainConfig(seed=1, epochs=60)
+        short = objective(*fit_one(X, y, short_cfg), X, y, short_cfg)
+        long = objective(*fit_one(X, y, long_cfg), X, y, long_cfg)
         assert long <= short + 1e-9
 
 
@@ -138,7 +145,7 @@ class TestScorePredict:
 
     def test_zero_padding_invariance(self):
         X, y = blobs_2d(seed=8)
-        w, b, _ = fit_one(X, y, TrainConfig(seed=1))
+        w, b = fit_one(X, y, TrainConfig(seed=1))
         X_pad = np.hstack([X, np.ones((X.shape[0], 1))])
         padded = score(np.concatenate([w, [0.0]]), b, X_pad)
         assert np.abs(score(w, b, X) - padded).max() < 1e-12
@@ -164,7 +171,7 @@ class TestBrFit:
     def test_single_label_reduces_to_train_linear(self, fig1_toy):
         sub = fig1_toy.subset(np.arange(200))
         cfg = OversampleConfig(seed=1, mode="none")
-        weights, bias, _, constant = fit_cell(sub, cfg, TrainConfig(seed=3, epochs=10))
+        weights, bias, constant = fit_cell(sub, cfg, TrainConfig(seed=3, epochs=10))
         assert weights.shape == (sub.q, sub.d) and bias.shape == (sub.q,)
         assert constant == []
 
@@ -188,8 +195,8 @@ class TestBrFit:
         assign = kmeans(X, 2, seed=1)
         cfg_u = OversampleConfig(k_clusters=2, seed=1, mode="uclso")
         cfg_n = OversampleConfig(k_clusters=2, seed=1, mode="none")
-        w_u, b_u, _, _ = fit_cell(ds, cfg_u, TrainConfig(seed=2, epochs=10), assign)
-        w_n, b_n, _, _ = fit_cell(ds, cfg_n, TrainConfig(seed=2, epochs=10))
+        w_u, b_u, _ = fit_cell(ds, cfg_u, TrainConfig(seed=2, epochs=10), assign)
+        w_n, b_n, _ = fit_cell(ds, cfg_n, TrainConfig(seed=2, epochs=10))
         assert np.array_equal(w_u, w_n)
         assert np.array_equal(b_u, b_n)
 
@@ -201,7 +208,7 @@ class TestBrFit:
             ("x0", "x1"),
             ("always_on", "rare"),
         )
-        weights, bias, _, constant = fit_cell(
+        weights, bias, constant = fit_cell(
             ds, OversampleConfig(seed=1, mode="none"), TrainConfig(seed=1, epochs=5)
         )
         assert constant == [0]
@@ -223,7 +230,7 @@ class TestLockstep:
             targets = [np.resize([0, 1, 1], k) for k in sizes]
             seeds = list(rng.integers(1 << 30, size=6))
             cfg = TrainConfig(epochs=9, batch_size=batch_size, reg_c=reg_c or TrainConfig.reg_c)
-            weights, bias, _, constant = fit_lockstep(X, rows, targets, seeds, cfg)
+            weights, bias, constant = fit_lockstep(X, rows, targets, seeds, cfg)
             assert constant == []
             for w_k, b_k, r, y, seed in zip(weights, bias, rows, targets, seeds):
                 w, b = reference_fit(X[r], y, replace(cfg, seed=int(seed)))
@@ -243,26 +250,24 @@ class TestLockstep:
             targets = [(X[r, 0] + rng.normal(0, 0.5, r.size) > 0).astype(int) for r in rows]
             seeds = range(1, len(sizes) + 1)
             cfg = TrainConfig(epochs=12)
-            weights, bias, objective, constant = fit_lockstep(X, rows, targets, seeds, cfg)
+            weights, bias, constant = fit_lockstep(X, rows, targets, seeds, cfg)
             assert constant == []
             for k, (r, y, seed) in enumerate(zip(rows, targets, seeds)):
-                w, b, obj = fit_one(X[r], y, replace(cfg, seed=seed))
+                w, b = fit_one(X[r], y, replace(cfg, seed=seed))
                 assert np.array_equal(w, weights[k])
                 assert b == bias[k]
-                assert obj == objective[k]
 
     def test_single_class_problem_gets_constant_row(self):
         X = np.arange(20.0).reshape(10, 2)
         rows = [np.arange(10), np.arange(5), np.arange(3)]
         targets = [np.resize([0, 1], 10), np.ones(5, dtype=int), np.zeros(3, dtype=int)]
-        weights, bias, objective, constant = fit_lockstep(
+        weights, bias, constant = fit_lockstep(
             X, rows, targets, [0, 1, 2], TrainConfig(epochs=2)
         )
         assert constant == [1, 2]
         assert weights.shape == (3, 2)
-        assert bias[1] == 1.0 and not weights[1].any() and objective[1] == 0.0
-        assert bias[2] == -1.0 and not weights[2].any() and objective[2] == 0.0
-        assert objective[0] > 0.0
+        assert bias[1] == 1.0 and not weights[1].any()
+        assert bias[2] == -1.0 and not weights[2].any()
 
     @pytest.mark.parametrize("bad", [-1, 4])
     def test_row_index_out_of_range_is_rejected(self, bad):
