@@ -127,12 +127,17 @@ def _stats_row(name: str, ds, variant: str) -> list:
 
 
 def cmd_stats(cfg: ExperimentConfig) -> int:
-    # every dataset is loaded, and so checked, before any is computed on
-    loaded = [(source, source.load()) for source in cfg.datasets]
+    # every dataset is loaded and scaled, and so checked, before any is
+    # computed on
+    loaded = []
+    for source in cfg.datasets:
+        ds = source.load()
+        if cfg.scale == "minmax":
+            with _naming(source):
+                ds = scale_min_max(ds)
+        loaded.append((source, ds))
     rows = []
     for source, ds in loaded:
-        if cfg.scale == "minmax":
-            ds = scale_min_max(ds)
         rows.append(_stats_row(source.name, ds, "raw"))
         try:
             filtered, _ = filter_labels(ds, cfg.max_ir, cfg.min_pos)

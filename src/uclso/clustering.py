@@ -113,6 +113,7 @@ def kmeans(X: np.ndarray, k: int, seed: int) -> ClusterAssignment:
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ClusteringError("X must be a non-empty 2-d matrix")
+    # X need not come from a MultiLabelDataset: kmeans takes any matrix
     if not np.isfinite(X).all():
         raise ClusteringError("non-finite entries in X")
     check_k(k, X.shape[0])

@@ -8,7 +8,6 @@ import json
 import os
 from dataclasses import dataclass, field, fields
 
-import numpy as np
 import yaml
 
 from .dataset import (
@@ -37,19 +36,13 @@ class DatasetSource:
 
     def load(self) -> MultiLabelDataset:
         """The dataset, generated or read. Every command loads its datasets
-        here, so a non-finite feature value is rejected before any compute."""
-        if self.toy is not None:
-            ds = generate_toy(self.toy)
-        else:
-            ds = load_mulan(self.arff_path, self.xml_path)
-        finite = np.isfinite(ds.features)
-        if not finite.all():
-            row, col = np.argwhere(~finite)[0]
-            raise DatasetError(
-                f"dataset {self.name!r}: feature {ds.feature_names[col]!r} holds "
-                f"the non-finite value {float(ds.features[row, col])!r} in row {row}"
-            )
-        return ds
+        here, so one the type rejects stops the run, named, before any compute."""
+        try:
+            if self.toy is not None:
+                return generate_toy(self.toy)
+            return load_mulan(self.arff_path, self.xml_path)
+        except DatasetError as exc:
+            raise DatasetError(f"dataset {self.name!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -111,11 +104,21 @@ def _section(value, allowed: tuple[str, ...], where: str) -> dict:
     return value
 
 
+def _is_int(value) -> bool:
+    """A YAML integer: not a float, bool or string."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    """A YAML integer or float: not a bool or string."""
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _int(section: dict, key: str, default: int, where: str) -> int:
     """section[key], or default, as a YAML integer: a float, bool or string
     is rejected, not truncated or parsed, and so is a negative seed."""
     value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, int):
+    if not _is_int(value):
         raise ConfigError(f"{where}: {key} must be an integer, got {value!r}")
     if key == "seed" and value < 0:
         raise ConfigError(f"{where}: seed must be >= 0, got {value}")
@@ -126,7 +129,7 @@ def _float(section: dict, key: str, default: float, where: str) -> float:
     """section[key], or default, as a YAML number; a bool or string is
     rejected."""
     value = section.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
+    if not _is_number(value):
         raise ConfigError(f"{where}: {key} must be a number, got {value!r}")
     return float(value)
 
@@ -149,19 +152,48 @@ def _from_fields(cls, section: dict, seed: int, where: str):
         raise ConfigError(f"invalid {where} config: {exc}") from None
 
 
+def _list_of(value, ok) -> bool:
+    """value is a YAML list whose every item passes ok."""
+    return isinstance(value, list) and all(ok(v) for v in value)
+
+
+def _is_rule(value) -> bool:
+    """A mapping from blob index (a YAML integer) to fraction (a number)."""
+    return isinstance(value, dict) and all(
+        _is_int(b) and _is_number(f) for b, f in value.items()
+    )
+
+
+# Each required toy key, the test its value must pass and what that test
+# asks for: counts and rule keys are YAML integers, centres, spreads and
+# fractions YAML numbers, so a bool or string is rejected, not truncated
+# or parsed.
+TOY_VALUES = (
+    ("points_per_blob", lambda v: _list_of(v, _is_int), "a list of integers"),
+    ("blob_centers", lambda v: _list_of(v, lambda c: _list_of(c, _is_number)),
+     "a list of lists of numbers"),
+    ("blob_spreads", lambda v: _list_of(v, _is_number), "a list of numbers"),
+    ("minority_rules", lambda v: _list_of(v, _is_rule),
+     "a list of mappings from blob index (an integer) to fraction (a number)"),
+)
+
+
 def _toy_from_dict(d: dict, default_seed: int, where: str) -> ToyConfig:
     seed = _int(d, "seed", default_seed, where)
+    for key, ok, wanted in TOY_VALUES:
+        if key not in d:
+            raise ConfigError(f"toy config missing key {key!r}")
+        if not ok(d[key]):
+            raise ConfigError(f"{where}: {key} must be {wanted}, got {d[key]!r}")
     try:
         return ToyConfig(
-            points_per_blob=d["points_per_blob"],
+            points_per_blob=tuple(d["points_per_blob"]),
             blob_centers=tuple(tuple(c) for c in d["blob_centers"]),
-            blob_spreads=d["blob_spreads"],
+            blob_spreads=tuple(d["blob_spreads"]),
             minority_rules=tuple(d["minority_rules"]),
             seed=seed,
         )
-    except KeyError as exc:
-        raise ConfigError(f"toy config missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except ValueError as exc:
         raise ConfigError(f"invalid toy config: {exc}") from None
 
 
@@ -204,7 +236,11 @@ def load_config(
     sources = []
     for i, entry in enumerate(raw_datasets):
         _section(entry, DATASET_KEYS, f"dataset entry {i}")
-        name = str(entry.get("name", f"dataset_{i}"))
+        name = entry.get("name", f"dataset_{i}")
+        if not isinstance(name, str):
+            raise ConfigError(
+                f"dataset entry {i}: name must be a non-empty string, got {name!r}"
+            )
         # a name becomes part of file names, and toy-gen's ARFF @relation line
         if name in ("", ".", "..") or any(c in name for c in "/\0\r\n" + os.sep):
             raise ConfigError(

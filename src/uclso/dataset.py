@@ -16,7 +16,7 @@ class DatasetError(ValueError):
 class MultiLabelDataset:
     """Dense feature matrix plus a binary label matrix.
 
-    features : (n, d) float array
+    features : (n, d) float array, every entry finite, as k-means needs
     labels : (n, q) int array with entries in {0, 1}
     feature_names / label_names : column names, no duplicates
     feature_type : "numeric" or "nominal" (source attribute flavour,
@@ -54,6 +54,13 @@ class MultiLabelDataset:
             raise DatasetError("duplicate feature names")
         if len(set(self.label_names)) != q:
             raise DatasetError("duplicate label names")
+        finite = np.isfinite(features)
+        if not finite.all():
+            row, col = np.argwhere(~finite)[0]
+            raise DatasetError(
+                f"feature {self.feature_names[col]!r} holds the non-finite value "
+                f"{float(features[row, col])!r} in row {row}"
+            )
         features.setflags(write=False)
         labels.setflags(write=False)
 
@@ -127,15 +134,9 @@ class ToyConfig:
         n_blobs = len(centers)
         if n_blobs < 2:
             raise DatasetError("need at least 2 blobs")
-        counts = self.points_per_blob
-        if isinstance(counts, int):
-            counts = (counts,) * n_blobs
-        counts = tuple(int(c) for c in counts)
+        counts = tuple(int(c) for c in self.points_per_blob)
         object.__setattr__(self, "points_per_blob", counts)
-        spreads = self.blob_spreads
-        if isinstance(spreads, (int, float)):
-            spreads = (float(spreads),) * n_blobs
-        spreads = tuple(float(s) for s in spreads)
+        spreads = tuple(float(s) for s in self.blob_spreads)
         object.__setattr__(self, "blob_spreads", spreads)
         if len(counts) != n_blobs or len(spreads) != n_blobs:
             raise DatasetError("per-blob settings must match the number of blobs")
@@ -272,9 +273,20 @@ def generate_toy(cfg: ToyConfig) -> MultiLabelDataset:
 
 
 def scale_min_max(ds: MultiLabelDataset) -> MultiLabelDataset:
-    """Optional per-column min-max scaling; constant columns map to 0."""
+    """Optional per-column min-max scaling; constant columns map to 0. A
+    column whose range hi - lo overflows a float cannot be scaled and is
+    rejected, naming the column and its range."""
     lo = ds.features.min(axis=0)
     hi = ds.features.max(axis=0)
-    span = np.where(hi > lo, hi - lo, 1.0)
+    with np.errstate(over="ignore"):
+        width = hi - lo
+    wide = np.flatnonzero(~np.isfinite(width))
+    if wide.size:
+        j = wide[0]
+        raise DatasetError(
+            f"feature {ds.feature_names[j]!r} ranges from {float(lo[j])!r} to "
+            f"{float(hi[j])!r}, wider than the largest float, so it cannot be scaled"
+        )
+    span = np.where(hi > lo, width, 1.0)
     scaled = (ds.features - lo) / span
     return replace(ds, features=scaled)

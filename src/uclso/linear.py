@@ -62,6 +62,7 @@ def fit_lockstep(
     X = np.asarray(X, dtype=float)
     if X.ndim != 2:
         raise TrainingError("X must be a 2-d matrix")
+    # a synthetic row between two finite points can still overflow to inf
     if not np.isfinite(X).all():
         raise TrainingError("non-finite feature values")
     d = X.shape[1]

@@ -151,14 +151,12 @@ def neighbours(points: np.ndarray, m: int, rows: np.ndarray) -> np.ndarray:
     SORT_ROWS at a time: one single-precision BLAS product gives their
     expanded-form distances to every point, which only pick the candidates
     whose difference form is computed, so memory stays
-    O(SORT_ROWS * p + MIN_PAIRS * d)."""
+    O(SORT_ROWS * p + MIN_PAIRS * d). The points must be finite."""
     points = np.asarray(points, dtype=float)
     rows = np.asarray(rows)
     if points.ndim != 2:
         raise OversampleError(f"points must be 2-d, got shape {points.shape}")
     p, d = points.shape
-    if not np.isfinite(points).all():
-        raise OversampleError("non-finite entries in points")
     if not 1 <= m <= p - 1:
         raise OversampleError(f"m={m} must be in [1, {p - 1}]")
     if (rows.ndim != 1 or not np.issubdtype(rows.dtype, np.integer)
@@ -375,6 +373,7 @@ def _augment(
     draws: Draws,
     out: np.ndarray | None,
 ) -> AugmentedDataset:
+    """Label l's points from its draws, each (finite) pool gathered in turn."""
     total = synthetic_count(draws)
     if out is None:
         out = np.empty((total, ds.d))
@@ -382,20 +381,14 @@ def _augment(
         raise OversampleError(
             f"output block has shape {out.shape}, label {l} needs {(total, ds.d)}"
         )
-    pools = [ds.features[pool] for _, pool, _ in draws]
-    if not all(np.isfinite(points).all() for points in pools):
-        raise OversampleError(
-            f"label {ds.label_names[l]!r}: non-finite feature values in its minority points"
-        )
     rng = _label_rng(cfg.seed, l)
     provenance = np.recarray(total, dtype=PROVENANCE)
     start = 0
-    for (cluster, pool, count), points in zip(draws, pools):
+    for cluster, pool, count in draws:
         end = start + count
         provenance.cluster[start:end] = cluster
-        _synthesize(
-            points, pool, cfg.m_neighbors, rng, out[start:end], provenance[start:end]
-        )
+        _synthesize(ds.features[pool], pool, cfg.m_neighbors, rng, out[start:end],
+                    provenance[start:end])
         start = end
     return AugmentedDataset(ds, SyntheticSet(l, out, provenance), l)
 

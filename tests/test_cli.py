@@ -48,6 +48,10 @@ methods: [none, smote, uclso]
 """
 
 
+# Mulan's label list for a dataset whose one label is `lab`
+LAB_XML = '<labels xmlns="http://mulan.sourceforge.net/labels"><label name="lab"/></labels>\n'
+
+
 @pytest.fixture
 def config_path(tmp_path):
     out = tmp_path / "results"
@@ -194,6 +198,46 @@ class TestStats:
             pytest.param("name: toy_b", 'name: "toy\\0b"',
                          "dataset entry 1: name 'toy\\x00b' is not a plain file name",
                          id="name_nul"),
+            # a name is a YAML string; no value, or a number, is not one
+            pytest.param("name: toy_b", "name:",
+                         "dataset entry 1: name must be a non-empty string, got None",
+                         id="name_null"),
+            pytest.param("name: toy_b", "name: 5",
+                         "dataset entry 1: name must be a non-empty string, got 5",
+                         id="name_int"),
+            # toy counts and rule keys are YAML ints, centres, spreads and
+            # fractions YAML numbers: no truncation, parsing or bools
+            pytest.param("[50, 50]", "[40.9, true]",
+                         "dataset 'toy_b' toy: points_per_blob must be a list of integers, "
+                         "got [40.9, True]", id="toy_counts_float_bool"),
+            pytest.param("[50, 50]", "50",
+                         "dataset 'toy_b' toy: points_per_blob must be a list of integers, "
+                         "got 50", id="toy_counts_scalar"),
+            pytest.param("[[0, 0], [4, 4]]", '[[0, 0], [4, "4"]]',
+                         "dataset 'toy_b' toy: blob_centers must be a list of lists of "
+                         "numbers, got [[0, 0], [4, '4']]", id="toy_center_string"),
+            pytest.param("[[0, 0], [4, 4]]", "[[0, 0], 4]",
+                         "dataset 'toy_b' toy: blob_centers must be a list of lists of "
+                         "numbers, got [[0, 0], 4]", id="toy_center_scalar"),
+            pytest.param("blob_spreads: [1.0, 1.0]\n", 'blob_spreads: [1.0, "1.0"]\n',
+                         "dataset 'toy_b' toy: blob_spreads must be a list of numbers, "
+                         "got [1.0, '1.0']", id="toy_spread_string"),
+            pytest.param("blob_spreads: [1.0, 1.0]\n", "blob_spreads: 1.0\n",
+                         "dataset 'toy_b' toy: blob_spreads must be a list of numbers, "
+                         "got 1.0", id="toy_spread_scalar"),
+            pytest.param("{1: 0.3}", "{1: '0.3'}",
+                         "dataset 'toy_b' toy: minority_rules must be a list of mappings "
+                         "from blob index (an integer) to fraction (a number), "
+                         "got [{1: '0.3'}]", id="toy_fraction_string"),
+            pytest.param("{1: 0.3}", "{'1': 0.3}",
+                         "dataset 'toy_b' toy: minority_rules must be a list of mappings",
+                         id="toy_rule_key_string"),
+            pytest.param("{1: 0.3}", "{true: 0.3}",
+                         "dataset 'toy_b' toy: minority_rules must be a list of mappings",
+                         id="toy_rule_key_bool"),
+            pytest.param("{1: 0.3}", "{1.0: 0.3}",
+                         "dataset 'toy_b' toy: minority_rules must be a list of mappings",
+                         id="toy_rule_key_float"),
             # the step size follows from reg_c alone; there is no step-size key
             pytest.param("epochs: 6", "epochs: 6, lr_decay: 0.05",
                          "train: unknown key 'lr_decay' (accepted: reg_c, epochs, "
@@ -524,15 +568,23 @@ def test_output_name_taken_by_a_directory_publishes_nothing(tmp_path, capsys, co
 def test_non_finite_feature_is_rejected_before_any_compute(tmp_path, capsys, monkeypatch,
                                                            command, mode, value):
     # toy_a loads first and is finite; the ARFF's first non-finite value
-    # (row-major) is in row 5, a minority row, column f1
+    # (row-major) is in row 5, a minority row, column f1. No dataset can
+    # hold it, so the ARFF is written as text
     rng = np.random.default_rng(5)
     features = rng.normal(size=(60, 3))
     features[5, 1] = value
     features[9, 0] = np.nan
-    labels = np.zeros((60, 1), dtype=int)
-    labels[:12, 0] = 1
-    arff, xml = str(tmp_path / "bad.arff"), str(tmp_path / "bad.xml")
-    write_mulan(MultiLabelDataset(features, labels, ("f0", "f1", "f2"), ("lab",)), arff, xml)
+    labels = np.zeros(60, dtype=int)
+    labels[:12] = 1
+    arff, xml = tmp_path / "bad.arff", tmp_path / "bad.xml"
+    arff.write_text(
+        "@relation bad\n"
+        + "".join(f"@attribute f{j} numeric\n" for j in range(3))
+        + "@attribute lab {0,1}\n@data\n"
+        + "".join(f"{','.join(map(repr, x))},{y}\n"
+                  for x, y in zip(features.tolist(), labels.tolist()))
+    )
+    xml.write_text(LAB_XML)
     out = tmp_path / "results"
     out.mkdir()
     (out / "earlier.txt").write_text("kept\n")
@@ -557,6 +609,39 @@ def test_non_finite_feature_is_rejected_before_any_compute(tmp_path, capsys, mon
     assert (out / "earlier.txt").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("command", ["stats", "cluster", "oversample", "experiment"])
+def test_minmax_names_a_column_too_wide_to_scale(tmp_path, capsys, monkeypatch, recwarn,
+                                                  command):
+    # w spans 2e308, which overflows: scaling it would give nan, so the
+    # run stops at preparation and names the column and its range
+    rng = np.random.default_rng(6)
+    features = rng.normal(size=(40, 2))
+    features[3, 1], features[8, 1] = 1e308, -1e308
+    labels = (np.arange(40) % 4 == 0).astype(int)[:, None]
+    arff, xml = str(tmp_path / "wide.arff"), str(tmp_path / "wide.xml")
+    write_mulan(MultiLabelDataset(features, labels, ("v", "w"), ("lab",)), arff, xml)
+    out = tmp_path / "results"
+    text = CONFIG.format(out=out).replace("methods:", "scale: minmax\nmethods:")
+    text = text.replace(
+        "oversample:", f"  - name: wide\n    mulan: {{arff: {arff}, xml: {xml}}}\noversample:"
+    )
+    path = tmp_path / "config.yaml"
+    path.write_text(text)
+    calls = []
+    for name in ("compute_stats", "kmeans", "iter_augments", "run_cv"):
+        monkeypatch.setattr(f"uclso.cli.{name}", lambda *a, name=name, **k: calls.append(name))
+    assert main([command, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: dataset 'wide': feature 'w' ranges from -1e+308 to 1e+308, wider than "
+        "the largest float, so it cannot be scaled\n"
+    )
+    assert recwarn.list == []
+    assert calls == []
+    assert not out.exists()
+
+
 def test_non_finite_toy_feature_is_rejected(tmp_path, capsys):
     # YAML's .inf is a float, so a toy blob centre can make inf features
     out = tmp_path / "results"
@@ -566,6 +651,22 @@ def test_non_finite_toy_feature_is_rejected(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: dataset 'toy_b': feature 'x1' holds the non-finite value inf in row 50\n"
     )
+    assert not out.exists()
+
+
+def test_dataset_error_at_load_names_the_dataset(tmp_path, capsys):
+    # the dataset type rejects the duplicate feature name; the load adds
+    # the name of the dataset it was reading
+    arff, xml = tmp_path / "dup.arff", tmp_path / "dup.xml"
+    arff.write_text("@relation dup\n@attribute a numeric\n@attribute a numeric\n"
+                    "@attribute lab {0,1}\n@data\n1,2,1\n3,4,0\n")
+    xml.write_text(LAB_XML)
+    out = tmp_path / "results"
+    path = tmp_path / "config.yaml"
+    path.write_text(f"out: {out}\ndatasets:\n  - name: dup\n"
+                    f"    mulan: {{arff: {arff}, xml: {xml}}}\n")
+    assert main(["stats", "--config", str(path)]) == 1
+    assert capsys.readouterr().err == "error: dataset 'dup': duplicate feature names\n"
     assert not out.exists()
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from uclso.dataset import (
     DatasetError,
@@ -56,6 +57,75 @@ class TestMultiLabelDataset:
             assert np.array_equal(part, whole[[2, 0]])
             assert not np.shares_memory(part, whole)
             assert not part.flags.writeable
+
+
+def named_ds(features):
+    """features with one all-zero label and columns named x0, x1, ..."""
+    features = np.asarray(features, dtype=float)
+    return MultiLabelDataset(
+        features,
+        np.zeros((features.shape[0], 1), dtype=int),
+        tuple(f"x{j}" for j in range(features.shape[1])),
+        ("l0",),
+    )
+
+
+def non_finite_message(features, row, col):
+    return (
+        f"feature 'x{col}' holds the non-finite value {float(features[row, col])!r} "
+        f"in row {row}"
+    )
+
+
+class TestFiniteFeatures:
+    @pytest.mark.parametrize("cells, first", [
+        ({(1, 2): -np.inf, (2, 0): np.nan, (2, 1): np.inf}, (1, 2)),
+        ({(3, 2): np.inf, (0, 1): np.nan, (1, 0): -np.inf}, (0, 1)),
+        ({(2, 2): np.nan, (3, 0): -np.inf, (2, 1): np.inf}, (2, 1)),
+    ])
+    def test_first_non_finite_value_in_row_order_is_named(self, cells, first):
+        features = np.ones((4, 3))
+        for cell, value in cells.items():
+            features[cell] = value
+        with pytest.raises(DatasetError) as exc:
+            named_ds(features)
+        assert str(exc.value) == non_finite_message(features, *first)
+
+
+# finite values, with the edges drawn often: the largest floats, the
+# smallest subnormal and both zeros
+FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([np.finfo(float).max, -np.finfo(float).max,
+                     np.finfo(float).smallest_subnormal, -np.finfo(float).smallest_subnormal,
+                     0.0, -0.0]),
+)
+MATRICES = hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6),
+                      elements=FINITE)
+
+
+class TestFiniteFeaturesProperty:
+    @given(features=MATRICES)
+    @settings(max_examples=200, deadline=None)
+    def test_every_finite_matrix_is_accepted(self, features):
+        ds = named_ds(features)
+        assert ds.features.tobytes() == features.tobytes()  # -0.0 kept too
+
+    @given(features=MATRICES, data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_non_finite_entry_is_rejected_and_the_first_named(self, features, data):
+        cells = data.draw(st.lists(
+            st.tuples(st.integers(0, features.shape[0] - 1),
+                      st.integers(0, features.shape[1] - 1),
+                      st.sampled_from([np.nan, np.inf, -np.inf])),
+            min_size=1, max_size=4,
+        ))
+        for row, col, value in cells:
+            features[row, col] = value
+        row, col = min((row, col) for row, col, _ in cells)
+        with pytest.raises(DatasetError) as exc:
+            named_ds(features)
+        assert str(exc.value) == non_finite_message(features, row, col)
 
 
 class TestComputeStats:
@@ -225,3 +295,31 @@ def test_scale_min_max(tiny_ds):
     assert scaled.features.min() == 0.0
     assert scaled.features.max() == 1.0
     assert np.array_equal(scaled.labels, tiny_ds.labels)
+
+
+def test_scale_min_max_is_the_formula_bit_for_bit():
+    rng = np.random.default_rng(4)
+    features = rng.normal(size=(50, 4)) * [1.0, 1e-300, 1e300, 0.0]
+    features[:, 3] = 2.5  # a constant column maps to 0
+    ds = named_ds(features)
+    lo, hi = features.min(axis=0), features.max(axis=0)
+    want = (features - lo) / np.where(hi > lo, hi - lo, 1.0)
+    assert scale_min_max(ds).features.tobytes() == want.tobytes()
+
+
+def test_scale_min_max_takes_a_range_of_the_largest_float():
+    top = np.finfo(float).max
+    scaled = scale_min_max(named_ds([[0.0], [top], [top / 2]]))
+    assert scaled.features[:, 0].tolist() == [0.0, 1.0, 0.5]
+
+
+def test_scale_min_max_rejects_a_range_wider_than_a_float(recwarn):
+    # x1's range, 2e308, overflows: numpy would warn and scale it to nan
+    ds = named_ds([[0.0, 1e308, 1e308], [1.0, -1e308, -1e308], [2.0, 0.0, 0.0]])
+    with pytest.raises(DatasetError) as exc:
+        scale_min_max(ds)
+    assert str(exc.value) == (
+        "feature 'x1' ranges from -1e+308 to 1e+308, wider than the largest float, "
+        "so it cannot be scaled"
+    )
+    assert recwarn.list == []

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uclso.clustering import kmeans
-from uclso.dataset import MultiLabelDataset, generate_toy
+from uclso.dataset import DatasetError, MultiLabelDataset, generate_toy
 from uclso.linear import br_problems
 from uclso import oversample
 from uclso.oversample import (
@@ -506,21 +506,24 @@ class TestNeighbours:
             want = [[j for j in range(m + 1) if j != i][:m] for i in rows]
             assert got.tolist() == want
 
+    # the ids number the cases from 2, the names they had while the table
+    # opened with two non-finite cases (points are now dataset rows)
     @pytest.mark.parametrize(
         "points, m, rows, match",
         [
-            (np.array([[0.0], [np.nan], [1.0]]), 1, [0], "non-finite"),
-            (np.array([[0.0], [np.inf], [1.0]]), 1, [0], "non-finite"),
-            (np.zeros(3), 1, [0], "2-d"),
-            (np.zeros((3, 1)), 0, [0], r"m=0 must be in \[1, 2\]"),
-            (np.zeros((3, 1)), 3, [0], r"m=3 must be in \[1, 2\]"),
-            (np.zeros((1, 1)), 1, [0], r"must be in \[1, 0\]"),
-            (np.zeros((3, 1)), 1, [[0]], "rows"),
-            (np.zeros((3, 1)), 1, [0.0], "rows"),
-            (np.zeros((3, 1)), 1, [True], "rows"),
-            (np.zeros((3, 1)), 1, [-1], "rows"),
-            (np.zeros((3, 1)), 1, [3], "rows"),
-            (np.zeros((3, 1)), 1, [], "rows"),  # an empty list is float
+            pytest.param(*case, id=f"points{i}-{case[1]}-rows{i}-{case[3]}")
+            for i, case in enumerate([
+                (np.zeros(3), 1, [0], "2-d"),
+                (np.zeros((3, 1)), 0, [0], r"m=0 must be in \[1, 2\]"),
+                (np.zeros((3, 1)), 3, [0], r"m=3 must be in \[1, 2\]"),
+                (np.zeros((1, 1)), 1, [0], r"must be in \[1, 0\]"),
+                (np.zeros((3, 1)), 1, [[0]], "rows"),
+                (np.zeros((3, 1)), 1, [0.0], "rows"),
+                (np.zeros((3, 1)), 1, [True], "rows"),
+                (np.zeros((3, 1)), 1, [-1], "rows"),
+                (np.zeros((3, 1)), 1, [3], "rows"),
+                (np.zeros((3, 1)), 1, [], "rows"),  # an empty list is float
+            ], start=2)
         ],
     )
     def test_bad_arguments_rejected(self, points, m, rows, match):
@@ -614,45 +617,17 @@ class TestSynthesisPaths:
 
 
 class TestNonFiniteFeatures:
-    """Library callers can pass a dataset the CLI would reject at load."""
-
-    @staticmethod
-    def two_blob_data(value):
-        # label l0's minority lies in blob A; l1's in both blobs, with the
-        # non-finite value in the minority row of the higher cluster id, so
-        # in l1's last uclso pool
-        rng = np.random.default_rng(2)
-        features = np.vstack([rng.normal(0, 0.1, (30, 2)), rng.normal(10, 0.1, (30, 2))])
-        labels = np.zeros((60, 2), dtype=int)
-        labels[10:20, 0] = 1
-        labels[[*range(5), *range(30, 35)], 1] = 1
-        assign = kmeans(features, 2, seed=0)
-        bad_row = 0 if assign.assignment[0] == 1 else 30
-        features[bad_row, 1] = value
-        return make_ds(features, labels), assign
+    """The augmenters take no check of their own: a dataset that holds a
+    non-finite feature value cannot be built, so none reaches them."""
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
-    @pytest.mark.parametrize("mode", ["uclso", "smote"])
-    def test_rejected_before_any_point_is_written(self, mode, value):
-        ds, assign = self.two_blob_data(value)
-        cfg = OversampleConfig(k_clusters=2, seed=1, mode=mode)
-        block = np.full((synthetic_count(label_draws(ds, cfg, assign, 1)), 2), 7.0)
-        with pytest.raises(OversampleError, match="label 'l1': non-finite feature values"):
-            if mode == "uclso":
-                uclso_augment(ds, assign, 1, cfg, out=block)
-            else:
-                smote_augment(ds, 1, cfg, out=block)
-        assert (block == 7.0).all()
-
-    @pytest.mark.parametrize("mode", ["uclso", "smote"])
-    def test_iter_augments_names_the_label(self, mode):
-        ds, assign = self.two_blob_data(np.nan)
-        cfg = OversampleConfig(k_clusters=2, seed=1, mode=mode)
-        augments = iter_augments(ds, cfg, assign)
-        first = next(augments)
-        assert first.label_index == 0 and np.isfinite(first.extra.points).all()
-        with pytest.raises(OversampleError, match="label 'l1': non-finite feature values"):
-            next(augments)
+    def test_dataset_cannot_be_built(self, value):
+        features = np.arange(8.0).reshape(4, 2)
+        features[2, 1] = value  # in label l0's minority row 2
+        with pytest.raises(DatasetError, match=(
+            f"^feature 'x1' holds the non-finite value {value!r} in row 2$"
+        )):
+            make_ds(features, [[1], [0], [1], [0]])
 
 
 @st.composite
