@@ -18,7 +18,7 @@ from .dataset import (
     generate_toy,
     scale_min_max,
 )
-from .arff_io import load_mulan
+from .arff_io import ArffError, load_mulan
 from .linear import TrainConfig
 from .oversample import OversampleConfig
 
@@ -41,8 +41,9 @@ class DatasetSource:
             if self.toy is not None:
                 return generate_toy(self.toy)
             return load_mulan(self.arff_path, self.xml_path)
-        except DatasetError as exc:
-            raise DatasetError(f"dataset {self.name!r}: {exc}") from exc
+        except (DatasetError, ArffError) as exc:
+            # same class, so a malformed file stays a usage error (exit 2)
+            raise type(exc)(f"dataset {self.name!r}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -182,7 +183,7 @@ def _toy_from_dict(d: dict, default_seed: int, where: str) -> ToyConfig:
     seed = _int(d, "seed", default_seed, where)
     for key, ok, wanted in TOY_VALUES:
         if key not in d:
-            raise ConfigError(f"toy config missing key {key!r}")
+            raise ConfigError(f"{where}: missing key {key!r}")
         if not ok(d[key]):
             raise ConfigError(f"{where}: {key} must be {wanted}, got {d[key]!r}")
     try:
@@ -194,7 +195,7 @@ def _toy_from_dict(d: dict, default_seed: int, where: str) -> ToyConfig:
             seed=seed,
         )
     except ValueError as exc:
-        raise ConfigError(f"invalid toy config: {exc}") from None
+        raise ConfigError(f"{where}: {exc}") from None
 
 
 def load_config(

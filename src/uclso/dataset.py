@@ -134,6 +134,11 @@ class ToyConfig:
         n_blobs = len(centers)
         if n_blobs < 2:
             raise DatasetError("need at least 2 blobs")
+        dims = [len(c) for c in centers]
+        if len(set(dims)) > 1 or not dims[0]:
+            raise DatasetError(
+                f"blob_centers must share one non-zero length, got lengths {dims}"
+            )
         counts = tuple(int(c) for c in self.points_per_blob)
         object.__setattr__(self, "points_per_blob", counts)
         spreads = tuple(float(s) for s in self.blob_spreads)

@@ -3,12 +3,12 @@ augmentation, binary-relevance training and metric collection.
 
 The (repetition, fold) cells are taken in turn. Each cell's training rows
 are subset once and shared by every method; each (cell, method) unit then
-clusters and augments them. A group of units at a time goes into one
-training matrix, which stores each cell's base rows once, and all of the
-group's (cell, method, label) models are fit together in one lockstep run
-(see `linear.fit_lockstep`). Small cells share a group; a unit of large
-data is a group of its own (see GROUP_ELEMENTS). There is no thread pool.
-Each unit is pure given its derived seed, and a model's fit does not
+clusters them and plans each label's draws. A group of units at a time
+goes into one training matrix, laid out by `_fit_group` alone, and all of
+the group's (cell, method, label) models are fit together in one lockstep
+run (see `linear.fit_lockstep`). Small cells share a group; a unit of
+large data is a group of its own (see GROUP_ELEMENTS). There is no thread
+pool. Each unit is pure given its derived seed, and a model's fit does not
 depend on the models that share its run, so the report depends only on
 the inputs.
 """
@@ -20,13 +20,15 @@ import numpy as np
 
 from .clustering import kmeans
 from .dataset import FoldPlan, MultiLabelDataset
-from .linear import TrainConfig, br_problems, fit_lockstep, score
+from .linear import TrainConfig, fit_lockstep, score
 from .metrics import auc_label, confusion, f1_label, macro_average
 from .oversample import (
+    LabelUnusableError,
     OversampleConfig,
-    iter_augments,
     label_draws,
+    smote_augment,
     synthetic_count,
+    uclso_augment,
 )
 
 
@@ -161,28 +163,36 @@ GROUP_ELEMENTS = 1 << 20
 def _fit_group(
     ds: MultiLabelDataset, train_cfg: TrainConfig, group: list, size: int, cells: dict
 ) -> None:
-    """Synthesize the group's units, as run_cv prepared them, into one
-    matrix of `size` rows, fit every (cell, method, label) model in one
-    lockstep run and append each unit's scored cell to cells[method name].
-    A cell's units are consecutive, and the first stores its base rows."""
+    """Lay out the group's units, as run_cv planned them, in one matrix of
+    `size` rows, fit every (cell, method, label) model in one lockstep run
+    and append each unit's scored cell to cells[method name]. A unit that
+    stores its cell's base rows puts them next; then, label by label, the
+    mode's augmenter writes the label's points into its own block. Label
+    l's model trains on the base rows (targets: its column) and its block
+    (targets: 1), under a seed derived from (cell seed, l)."""
     X = np.empty((size, ds.d))
+    index = np.int32 if size <= np.iinfo(np.int32).max else np.intp  # as fit_lockstep's
     rows, targets, seeds = [], [], []
-    start = end = 0
-    for u, (_, train_ds, (rep, fold, _), os_cfg, assign, draws, counts) in enumerate(group):
-        if u == 0 or train_ds is not group[u - 1][1]:
-            start, end = end, end + train_ds.n
-            X[start:end] = train_ds.features
-        synth = end
-        end += sum(counts)
-        # each label's points land in X; its provenance is dropped with it
-        for _ in iter_augments(train_ds, os_cfg, assign, X[synth:end], draws):
-            pass
-        unit_rows, unit_targets, unit_seeds = br_problems(
-            train_ds.labels, start, synth, counts, _cell_seed(train_cfg.seed, rep, fold)
-        )
-        rows += unit_rows
-        targets += unit_targets
-        seeds += unit_seeds
+    end = 0
+    for _, train_ds, (rep, fold, _), os_cfg, assign, draws, stores_base in group:
+        if stores_base:
+            X[end:end + train_ds.n] = train_ds.features
+            base = np.arange(end, end + train_ds.n, dtype=index)
+            end += train_ds.n
+        labels = train_ds.labels.astype(np.int8)
+        cell_seed = _cell_seed(train_cfg.seed, rep, fold)
+        for l, plan in enumerate(draws):
+            count = synthetic_count(plan)
+            # each label's points land in X; its provenance is dropped with it
+            usable = not isinstance(plan, LabelUnusableError)
+            if usable and os_cfg.mode == "uclso":
+                uclso_augment(train_ds, assign, l, os_cfg, X[end:end + count], plan)
+            elif usable and os_cfg.mode == "smote":
+                smote_augment(train_ds, l, os_cfg, X[end:end + count], plan)
+            rows.append(np.concatenate([base, np.arange(end, end + count, dtype=index)]))
+            targets.append(np.concatenate([labels[:, l], np.ones(count, dtype=np.int8)]))
+            seeds.append(int(np.random.SeedSequence([cell_seed, l]).generate_state(1)[0]))
+            end += count
     weights, bias, constant = fit_lockstep(X, rows, targets, seeds, train_cfg)
 
     q = ds.q
@@ -208,10 +218,11 @@ def run_cv(
     """Evaluate every method over every (repetition, fold) cell.
 
     1. Per cell: subset the training rows once; per method, cluster them
-       (uclso) and work out each label's draws, and so its synthetic count.
-    2. Per group of (cell, method) units (see GROUP_ELEMENTS): allocate one
-       matrix with each cell's base rows once and each unit's synthetic
-       rows, which synthesis writes in place.
+       (uclso), work out each label's draws, and so its synthetic count,
+       and whether the unit stores its cell's base rows in the group.
+    2. Per group of (cell, method) units (see GROUP_ELEMENTS): _fit_group
+       fills one matrix with each cell's base rows once and each unit's
+       synthetic rows, which synthesis writes in place.
     3. Fit every (cell, method, label) model of the group in one lockstep
        run.
     4. Score each unit on its cell's test rows.
@@ -240,12 +251,13 @@ def run_cv(
                 if os_cfg.mode == "uclso":
                     assign = kmeans(train_ds.features, os_cfg.k_clusters, seed=os_cfg.seed)
                 draws = [label_draws(train_ds, os_cfg, assign, l) for l in range(ds.q)]
-                counts = [synthetic_count(d) for d in draws]
-                if not group or group[-1][1] is not train_ds:
-                    group_rows += train_ds.n  # the cell's base rows, once per group
+                # the cell's base rows are stored once per group, by its first unit
+                stores_base = not group or group[-1][1] is not train_ds
+                if stores_base:
+                    group_rows += train_ds.n
                 cell = (rep, fold, test_idx)
-                group.append((method.name, train_ds, cell, os_cfg, assign, draws, counts))
-                group_rows += sum(counts)
+                group.append((method.name, train_ds, cell, os_cfg, assign, draws, stores_base))
+                group_rows += sum(map(synthetic_count, draws))
                 if group_rows >= max_rows:
                     _fit_group(ds, train_cfg, group, group_rows, cells)
                     group, group_rows = [], 0

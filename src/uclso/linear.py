@@ -1,5 +1,7 @@
 """Linear relevance classifiers: L2-regularized hinge loss fit by
-stochastic subgradient descent, one independent model per label.
+stochastic subgradient descent, one independent model per problem. Which
+rows and targets make up a problem, one per label in binary relevance, is
+the caller's to say (see `experiment._fit_group`).
 
 Training is the fixed-T minibatch Pegasos update (Shalev-Shwartz, Singer
 & Srebro, ICML 2007): `epochs` passes, no early stop. A model of n rows
@@ -161,30 +163,3 @@ def score(weights: np.ndarray, bias: float, X: np.ndarray) -> np.ndarray:
             f"({weights.shape[0]})"
         )
     return X @ weights + bias
-
-
-def br_problems(
-    labels: np.ndarray, start: int, synth: int, extra_counts: Sequence[int], seed: int
-) -> tuple[list[np.ndarray], list[np.ndarray], list[int]]:
-    """Rows, targets and seeds of one cell's binary-relevance problems.
-
-    The training matrix holds the cell's n base rows from row `start`, and
-    from row `synth` extra_counts[0] synthetic rows of label 0, then those
-    of label 1, and so on. Label l's model trains on the base rows and its
-    own synthetic rows, which are all relevant, under a seed derived from
-    (seed, l).
-    """
-    n, q = labels.shape
-    end = max(start + n, synth + sum(extra_counts))
-    index = np.int32 if end <= np.iinfo(np.int32).max else np.intp  # as fit_lockstep's
-    base = np.arange(start, start + n, dtype=index)
-    labels = labels.astype(np.int8)
-    rows, targets, seeds = [], [], []
-    offset = synth
-    for l in range(q):
-        k = extra_counts[l]
-        rows.append(np.concatenate([base, np.arange(offset, offset + k, dtype=index)]))
-        targets.append(np.concatenate([labels[:, l], np.ones(k, dtype=np.int8)]))
-        seeds.append(int(np.random.SeedSequence([seed, l]).generate_state(1)[0]))
-        offset += k
-    return rows, targets, seeds

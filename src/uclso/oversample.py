@@ -433,31 +433,20 @@ def iter_augments(
     ds: MultiLabelDataset,
     cfg: OversampleConfig,
     assign: ClusterAssignment | None = None,
-    out: np.ndarray | None = None,
-    draws: list[Draws | LabelUnusableError] | None = None,
 ) -> Iterator[AugmentedDataset | LabelUnusableError]:
     """Per label, in label order, the augmentation the configured mode
     makes, or the LabelUnusableError saying why the label has none.
     Labels are produced one at a time, so a caller that writes each one
-    out never holds them all. `draws` holds each label's label_draws
-    result when the caller has worked them out. With `out`, label l's
-    points are written into its next synthetic_count(draws[l]) rows."""
+    out never holds them all."""
     if cfg.mode == "uclso" and assign is None:
         raise OversampleError("uclso mode needs a clustering")
-    start = 0
     for l in range(ds.q):
-        plan = label_draws(ds, cfg, assign, l) if draws is None else draws[l]
+        plan = label_draws(ds, cfg, assign, l)
         if isinstance(plan, LabelUnusableError):
             yield plan
-            continue
-        block = None
-        if out is not None:
-            count = synthetic_count(plan)
-            block = out[start:start + count]
-            start += count
-        if cfg.mode == "uclso":
-            yield uclso_augment(ds, assign, l, cfg, block, plan)
+        elif cfg.mode == "uclso":
+            yield uclso_augment(ds, assign, l, cfg, draws=plan)
         elif cfg.mode == "smote":
-            yield smote_augment(ds, l, cfg, block, plan)
+            yield smote_augment(ds, l, cfg, draws=plan)
         else:
-            yield _augment(ds, l, cfg, plan, block)
+            yield _augment(ds, l, cfg, plan, None)

@@ -255,6 +255,23 @@ class TestStats:
             pytest.param("      seed: 12\n", "      seed: -12\n",
                          "dataset 'toy_b' toy: seed must be >= 0, got -12",
                          id="toy_seed_negative"),
+            # every toy message names its dataset; blob centres share one
+            # length, which is the dimension of the data
+            pytest.param("      blob_spreads: [1.0, 1.0]\n", "",
+                         "dataset 'toy_b' toy: missing key 'blob_spreads'",
+                         id="toy_key_missing"),
+            pytest.param("blob_spreads: [1.0, 1.0]\n", "blob_spreads: [1.0, -1.0]\n",
+                         "dataset 'toy_b' toy: blob spreads must be positive",
+                         id="toy_spread_negative"),
+            pytest.param("[[0, 0], [4, 4]]", "[[0, 0], [4]]",
+                         "dataset 'toy_b' toy: blob_centers must share one non-zero "
+                         "length, got lengths [2, 1]", id="toy_center_short"),
+            pytest.param("[[0, 0], [4, 4]]", "[[0, 0], [4, 4, 4]]",
+                         "dataset 'toy_b' toy: blob_centers must share one non-zero "
+                         "length, got lengths [2, 3]", id="toy_center_long"),
+            pytest.param("[[0, 0], [4, 4]]", "[[], []]",
+                         "dataset 'toy_b' toy: blob_centers must share one non-zero "
+                         "length, got lengths [0, 0]", id="toy_center_empty"),
         ],
     )
     def test_rejected_config_is_usage_error(self, tmp_path, capsys, old, new, message):
@@ -667,6 +684,29 @@ def test_dataset_error_at_load_names_the_dataset(tmp_path, capsys):
                     f"    mulan: {{arff: {arff}, xml: {xml}}}\n")
     assert main(["stats", "--config", str(path)]) == 1
     assert capsys.readouterr().err == "error: dataset 'dup': duplicate feature names\n"
+    assert not out.exists()
+
+
+def test_arff_error_at_load_names_the_dataset(tmp_path, capsys):
+    # a malformed cell in the second of two Mulan datasets: still a usage
+    # error (exit 2), and the message says which dataset holds the line
+    paths = {}
+    for name, cell in (("good", "1.5"), ("bad", "abc")):
+        arff, xml = tmp_path / f"{name}.arff", tmp_path / f"{name}.xml"
+        arff.write_text("@relation r\n@attribute f0 numeric\n@attribute lab {0,1}\n"
+                        f"@data\n0.5,1\n{cell},0\n")
+        xml.write_text(LAB_XML)
+        paths[name] = arff, xml
+    out = tmp_path / "results"
+    path = tmp_path / "config.yaml"
+    path.write_text(f"out: {out}\ndatasets:\n" + "".join(
+        f"  - name: {name}\n    mulan: {{arff: {arff}, xml: {xml}}}\n"
+        for name, (arff, xml) in paths.items()
+    ))
+    assert main(["stats", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: dataset 'bad': line 6: invalid numeric value 'abc' for attribute 'f0'\n"
+    )
     assert not out.exists()
 
 

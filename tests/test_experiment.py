@@ -7,7 +7,7 @@ from uclso import experiment
 from uclso.clustering import kmeans
 from uclso.dataset import MultiLabelDataset, make_fold_plan
 from uclso.experiment import MethodSpec, _cell_seed, auc_defined, run_cv
-from uclso.linear import TrainConfig, br_problems, fit_lockstep
+from uclso.linear import TrainConfig, fit_lockstep
 from uclso.oversample import OversampleConfig, iter_augments
 
 
@@ -189,12 +189,12 @@ class TestMethodWideFit:
 
         def spy(*args, **kwargs):
             result = fit_lockstep(*args, **kwargs)
-            fitted.append(result[:2])  # weights, bias
+            fitted.append((args, result[:2]))  # (X, rows, targets, seeds, cfg), weights, bias
             return result
 
         monkeypatch.setattr(experiment, "fit_lockstep", spy)
         run_cv(ds, [method], plan, FAST)
-        ((group_w, group_b),) = fitted
+        (((X, rows, targets, seeds, _), (group_w, group_b)),) = fitted
         assert len(group_w) == 4 * ds.q
         for c, (rep, fold) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
             train_idx, _ = plan.train_test(rep, fold)
@@ -202,23 +202,61 @@ class TestMethodWideFit:
             os_cfg = replace(method.oversample, seed=_cell_seed(method.oversample.seed, rep, fold))
             assign = kmeans(train.features, 3, seed=os_cfg.seed)
             augments = list(iter_augments(train, os_cfg, assign))
-            X = np.vstack([train.features] + [aug.extra.points for aug in augments])
+            cell = slice(c * ds.q, (c + 1) * ds.q)
+            # the cell's problems fit together, apart from the other cells'
+            cell_w, cell_b, _ = fit_lockstep(X, rows[cell], targets[cell], seeds[cell], FAST)
             cell_seed = _cell_seed(FAST.seed, rep, fold)
-            rows, targets, seeds = br_problems(
-                train.labels, 0, train.n, [len(aug.extra) for aug in augments], cell_seed
-            )
-            cell_w, cell_b, _ = fit_lockstep(X, rows, targets, seeds, FAST)
             for l in range(ds.q):
                 seed = int(np.random.SeedSequence([cell_seed, l]).generate_state(1)[0])
-                # the label's own augmented set: base rows, then its points
+                # the label's own augmented set, built here: base rows,
+                # then its points, which are all relevant
+                points = augments[l].extra.points
+                y = np.concatenate([train.labels[:, l], np.ones(len(points), dtype=int)])
                 (alone_w,), (alone_b,), _ = fit_lockstep(
-                    X[rows[l]], [np.arange(len(rows[l]))], [targets[l]], [seed], FAST
+                    np.vstack([train.features, points]), [np.arange(len(y))], [y], [seed],
+                    FAST,
                 )
                 k = c * ds.q + l
+                assert seeds[k] == seed
                 for w, b in ((cell_w[l], cell_b[l]), (group_w[k], group_b[k])):
                     assert np.array_equal(alone_w, w)
                     assert alone_b == b
 
+    @pytest.mark.parametrize("split", [False, True], ids=["shared", "split"])
+    @pytest.mark.parametrize("mode", ["smote", "uclso"])
+    def test_group_rows_equal_iter_augments_label_by_label(self, monkeypatch, mode, split):
+        # run_cv lays each label's points into the group matrix; the CLI
+        # draws them with iter_augments. They are the same points, whether
+        # a cell's units share its base rows in one group or, at a budget
+        # of one cell's rows, fall into two groups that each store them
+        ds = lone_point_ds()
+        plan = make_fold_plan(ds.n, 2, 2, seed=3)
+        runs = []
+
+        def spy(X, rows, targets, seeds, cfg):
+            runs.append((X, rows, targets))
+            return fit_lockstep(X, rows, targets, seeds, cfg)
+
+        monkeypatch.setattr(experiment, "fit_lockstep", spy)
+        if split:
+            monkeypatch.setattr(experiment, "GROUP_ELEMENTS", (ds.d + ds.q) * (ds.n // 2))
+        method = methods(mode)[0]
+        run_cv(ds, methods("none") + [method], plan, FAST)
+        assert len(runs) == (8 if split else 1)
+        problems = [p for X, rows, targets in runs for p in zip([X] * len(rows), rows, targets)]
+        checked = 0
+        for c, (rep, fold) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
+            train = ds.subset(plan.train_test(rep, fold)[0])
+            os_cfg = replace(method.oversample, seed=_cell_seed(method.oversample.seed, rep, fold))
+            assign = kmeans(train.features, 3, seed=os_cfg.seed) if mode == "uclso" else None
+            unit = problems[(2 * c + 1) * ds.q:(2 * c + 2) * ds.q]  # the method's, after none
+            for l, (aug, (X, r, y)) in enumerate(zip(iter_augments(train, os_cfg, assign), unit)):
+                assert np.array_equal(X[r[:train.n]], train.features)
+                assert np.array_equal(y[:train.n], train.labels[:, l])
+                assert X[r[train.n:]].tobytes() == aug.extra.points.tobytes()
+                assert (y[train.n:] == 1).all()
+                checked += len(aug.extra)
+        assert checked > 0
 
     @pytest.mark.parametrize("name", ["none", "uclso"])
     def test_group_size_does_not_change_cells(self, monkeypatch, name):

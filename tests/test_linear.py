@@ -3,10 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from uclso import experiment
 from uclso.clustering import kmeans
-from uclso.dataset import MultiLabelDataset
-from uclso.experiment import _score_cell
-from uclso.linear import TrainConfig, TrainingError, br_problems, fit_lockstep, score
+from uclso.dataset import MultiLabelDataset, make_fold_plan
+from uclso.experiment import MethodSpec, _score_cell, run_cv
+from uclso.linear import TrainConfig, TrainingError, fit_lockstep, score
 from uclso.oversample import OversampleConfig, iter_augments
 
 
@@ -66,12 +67,19 @@ def predict(w, b, X):
 
 def fit_cell(ds, os_cfg, train_cfg, assign=None):
     """Every label's model of one cell: each label's synthetic rows
-    stacked after the base rows, one binary-relevance problem per label."""
+    stacked after the base rows, one binary-relevance problem per label.
+    Label l trains on the base rows and its own synthetic rows, which are
+    all relevant, under a seed derived from (train_cfg.seed, l)."""
     augments = list(iter_augments(ds, os_cfg, assign))
     X = np.vstack([ds.features] + [aug.extra.points for aug in augments])
-    rows, targets, seeds = br_problems(
-        ds.labels, 0, ds.n, [len(aug.extra) for aug in augments], train_cfg.seed
-    )
+    rows, targets, seeds = [], [], []
+    end = ds.n
+    for l, aug in enumerate(augments):
+        k = len(aug.extra)
+        rows.append(np.concatenate([np.arange(ds.n), np.arange(end, end + k)]))
+        targets.append(np.concatenate([ds.labels[:, l], np.ones(k, dtype=int)]))
+        seeds.append(int(np.random.SeedSequence([train_cfg.seed, l]).generate_state(1)[0]))
+        end += k
     return fit_lockstep(X, rows, targets, seeds, train_cfg)
 
 
@@ -175,17 +183,33 @@ class TestBrFit:
         assert weights.shape == (sub.q, sub.d) and bias.shape == (sub.q,)
         assert constant == []
 
-    def test_none_mode_matches_plain_training_data(self, fig1_toy):
+    def test_none_mode_matches_plain_training_data(self, fig1_toy, monkeypatch):
         cfg = OversampleConfig(seed=1, mode="none")
-        augments = list(iter_augments(fig1_toy, cfg))
-        rows, targets, _ = br_problems(
-            fig1_toy.labels, 0, fig1_toy.n, [len(aug.extra) for aug in augments], 0
-        )
-        for l, aug in enumerate(augments):
+        for aug in iter_augments(fig1_toy, cfg):
             assert len(aug.extra) == 0
             assert aug.base is fig1_toy
-            assert np.array_equal(rows[l], np.arange(fig1_toy.n))
-            assert np.array_equal(targets[l], fig1_toy.labels[:, l])
+        # run_cv's problems: each label of a cell trains on exactly the
+        # cell's training rows, with the label's own column as targets
+        runs = []
+
+        def spy(X, rows, targets, seeds, train_cfg):
+            runs.append((X, rows, targets))
+            return fit_lockstep(X, rows, targets, seeds, train_cfg)
+
+        monkeypatch.setattr(experiment, "fit_lockstep", spy)
+        plan = make_fold_plan(fig1_toy.n, 1, 2, seed=0)
+        run_cv(fig1_toy, [MethodSpec("none", cfg)], plan, TrainConfig(epochs=1))
+        ((X, rows, targets),) = runs
+        q, start = fig1_toy.q, 0
+        for fold in range(2):
+            train_idx, _ = plan.train_test(0, fold)
+            for l in range(q):
+                r = rows[fold * q + l]
+                assert np.array_equal(r, np.arange(start, start + train_idx.size))
+                assert np.array_equal(X[r], fig1_toy.features[train_idx])
+                assert np.array_equal(targets[fold * q + l], fig1_toy.labels[train_idx, l])
+            start += train_idx.size
+        assert len(X) == start
 
     def test_uclso_and_none_identical_for_balanced_label(self):
         rng = np.random.default_rng(0)

@@ -10,9 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uclso import experiment
 from uclso.clustering import kmeans
-from uclso.dataset import DatasetError, MultiLabelDataset, generate_toy
-from uclso.linear import br_problems
+from uclso.dataset import DatasetError, MultiLabelDataset, generate_toy, make_fold_plan
+from uclso.experiment import MethodSpec, run_cv
+from uclso.linear import TrainConfig, fit_lockstep
 from uclso import oversample
 from uclso.oversample import (
     LabelUnusableError,
@@ -284,14 +286,30 @@ class TestSmoteAugment:
             u, v = ds.features[prov.parent_u], ds.features[prov.parent_v]
             assert segment_residual(point, u, v, prov.r) < 1e-9
 
-    def test_label_vector_extends_with_ones(self):
+    def test_label_vector_extends_with_ones(self, monkeypatch):
+        # the targets run_cv trains label 0 on: its training column, then a
+        # 1 for each of the n_maj - n_min smote points
         rng = np.random.default_rng(6)
-        labels = np.array([[1]] * 10 + [[0]] * 90)
-        ds = make_ds(rng.normal(size=(100, 2)), labels)
-        aug = smote_augment(ds, 0, OversampleConfig(seed=3))
-        _, (y,), _ = br_problems(ds.labels, 0, ds.n, [len(aug.extra)], 0)
-        assert y.size == 180
-        assert (y[100:] == 1).all()
+        labels = np.array([[1]] * 20 + [[0]] * 180)
+        ds = make_ds(rng.normal(size=(200, 2)), labels)
+        plan = make_fold_plan(ds.n, 1, 2, seed=0)
+        fitted = []
+
+        def spy(X, rows, targets, seeds, cfg):
+            fitted.append(targets)
+            return fit_lockstep(X, rows, targets, seeds, cfg)
+
+        monkeypatch.setattr(experiment, "fit_lockstep", spy)
+        method = MethodSpec("smote", OversampleConfig(seed=3, mode="smote"))
+        run_cv(ds, [method], plan, TrainConfig(epochs=1))
+        ((first, second),) = fitted
+        for fold, y in enumerate((first, second)):
+            train_idx, _ = plan.train_test(0, fold)
+            n = train_idx.size
+            n_min = int(labels[train_idx, 0].sum())
+            assert y.size == n + (n - n_min) - n_min  # n + n_maj - n_min
+            assert np.array_equal(y[:n], labels[train_idx, 0])
+            assert (y[n:] == 1).all()
 
 
 def test_balance_bound_random_toys():
@@ -554,7 +572,18 @@ class TestSynthesisPaths:
         draws = [label_draws(ds, cfg, assign, l) for l in range(ds.q)]
         counts = [synthetic_count(d) for d in draws]
         block = np.full((sum(counts), ds.d), np.nan)  # unwritten rows stay nan
-        written = list(iter_augments(ds, cfg, assign, block, draws))
+        # each usable label's points written into its own rows of the block,
+        # from its draws, as the experiment writes them into its matrix
+        written, start = [], 0
+        for l, plan in enumerate(draws):
+            out = block[start:start + counts[l]]
+            start += counts[l]
+            if isinstance(plan, LabelUnusableError):
+                written.append(plan)
+            elif mode == "uclso":
+                written.append(uclso_augment(ds, assign, l, cfg, out, plan))
+            else:  # smote, or none, whose draws are empty
+                written.append(smote_augment(ds, l, cfg, out, plan))
         allocated = list(iter_augments(ds, cfg, assign))
         start = 0
         for l, (a, b) in enumerate(zip(allocated, written)):
