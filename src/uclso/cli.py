@@ -35,7 +35,7 @@ from .dataset import (
     make_fold_plan,
     scale_min_max,
 )
-from .experiment import MethodSpec, auc_defined, run_cv
+from .experiment import MethodSpec, auc_defined, check_training_range, run_cv
 from .oversample import LabelUnusableError, iter_augments
 from .ranking import average_ranks, critical_difference_rows, friedman
 
@@ -259,6 +259,7 @@ def cmd_experiment(cfg: ExperimentConfig) -> int:
         ds = source.load()
         with _naming(source):
             ds = cfg.prepare(ds)
+            check_training_range(ds)
             plan = make_fold_plan(ds.n, cfg.cv_reps, cfg.cv_folds, cfg.seed)
             if "uclso" in cfg.methods:
                 # uclso clusters training folds of n - ceil(n / folds) rows or more

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .clustering import kmeans
-from .dataset import FoldPlan, MultiLabelDataset
+from .dataset import DatasetError, FoldPlan, MultiLabelDataset
 from .linear import TrainConfig, fit_lockstep, score
 from .metrics import auc_label, confusion, f1_label, macro_average
 from .oversample import (
@@ -151,6 +151,22 @@ def _score_cell(
     )
 
 
+def check_training_range(ds: MultiLabelDataset) -> None:
+    """Raise DatasetError naming the first feature value, in row order,
+    whose magnitude is past float32's largest: the training matrix is
+    float32, where that value would round to inf."""
+    limit = float(np.finfo(np.float32).max)
+    X = ds.features
+    if X.max() <= limit and X.min() >= -limit:
+        return
+    row, col = np.argwhere(np.abs(X) > limit)[0]
+    raise DatasetError(
+        f"feature {ds.feature_names[col]!r} holds the value {float(X[row, col])!r} "
+        f"in row {row}, beyond the single-precision range of training "
+        f"(magnitude at most {limit!r})"
+    )
+
+
 # Size of one lockstep group, in matrix elements: each training row is
 # stored once (d values) and sits in the row lists of up to q models. A
 # group takes (cell, method) units until it holds GROUP_ELEMENTS // (d + q)
@@ -169,8 +185,10 @@ def _fit_group(
     stores its cell's base rows puts them next; then, label by label, the
     mode's augmenter writes the label's points into its own block. Label
     l's model trains on the base rows (targets: its column) and its block
-    (targets: 1), under a seed derived from (cell seed, l)."""
-    X = np.empty((size, ds.d))
+    (targets: 1), under a seed derived from (cell seed, l). The matrix is
+    float32: base rows and synthetic points are each rounded to it once,
+    and the models train in float32 (see check_training_range)."""
+    X = np.empty((size, ds.d), dtype=np.float32)
     index = np.int32 if size <= np.iinfo(np.int32).max else np.intp  # as fit_lockstep's
     rows, targets, seeds = [], [], []
     end = 0
@@ -227,14 +245,16 @@ def run_cv(
        run.
     4. Score each unit on its cell's test rows.
 
-    threads is accepted for compatibility and ignored: cells run in order
-    in this thread.
+    A feature value past float32's range raises DatasetError before the
+    first cell (check_training_range). threads is accepted for
+    compatibility and ignored: cells run in order in this thread.
     """
     if not methods:
         raise ValueError("need at least one method")
     names = [m.name for m in methods]
     if len(set(names)) != len(names):
         raise ValueError("duplicate method names")
+    check_training_range(ds)
     max_rows = GROUP_ELEMENTS // (ds.d + ds.q)
     cells: dict[str, list[FoldCell]] = {name: [] for name in names}
     group: list = []

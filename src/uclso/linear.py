@@ -12,7 +12,9 @@ matrix: each step advances every model by one minibatch of its own rows,
 with its own random stream, step counter and regularization. A model's
 arithmetic does not depend on which other models share its run, so
 fitting it alone or with any other models gives bit-equal weights. A
-fit returns each model's weight row and bias only; it computes no loss.
+float32 row matrix trains in float32, at half the bytes per step; any
+other trains in float64. A fit returns each model's weight row and bias
+only, as float64; it computes no loss.
 """
 
 from __future__ import annotations
@@ -60,8 +62,16 @@ def fit_lockstep(
     zero weight row and a bias of +1 or -1 toward that class. Returns, in
     problem order, the (problems x features) weights and the biases, and
     the indices of the constant problems.
+
+    A float32 X trains in float32: weights, bias, margins, violators and
+    updates. Any other X is converted to float64 and trains in it. The
+    step sizes are worked out in float64 and rounded to the training
+    dtype once per epoch, lambda once per fit.
     """
-    X = np.asarray(X, dtype=float)
+    X = np.asarray(X)
+    if X.dtype != np.float32:
+        X = np.asarray(X, dtype=float)
+    dtype = X.dtype
     if X.ndim != 2:
         raise TrainingError("X must be a 2-d matrix")
     # a synthetic row between two finite points can still overflow to inf
@@ -107,20 +117,21 @@ def fit_lockstep(
     lam = 1.0 / (cfg.reg_c * n)
     step = np.arange(int(steps[0]))[:, None]
     # true size of each model's minibatch j: the gradient divides by it
-    batch = np.minimum(B, n[None, :] - B * step)
+    batch = np.minimum(B, n[None, :] - B * step).astype(dtype)
 
-    eta = np.empty(batch.shape)
-    w = np.zeros((M, d))
-    b = np.zeros(M)
-    Xb = np.empty((M, B, d))  # step j's minibatch rows, in Xb[:a]
-    margins = np.empty((M, B, 1))
+    eta = np.empty(batch.shape, dtype=dtype)
+    w = np.zeros((M, d), dtype=dtype)
+    b = np.zeros(M, dtype=dtype)
+    Xb = np.empty((M, B, d), dtype=dtype)  # step j's minibatch rows, in Xb[:a]
+    margins = np.empty((M, B, 1), dtype=dtype)
+    lam_w = lam.astype(dtype)  # lambda in the training dtype, for the weight decay
     # step j's views: the first `a` models, those still in their epoch
     views = []
     for j in range(len(step)):
         a = int((steps > j).sum())
         slots = slice(j * B, (j + 1) * B)
         views.append((rows_e[:a, slots], s_e[:a, slots], Xb[:a], margins[:a],
-                      w[:a], w[:a, :, None], b[:a], b[:a, None], lam[:a, None],
+                      w[:a], w[:a, :, None], b[:a], b[:a, None], lam_w[:a, None],
                       batch[j, :a], batch[j, :a, None], eta[j, :a], eta[j, :a, None]))
     for epoch in range(cfg.epochs):
         for rng, r, s, r_e, s_e_k in models:
@@ -129,7 +140,7 @@ def fit_lockstep(
             s.take(perm, out=s_e_k, mode="clip")
         # step size of each model's minibatch j: its t-th step overall
         t = (epoch * steps + 1 + step).astype(float)
-        np.divide(1.0, 1.0 + lam * t, out=eta)
+        eta[:] = 1.0 / (1.0 + lam * t)
         for rj, sj, xb, m3, wa, wa3, ba, ba2, la, size, size2, ej, ej2 in views:
             X.take(rj, axis=0, out=xb, mode="clip")
             np.matmul(xb, wa3, out=m3)
@@ -137,7 +148,7 @@ def fit_lockstep(
             m += ba2
             m *= sj
             # +-1 where the hinge is active, else 0 (signed, as sj * 0.0)
-            viol = np.multiply(sj, m < 1.0, dtype=float)
+            viol = np.multiply(sj, m < 1.0, dtype=dtype)
             # at d > 1 each model's violators are summed row after row, in
             # batch order; at d = 1 einsum sums the batch axis in SIMD lanes
             hinge = np.einsum("mb,mbd->md", viol, xb)

@@ -126,16 +126,21 @@ MIN_PAIRS = 2**14
 # From this pool size on, when the pool holds at least 8m points, a row's
 # filter threshold comes from its 2m column-block minima, not a partition.
 BLOCK_MIN_POOL = 512
+# Synthetic points interpolated at a time, in two float64 scratch blocks
+# of SYNTH_ROWS x d.
+SYNTH_ROWS = 256
 
 
-def _difference_form(points: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
-    """sum_k (points[i, k] - points[j, k])**2 per pair, summed in feature
+def _difference_form(
+    left: np.ndarray, i: np.ndarray, right: np.ndarray, j: np.ndarray
+) -> np.ndarray:
+    """sum_k (left[i, k] - right[j, k])**2 per pair, summed in feature
     order: a pair's value does not depend on the pairs computed with it."""
-    diff = points[i]
-    diff -= points[j]
+    diff = left[i]
+    diff -= right[j]
     diff *= diff
     out = diff[:, 0].copy()
-    for k in range(1, points.shape[1]):
+    for k in range(1, left.shape[1]):
         out += diff[:, k]
     return out
 
@@ -241,12 +246,13 @@ def _chunk_neighbours(
     cand[own] = False
     r, c = np.divmod(np.flatnonzero(cand), p)
     del cand
-    # the two gathers of a slice hold at most max(SORT_ROWS x p,
-    # 2 MIN_PAIRS x d) coordinates
+    # the requested rows are gathered once; the two gathers of a slice
+    # hold at most max(SORT_ROWS x p, 2 MIN_PAIRS x d) coordinates
+    requested = points[chunk]
     dist = np.empty(r.size)
     step = max(MIN_PAIRS, SORT_ROWS * p // (2 * d))
     for a in range(0, r.size, step):
-        dist[a:a + step] = _difference_form(points, chunk[r[a:a + step]], c[a:a + step])
+        dist[a:a + step] = _difference_form(requested, r[a:a + step], points, c[a:a + step])
     # c ascends within each row, and lexsort is stable: ties go to the lower index
     order = np.lexsort((dist, r))
     counts = np.bincount(r, minlength=chunk.size)
@@ -284,7 +290,9 @@ def _synthesize(
     """Fill `out` with interpolants between the minority points of `pool`
     (whose features are `points`), one row per point, and `prov` with each
     point's parents and position. The draw order fixes the random stream:
-    every parent slot, then every neighbour slot, then every position."""
+    every parent slot, then every neighbour slot, then every position.
+    Each point is interpolated in float64 and rounded once to `out`'s
+    dtype."""
     if pool.size == 1:
         # degenerate neighbourhood: duplicate the lone minority point
         prov.parent_u = prov.parent_v = pool[0]
@@ -303,13 +311,20 @@ def _synthesize(
         raise OversampleError("interpolation position not in (0, 1)")
     prov.r = r
     prov.parent_u, prov.parent_v = pool[slot], pool[near]
-    # interpolate's u + (v - u) * r, in its order, in place
-    u = points[slot]
-    # every index is valid; mode clip writes straight into out, raise buffers
-    np.take(points, near, axis=0, out=out, mode="clip")
-    out -= u
-    out *= r[:, None]
-    out += u
+    # interpolate's u + (v - u) * r, in its order, SYNTH_ROWS points at a
+    # time in float64 scratch, each block then stored into out once
+    u = np.empty((min(count, SYNTH_ROWS), points.shape[1]))
+    v = np.empty_like(u)
+    for a in range(0, count, SYNTH_ROWS):
+        end = min(a + SYNTH_ROWS, count)
+        ua, va = u[:end - a], v[:end - a]
+        # every index is valid; mode clip writes straight into ua and va, raise buffers
+        np.take(points, slot[a:end], axis=0, out=ua, mode="clip")
+        np.take(points, near[a:end], axis=0, out=va, mode="clip")
+        va -= ua
+        va *= r[a:end, None]
+        va += ua
+        out[a:end] = va
 
 
 # (cluster, minority pool, count) of each pool a label's points come from

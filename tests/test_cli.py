@@ -671,6 +671,34 @@ def test_non_finite_toy_feature_is_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["stats", "cluster", "oversample", "experiment"])
+def test_feature_beyond_single_precision_stops_experiment_before_any_compute(
+        tmp_path, capsys, monkeypatch, command):
+    # toy_b's second blob is centred at x1 = 1e39: finite, so every command
+    # can load it, but past float32's range, where the experiment's
+    # training matrix would hold inf. toy_a is checked first and is fine,
+    # and neither dataset reaches run_cv
+    out = tmp_path / "results"
+    path = tmp_path / "config.yaml"
+    path.write_text(CONFIG.format(out=out).replace("[[0, 0], [4, 4]]", "[[0, 0], [4, 1.0e+39]]"))
+    if command != "experiment":
+        assert main([command, "--config", str(path)]) == 0
+        assert out.is_dir()
+        return
+    calls = []
+    monkeypatch.setattr("uclso.cli.run_cv", lambda *a, **k: calls.append("run_cv"))
+    assert main([command, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: dataset 'toy_b': feature 'x1' holds the value 1e+39 in row 50, beyond "
+        "the single-precision range of training (magnitude at most "
+        "3.4028234663852886e+38)\n"
+    )
+    assert calls == []
+    assert not out.exists()
+
+
 def test_dataset_error_at_load_names_the_dataset(tmp_path, capsys):
     # the dataset type rejects the duplicate feature name; the load adds
     # the name of the dataset it was reading

@@ -5,8 +5,8 @@ import pytest
 
 from uclso import experiment
 from uclso.clustering import kmeans
-from uclso.dataset import MultiLabelDataset, make_fold_plan
-from uclso.experiment import MethodSpec, _cell_seed, auc_defined, run_cv
+from uclso.dataset import DatasetError, MultiLabelDataset, make_fold_plan
+from uclso.experiment import MethodSpec, _cell_seed, auc_defined, check_training_range, run_cv
 from uclso.linear import TrainConfig, fit_lockstep
 from uclso.oversample import OversampleConfig, iter_augments
 
@@ -27,6 +27,33 @@ FAST = TrainConfig(seed=5, epochs=8)
 
 def methods(*names, seed=3):
     return [MethodSpec(n, OversampleConfig(k_clusters=3, seed=seed, mode=n)) for n in names]
+
+
+class TestTrainingRange:
+    def test_value_past_float32_is_rejected_before_any_cell(self, monkeypatch):
+        # finite in float64, inf in the float32 training matrix: the first
+        # such value in row order is named, before anything is clustered
+        ds = small_ds()
+        features = ds.features.copy()
+        features[9, 0], features[7, 1] = 5e38, -1e39
+        big = replace(ds, features=features)
+        calls = []
+        for name in ("kmeans", "fit_lockstep"):
+            monkeypatch.setattr(experiment, name, lambda *a, name=name, **k: calls.append(name))
+        with pytest.raises(DatasetError) as err:
+            run_cv(big, methods("none", "uclso"), make_fold_plan(ds.n, 1, 2, seed=1), FAST)
+        assert str(err.value) == (
+            "feature 'x1' holds the value -1e+39 in row 7, beyond the single-precision "
+            "range of training (magnitude at most 3.4028234663852886e+38)"
+        )
+        assert calls == []
+
+    def test_float32_extremes_are_in_range(self):
+        top = float(np.finfo(np.float32).max)
+        ds = small_ds()
+        features = ds.features.copy()
+        features[3], features[4] = top, -top
+        check_training_range(replace(ds, features=features))
 
 
 class TestRunCv:
@@ -209,12 +236,13 @@ class TestMethodWideFit:
             for l in range(ds.q):
                 seed = int(np.random.SeedSequence([cell_seed, l]).generate_state(1)[0])
                 # the label's own augmented set, built here: base rows,
-                # then its points, which are all relevant
+                # then its points, which are all relevant, each rounded
+                # once to float32 as in the group matrix
                 points = augments[l].extra.points
                 y = np.concatenate([train.labels[:, l], np.ones(len(points), dtype=int)])
                 (alone_w,), (alone_b,), _ = fit_lockstep(
-                    np.vstack([train.features, points]), [np.arange(len(y))], [y], [seed],
-                    FAST,
+                    np.vstack([train.features, points]).astype(np.float32),
+                    [np.arange(len(y))], [y], [seed], FAST,
                 )
                 k = c * ds.q + l
                 assert seeds[k] == seed
@@ -226,9 +254,10 @@ class TestMethodWideFit:
     @pytest.mark.parametrize("mode", ["smote", "uclso"])
     def test_group_rows_equal_iter_augments_label_by_label(self, monkeypatch, mode, split):
         # run_cv lays each label's points into the group matrix; the CLI
-        # draws them with iter_augments. They are the same points, whether
-        # a cell's units share its base rows in one group or, at a budget
-        # of one cell's rows, fall into two groups that each store them
+        # draws them with iter_augments. They are the same points, each
+        # rounded once to the float32 matrix, whether a cell's units share
+        # its base rows in one group or, at a budget of one cell's rows,
+        # fall into two groups that each store them
         ds = lone_point_ds()
         plan = make_fold_plan(ds.n, 2, 2, seed=3)
         runs = []
@@ -243,6 +272,7 @@ class TestMethodWideFit:
         method = methods(mode)[0]
         run_cv(ds, methods("none") + [method], plan, FAST)
         assert len(runs) == (8 if split else 1)
+        assert all(X.dtype == np.float32 for X, _, _ in runs)
         problems = [p for X, rows, targets in runs for p in zip([X] * len(rows), rows, targets)]
         checked = 0
         for c, (rep, fold) in enumerate([(0, 0), (0, 1), (1, 0), (1, 1)]):
@@ -251,9 +281,9 @@ class TestMethodWideFit:
             assign = kmeans(train.features, 3, seed=os_cfg.seed) if mode == "uclso" else None
             unit = problems[(2 * c + 1) * ds.q:(2 * c + 2) * ds.q]  # the method's, after none
             for l, (aug, (X, r, y)) in enumerate(zip(iter_augments(train, os_cfg, assign), unit)):
-                assert np.array_equal(X[r[:train.n]], train.features)
+                assert np.array_equal(X[r[:train.n]], train.features.astype(np.float32))
                 assert np.array_equal(y[:train.n], train.labels[:, l])
-                assert X[r[train.n:]].tobytes() == aug.extra.points.tobytes()
+                assert X[r[train.n:]].tobytes() == aug.extra.points.astype(np.float32).tobytes()
                 assert (y[train.n:] == 1).all()
                 checked += len(aug.extra)
         assert checked > 0
@@ -373,7 +403,8 @@ class TestCrossMethodGroups:
             monkeypatch.setattr(experiment, "GROUP_ELEMENTS", (ds.d + q) * per)
         cap = experiment.GROUP_ELEMENTS // (ds.d + q)
         reports = run_cv(ds, methods(*ALL), plan, FAST)
-        folds = [ds.features[plan.train_test(rep, fold)[0]]
+        # each training fold as the float32 group matrix stores it
+        folds = [ds.features[plan.train_test(rep, fold)[0]].astype(np.float32)
                  for rep in range(2) for fold in range(2)]
         cells_per_run = []
         for k, (X, rows, _, _) in enumerate(runs):

@@ -189,7 +189,8 @@ class TestBrFit:
             assert len(aug.extra) == 0
             assert aug.base is fig1_toy
         # run_cv's problems: each label of a cell trains on exactly the
-        # cell's training rows, with the label's own column as targets
+        # cell's training rows, rounded to the float32 group matrix, with
+        # the label's own column as targets
         runs = []
 
         def spy(X, rows, targets, seeds, train_cfg):
@@ -206,7 +207,7 @@ class TestBrFit:
             for l in range(q):
                 r = rows[fold * q + l]
                 assert np.array_equal(r, np.arange(start, start + train_idx.size))
-                assert np.array_equal(X[r], fig1_toy.features[train_idx])
+                assert np.array_equal(X[r], fig1_toy.features[train_idx].astype(np.float32))
                 assert np.array_equal(targets[fold * q + l], fig1_toy.labels[train_idx, l])
             start += train_idx.size
         assert len(X) == start
@@ -265,21 +266,50 @@ class TestLockstep:
         # at d = 1 einsum sums each minibatch in SIMD lanes, so a model's
         # bits would depend on how wide the run pads its minibatches; the
         # last six problems are shorter than one (here a 13-row problem
-        # padded to its own size instead of batch_size gets other bits)
-        for d in (1, 2, 3, 60):
-            rng = np.random.default_rng(3)
-            X = rng.normal(size=(300, d))
-            sizes = (250, 41, 120, 33, 9, 20, 13, 25, 7, 30)
-            rows = [rng.choice(300, size=k, replace=False) for k in sizes]
-            targets = [(X[r, 0] + rng.normal(0, 0.5, r.size) > 0).astype(int) for r in rows]
-            seeds = range(1, len(sizes) + 1)
-            cfg = TrainConfig(epochs=12)
-            weights, bias, constant = fit_lockstep(X, rows, targets, seeds, cfg)
-            assert constant == []
-            for k, (r, y, seed) in enumerate(zip(rows, targets, seeds)):
-                w, b = fit_one(X[r], y, replace(cfg, seed=seed))
-                assert np.array_equal(w, weights[k])
-                assert b == bias[k]
+        # padded to its own size instead of batch_size gets other bits).
+        # A float32 matrix trains in float32, whose lanes are twice as many
+        for dtype in (np.float64, np.float32):
+            for d in (1, 2, 3, 60):
+                rng = np.random.default_rng(3)
+                X = rng.normal(size=(300, d)).astype(dtype)
+                sizes = (250, 41, 120, 33, 9, 20, 13, 25, 7, 30)
+                rows = [rng.choice(300, size=k, replace=False) for k in sizes]
+                targets = [(X[r, 0] + rng.normal(0, 0.5, r.size) > 0).astype(int) for r in rows]
+                seeds = range(1, len(sizes) + 1)
+                cfg = TrainConfig(epochs=12)
+                weights, bias, constant = fit_lockstep(X, rows, targets, seeds, cfg)
+                assert constant == []
+                for k, (r, y, seed) in enumerate(zip(rows, targets, seeds)):
+                    w, b = fit_one(X[r], y, replace(cfg, seed=seed))
+                    assert np.array_equal(w, weights[k])
+                    assert b == bias[k]
+
+    def test_float32_matrix_trains_in_float32(self):
+        # the weights come back as float64, every one of them a float32
+        # value; they are not the float64 run's, but close to them
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(400, 5)) * rng.uniform(0.1, 10, 5)
+        rows = [rng.choice(400, size=k, replace=False) for k in (300, 90, 31)]
+        targets = [(X[r, 1] > 0).astype(int) for r in rows]
+        cfg = TrainConfig(epochs=9)
+        w64, b64, _ = fit_lockstep(X, rows, targets, [1, 2, 3], cfg)
+        w32, b32, _ = fit_lockstep(X.astype(np.float32), rows, targets, [1, 2, 3], cfg)
+        assert w32.dtype == b32.dtype == np.float64
+        assert np.array_equal(w32.astype(np.float32), w32)
+        assert np.array_equal(b32.astype(np.float32), b32)
+        assert not np.array_equal(w32, w64)
+        assert np.abs(w32 - w64).max() <= 1e-4 * np.abs(w64).max()
+        assert np.abs(b32 - b64).max() <= 1e-4 * (1 + np.abs(b64).max())
+
+    def test_other_dtypes_train_in_float64(self):
+        # an integer or float16 matrix is converted to float64, as a list is
+        X = np.arange(40).reshape(20, 2) % 7 - 3
+        rows, targets = [np.arange(20)], [(X[:, 0] > 0).astype(int)]
+        cfg = TrainConfig(epochs=5)
+        want = fit_lockstep(X.astype(np.float64), rows, targets, [4], cfg)
+        for same in (X, X.astype(np.float16), X.tolist()):
+            got = fit_lockstep(same, rows, targets, [4], cfg)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
 
     def test_single_class_problem_gets_constant_row(self):
         X = np.arange(20.0).reshape(10, 2)

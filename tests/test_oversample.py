@@ -472,9 +472,9 @@ class TestNeighbours:
         pairs = []
         difference_form = oversample._difference_form
 
-        def counted(points, i, j):
+        def counted(left, i, right, j):
             pairs.append(i.size)
-            return difference_form(points, i, j)
+            return difference_form(left, i, right, j)
 
         monkeypatch.setattr(oversample, "_difference_form", counted)
         m, rows = 5, np.arange(1500)
@@ -638,6 +638,42 @@ class TestSynthesisPaths:
         assert len(aug.extra) > 1000
         want = interpolate(ds.features[prov.parent_u], ds.features[prov.parent_v], prov.r)
         assert aug.extra.points.tobytes() == want.tobytes()
+
+    @given(data=small_datasets(), mode=st.sampled_from(["uclso", "smote"]))
+    @settings(max_examples=60, deadline=None)
+    def test_float32_block_holds_each_point_rounded_once(self, data, mode):
+        # the experiment's group matrix is float32: each point is
+        # interpolated in float64, as the CLI writes it, then rounded once
+        ds, cfg = data
+        cfg = OversampleConfig(cfg.k_clusters, cfg.m_neighbors, cfg.seed, mode)
+        assign = kmeans(ds.features, cfg.k_clusters, seed=cfg.seed)
+        for l, aug in enumerate(iter_augments(ds, cfg, assign)):
+            if isinstance(aug, LabelUnusableError):
+                continue
+            block = np.full(aug.extra.points.shape, np.nan, dtype=np.float32)
+            plan = label_draws(ds, cfg, assign, l)
+            if mode == "uclso":
+                uclso_augment(ds, assign, l, cfg, block, plan)
+            else:
+                smote_augment(ds, l, cfg, block, plan)
+            assert block.tobytes() == aug.extra.points.astype(np.float32).tobytes()
+
+    def test_wide_float32_block_is_the_float64_points_rounded(self):
+        # many interpolation blocks, and features at float32's extremes:
+        # an interpolant rounds to them, never past them to inf
+        rng = np.random.default_rng(16)
+        labels = (rng.random((2000, 1)) < 0.2).astype(int)
+        features = rng.normal(size=(2000, 60)) * rng.uniform(0.1, 1e3, 60)
+        top = float(np.finfo(np.float32).max)
+        features[labels[:, 0] == 1, :2] = rng.choice([-top, top], size=(labels.sum(), 2))
+        ds = make_ds(features, labels)
+        cfg = OversampleConfig(seed=5, mode="smote")
+        points = smote_augment(ds, 0, cfg).extra.points
+        assert len(points) > 4 * oversample.SYNTH_ROWS
+        block = np.empty(points.shape, dtype=np.float32)
+        smote_augment(ds, 0, cfg, block)
+        assert block.tobytes() == points.astype(np.float32).tobytes()
+        assert np.isfinite(block).all() and np.abs(block[:, :2]).max() == top
 
     def test_block_of_wrong_size_rejected(self):
         ds = make_ds(np.arange(8.0).reshape(4, 2), [[1], [0], [0], [0]])
