@@ -9,12 +9,15 @@ has regularization lambda = 1 / (reg_c * n) and its t-th step has size
 eta_t = 1 / (1 + lambda * t). Many independent models are fit in
 lockstep, as one (models x features) weight matrix over one shared row
 matrix: each step advances every model by one minibatch of its own rows,
-with its own random stream, step counter and regularization. A model's
-arithmetic does not depend on which other models share its run, so
-fitting it alone or with any other models gives bit-equal weights. A
-float32 row matrix trains in float32, at half the bytes per step; any
-other trains in float64. A fit returns each model's weight row and bias
-only, as float64; it computes no loss.
+with its own random stream, step counter and regularization. A step's
+hinge sum is one BLAS gemv per model over its own batch_size rows, and
+its temporaries are buffers allocated once per fit. A model's arithmetic
+does not depend on which other models share its run, so fitting it alone
+or with any other models gives bit-equal weights. A float32 row matrix
+trains in float32, at half the bytes per step; any other trains in
+float64. A fit that overflows its dtype raises TrainingError. A fit
+returns each model's weight row and bias only, as float64; it computes
+no loss.
 """
 
 from __future__ import annotations
@@ -66,7 +69,9 @@ def fit_lockstep(
     A float32 X trains in float32: weights, bias, margins, violators and
     updates. Any other X is converted to float64 and trains in it. The
     step sizes are worked out in float64 and rounded to the training
-    dtype once per epoch, lambda once per fit.
+    dtype once per epoch, lambda once per fit. An overflow or invalid
+    value in the training dtype, as float32 margins of features near 1e20
+    give, raises TrainingError.
     """
     X = np.asarray(X)
     if X.dtype != np.float32:
@@ -122,43 +127,65 @@ def fit_lockstep(
     eta = np.empty(batch.shape, dtype=dtype)
     w = np.zeros((M, d), dtype=dtype)
     b = np.zeros(M, dtype=dtype)
-    Xb = np.empty((M, B, d), dtype=dtype)  # step j's minibatch rows, in Xb[:a]
-    margins = np.empty((M, B, 1), dtype=dtype)
     lam_w = lam.astype(dtype)  # lambda in the training dtype, for the weight decay
+    # every step's temporaries, allocated once and used as their first [:a]
+    Xb = np.empty((M, B, d), dtype=dtype)  # minibatch rows
+    margins = np.empty((M, B, 1), dtype=dtype)
+    active = np.empty((M, B), dtype=bool)  # margin < 1
+    viol = np.empty((M, 1, B), dtype=dtype)  # +-1 where the hinge is active, else 0
+    hinge = np.empty((M, 1, d), dtype=dtype)
+    grad_w = np.empty((M, d), dtype=dtype)
+    grad_b = np.empty(M, dtype=dtype)
+    ones = np.ones(B, dtype=dtype)
     # step j's views: the first `a` models, those still in their epoch
     views = []
     for j in range(len(step)):
         a = int((steps > j).sum())
         slots = slice(j * B, (j + 1) * B)
         views.append((rows_e[:a, slots], s_e[:a, slots], Xb[:a], margins[:a],
-                      w[:a], w[:a, :, None], b[:a], b[:a, None], lam_w[:a, None],
-                      batch[j, :a], batch[j, :a, None], eta[j, :a], eta[j, :a, None]))
-    for epoch in range(cfg.epochs):
-        for rng, r, s, r_e, s_e_k in models:
-            perm = rng.permutation(r.size)
-            r.take(perm, out=r_e, mode="clip")
-            s.take(perm, out=s_e_k, mode="clip")
-        # step size of each model's minibatch j: its t-th step overall
-        t = (epoch * steps + 1 + step).astype(float)
-        eta[:] = 1.0 / (1.0 + lam * t)
-        for rj, sj, xb, m3, wa, wa3, ba, ba2, la, size, size2, ej, ej2 in views:
-            X.take(rj, axis=0, out=xb, mode="clip")
-            np.matmul(xb, wa3, out=m3)
-            m = m3[:, :, 0]
-            m += ba2
-            m *= sj
-            # +-1 where the hinge is active, else 0 (signed, as sj * 0.0)
-            viol = np.multiply(sj, m < 1.0, dtype=dtype)
-            # at d > 1 each model's violators are summed row after row, in
-            # batch order; at d = 1 einsum sums the batch axis in SIMD lanes
-            hinge = np.einsum("mb,mbd->md", viol, xb)
-            hinge /= size2
-            grad_w = la * wa - hinge
-            grad_w *= ej2
-            wa -= grad_w
-            grad_b = viol.sum(axis=1) / size
-            grad_b *= ej
-            ba += grad_b  # bit for bit b - eta * (-sum / size)
+                      margins[:a, :, 0], active[:a], viol[:a], viol[:a, 0], hinge[:a],
+                      hinge[:a, 0], grad_w[:a], grad_b[:a], w[:a], w[:a, :, None],
+                      b[:a], b[:a, None], lam_w[:a, None], batch[j, :a],
+                      batch[j, :a, None], eta[j, :a], eta[j, :a, None]))
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for epoch in range(cfg.epochs):
+                for rng, r, s, r_e, s_e_k in models:
+                    perm = rng.permutation(r.size)
+                    r.take(perm, out=r_e, mode="clip")
+                    s.take(perm, out=s_e_k, mode="clip")
+                # step size of each model's minibatch j: its t-th step overall
+                t = (epoch * steps + 1 + step).astype(float)
+                eta[:] = 1.0 / (1.0 + lam * t)
+                for (rj, sj, xb, m3, m, act, vi3, vi, h3, h, gw, gb, wa, wa3, ba, ba2, la,
+                     size, size2, ej, ej2) in views:
+                    X.take(rj, axis=0, out=xb, mode="clip")
+                    np.matmul(xb, wa3, out=m3)
+                    m += ba2
+                    m *= sj
+                    np.less(m, 1.0, out=act)
+                    # signed, as sj * 0.0
+                    np.multiply(sj, act, out=vi, dtype=dtype)
+                    # each model's violators summed over its B rows: one gemv
+                    # per model, so no model's sum depends on another's
+                    np.matmul(vi3, xb, out=h3)
+                    h /= size2
+                    np.multiply(la, wa, out=gw)
+                    gw -= h
+                    gw *= ej2
+                    wa -= gw
+                    # +-1 and +-0 sum to an exact integer in any order, and b
+                    # is never -0, so the sign of a zero sum cannot reach it:
+                    # one gemv against ones sums each model's violators
+                    np.matmul(vi, ones, out=gb)
+                    gb /= size
+                    gb *= ej
+                    ba += gb  # bit for bit b - eta * (-sum / size)
+    except FloatingPointError as exc:
+        raise TrainingError(
+            f"{dtype} overflow in training: feature values this large need "
+            "rescaling, for example by scale: minmax"
+        ) from exc
 
     weights[order] = w
     bias[order] = b

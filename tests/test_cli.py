@@ -699,6 +699,23 @@ def test_feature_beyond_single_precision_stops_experiment_before_any_compute(
     assert not out.exists()
 
 
+def test_float32_overflow_in_training_fails_the_experiment(tmp_path, capsys):
+    # toy_b's second blob is centred at x1 = 1e20: inside float32's range,
+    # so the range rule lets it through, but a training margin is about
+    # |x|^2 and overflows. The run fails with the remedy and no --out
+    out = tmp_path / "results"
+    path = tmp_path / "config.yaml"
+    path.write_text(CONFIG.format(out=out).replace("[[0, 0], [4, 4]]", "[[0, 0], [4, 1.0e+20]]"))
+    assert main(["experiment", "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: dataset 'toy_b': float32 overflow in training: feature values this "
+        "large need rescaling, for example by scale: minmax\n"
+    )
+    assert not out.exists()
+
+
 def test_dataset_error_at_load_names_the_dataset(tmp_path, capsys):
     # the dataset type rejects the duplicate feature name; the load adds
     # the name of the dataset it was reading

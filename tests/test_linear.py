@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -263,26 +264,28 @@ class TestLockstep:
                 assert abs(b_k - b) <= 1e-12 * (1 + abs(b))
 
     def test_fit_alone_equals_fit_in_group(self):
-        # at d = 1 einsum sums each minibatch in SIMD lanes, so a model's
-        # bits would depend on how wide the run pads its minibatches; the
-        # last six problems are shorter than one (here a 13-row problem
-        # padded to its own size instead of batch_size gets other bits).
-        # A float32 matrix trains in float32, whose lanes are twice as many
-        for dtype in (np.float64, np.float32):
-            for d in (1, 2, 3, 60):
-                rng = np.random.default_rng(3)
-                X = rng.normal(size=(300, d)).astype(dtype)
-                sizes = (250, 41, 120, 33, 9, 20, 13, 25, 7, 30)
-                rows = [rng.choice(300, size=k, replace=False) for k in sizes]
-                targets = [(X[r, 0] + rng.normal(0, 0.5, r.size) > 0).astype(int) for r in rows]
-                seeds = range(1, len(sizes) + 1)
-                cfg = TrainConfig(epochs=12)
-                weights, bias, constant = fit_lockstep(X, rows, targets, seeds, cfg)
-                assert constant == []
-                for k, (r, y, seed) in enumerate(zip(rows, targets, seeds)):
-                    w, b = fit_one(X[r], y, replace(cfg, seed=seed))
-                    assert np.array_equal(w, weights[k])
-                    assert b == bias[k]
+        # each model's hinge sum is its own gemv over its own batch_size
+        # rows, padded when its minibatch is shorter, so a model's bits must
+        # not depend on the models that share its run. The last six problems
+        # are shorter than one minibatch of 32; OpenBLAS takes a different
+        # gemv path at 4, 32 and 64 rows, so each batch size is checked
+        for batch_size in (4, 32, 64):
+            for dtype in (np.float64, np.float32):
+                for d in (1, 2, 3, 60):
+                    rng = np.random.default_rng(3)
+                    X = rng.normal(size=(300, d)).astype(dtype)
+                    sizes = (250, 41, 120, 33, 9, 20, 13, 25, 7, 30)
+                    rows = [rng.choice(300, size=k, replace=False) for k in sizes]
+                    targets = [(X[r, 0] + rng.normal(0, 0.5, r.size) > 0).astype(int)
+                               for r in rows]
+                    seeds = range(1, len(sizes) + 1)
+                    cfg = TrainConfig(epochs=12, batch_size=batch_size)
+                    weights, bias, constant = fit_lockstep(X, rows, targets, seeds, cfg)
+                    assert constant == []
+                    for k, (r, y, seed) in enumerate(zip(rows, targets, seeds)):
+                        w, b = fit_one(X[r], y, replace(cfg, seed=seed))
+                        assert np.array_equal(w, weights[k])
+                        assert b == bias[k]
 
     def test_float32_matrix_trains_in_float32(self):
         # the weights come back as float64, every one of them a float32
@@ -300,6 +303,22 @@ class TestLockstep:
         assert not np.array_equal(w32, w64)
         assert np.abs(w32 - w64).max() <= 1e-4 * np.abs(w64).max()
         assert np.abs(b32 - b64).max() <= 1e-4 * (1 + np.abs(b64).max())
+
+    def test_float32_overflow_is_a_training_error(self):
+        # features near 1e20 are finite in float32, but a margin is about
+        # |x|^2 after one step and overflows; the fit raises, and numpy's
+        # overflow warning is not printed
+        rng = np.random.default_rng(5)
+        X = (rng.normal(size=(64, 2)) * 1e20).astype(np.float32)
+        y = (X[:, 0] > 0).astype(int)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(TrainingError) as info:
+                fit_lockstep(X, [np.arange(64)], [y], [1], TrainConfig(epochs=2))
+        assert str(info.value) == (
+            "float32 overflow in training: feature values this large need rescaling, "
+            "for example by scale: minmax"
+        )
 
     def test_other_dtypes_train_in_float64(self):
         # an integer or float16 matrix is converted to float64, as a list is
