@@ -38,10 +38,12 @@ class ClusterAssignment:
 
 def _sq_dists(X: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray) -> np.ndarray:
     # (n, k) squared Euclidean distances, with x_sq the squared norms of
-    # X's rows; clip guards tiny negatives
+    # X's rows; clip guards tiny negatives. Doubling the (n, k) product,
+    # not X, spares a scaled copy of X; doubling is exact, so the bits are
+    # those of (2X) @ C^T wherever the products are normal floats
     d2 = (
         x_sq[:, None]
-        - 2.0 * X @ centroids.T
+        - 2.0 * (X @ centroids.T)
         + (centroids * centroids).sum(axis=1)[None, :]
     )
     return np.maximum(d2, 0.0)

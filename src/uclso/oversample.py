@@ -154,8 +154,10 @@ def neighbours(points: np.ndarray, m: int, rows: np.ndarray) -> np.ndarray:
     m of a stable sort of each requested row by that distance, the same at
     any SORT_ROWS and any BLAS thread count. Requested rows are searched
     SORT_ROWS at a time: one single-precision BLAS product gives their
-    expanded-form distances to every point, which only pick the candidates
-    whose difference form is computed, so memory stays
+    expanded-form distances to every point. These pick each row's
+    candidates, and they order the row's m nearest alone wherever their
+    gaps are wide enough to decide that order; the difference form is
+    computed only for the other rows' candidates. Memory stays
     O(SORT_ROWS * p + MIN_PAIRS * d). The points must be finite."""
     points = np.asarray(points, dtype=float)
     rows = np.asarray(rows)
@@ -198,6 +200,19 @@ def neighbours(points: np.ndarray, m: int, rows: np.ndarray) -> np.ndarray:
     # operations, each off by under float32's tiny). A row with s_i past
     # float32's max / 8, where the product may overflow, takes every point
     # as a candidate; below it, no value the filter computes overflows.
+    # The filter alone orders a row whose candidates, sorted by g, have
+    # their first min(m + 1, count) values more than 2 slack apart. With
+    # E_i = e_i plus the absolute term, slack > 2 E_i, and a g gap above
+    # 2 E_i puts the two difference forms in the same strict order. Every
+    # later candidate lies at least one such gap above the m-th. A
+    # non-candidate lies above the rounded threshold, so above t_i + 2 E_i,
+    # and the m-th candidate is the row's m-th smallest entry, at most t_i.
+    # So the first m by g are the m nearest, in order, with no tie in the
+    # difference form for the lower index to break. The gaps are float64
+    # differences of float32 values, and rounding is monotone, so a computed
+    # gap above the bound is a true one. Plain slack would do; the factor 2
+    # keeps a margin over the derivation. Other rows, and every row of
+    # infinite slack (no gap exceeds it), take the difference form.
     u = 2.0**-24
     single = np.finfo(np.float32)
     centred = points - points.mean(axis=0)
@@ -227,7 +242,7 @@ def _chunk_neighbours(
 ) -> np.ndarray:
     """neighbours for the rows `chunk`, given the centred float32 points w,
     their squared norms and each row's filter slack (inf: every point is a
-    candidate)."""
+    candidate, and the row takes the difference form)."""
     p, d = points.shape
     own = (np.arange(chunk.size), chunk)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -241,21 +256,49 @@ def _chunk_neighbours(
     del low
     row_slack = slack[chunk]
     cand = g <= (kth + row_slack).astype(np.float32)[:, None]
-    del g
     cand[np.isinf(row_slack)] = True
     cand[own] = False
-    r, c = np.divmod(np.flatnonzero(cand), p)
+    counts = cand.sum(axis=1)
+    c = cand.ravel().nonzero()[0]
     del cand
+    filt = g.ravel()[c]
+    del g
+    c %= p  # each row's candidate columns, ascending
+    # each row's filter values, sorted in a block padded with inf
+    block = np.full((chunk.size, counts.max()), np.inf, dtype=np.float32)
+    block[np.arange(block.shape[1]) < counts[:, None]] = filt
+    del filt
+    pick = np.argsort(block, axis=1, kind="stable")[:, :m + 1]
+    top = block[np.arange(chunk.size)[:, None], pick].astype(float)
+    del block
+    neigh = c[pick[:, :m] + (np.cumsum(counts) - counts)[:, None]]
+    del pick
+    with np.errstate(invalid="ignore"):  # inf - inf in a row of infinite slack
+        decided = (top[:, 1:] - top[:, :-1] > 2 * row_slack[:, None]).all(axis=1)
+    if not decided.all():
+        rest = ~decided
+        c = c[np.repeat(rest, counts)]
+        neigh[rest] = _exact_neighbours(points, chunk[rest], c, counts[rest], m)
+    return neigh
+
+
+def _exact_neighbours(
+    points: np.ndarray, rows: np.ndarray, c: np.ndarray, counts: np.ndarray, m: int
+) -> np.ndarray:
+    """The first m of each requested row's candidates by the difference
+    form, ties to the lower index: c holds the candidates of points[rows]
+    row by row, counts[i] of them for row i, ascending within each row."""
+    p, d = points.shape
+    r = np.repeat(np.arange(rows.size), counts)
     # the requested rows are gathered once; the two gathers of a slice
     # hold at most max(SORT_ROWS x p, 2 MIN_PAIRS x d) coordinates
-    requested = points[chunk]
+    requested = points[rows]
     dist = np.empty(r.size)
     step = max(MIN_PAIRS, SORT_ROWS * p // (2 * d))
     for a in range(0, r.size, step):
         dist[a:a + step] = _difference_form(requested, r[a:a + step], points, c[a:a + step])
     # c ascends within each row, and lexsort is stable: ties go to the lower index
     order = np.lexsort((dist, r))
-    counts = np.bincount(r, minlength=chunk.size)
     first = np.cumsum(counts) - counts
     return c[order[first[:, None] + np.arange(m)]]
 
@@ -302,8 +345,10 @@ def _synthesize(
     count = out.shape[0]
     m = min(m_neighbors, pool.size - 1)
     slot = rng.integers(pool.size, size=count)
-    # neighbour lists only for the rows drawn as parents
-    parents, which = np.unique(slot, return_inverse=True)
+    # neighbour lists only for the rows drawn as parents, in ascending order
+    hits = np.bincount(slot, minlength=pool.size)
+    parents = np.flatnonzero(hits)
+    which = (np.cumsum(hits > 0) - 1)[slot]
     near = neighbours(points, m, parents)[which, rng.integers(m, size=count)]
     # high - low rounds to 1, so r lies in [tiny, 1 - 2**-53]: never 0 or 1
     r = rng.uniform(np.finfo(float).tiny, 1.0, count)

@@ -1,8 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from uclso import clustering
 from uclso.clustering import ClusteringError, kmeans
 
 
@@ -103,6 +106,29 @@ class TestKmeansProperties:
         assert res.inertia == history[-1]
         if k == X.shape[0]:
             assert res.inertia == pytest.approx(0.0, abs=1e-9)
+
+    @given(seed=st.integers(0, 2**32 - 1), exponent=st.integers(-150, 150),
+           n=st.integers(1, 60), d=st.integers(1, 6), k=st.integers(1, 8))
+    @settings(max_examples=100, deadline=None)
+    def test_distance_pass_bits_equal_doubling_the_data_first(self, seed, exponent, n, d, k):
+        # the cross term doubles X @ C^T, where it once doubled X: at these
+        # scales every product and partial sum is a normal float, where
+        # doubling is exact, so every bit of the result stays the same
+        def doubled_data_first(X, x_sq, centroids):
+            d2 = (x_sq[:, None] - 2.0 * X @ centroids.T
+                  + (centroids * centroids).sum(axis=1)[None, :])
+            return np.maximum(d2, 0.0)
+
+        rng = np.random.default_rng(seed)
+        X = rng.integers(-40, 41, size=(n, d)) / 8 * 10.0**exponent
+        k = min(k, n)
+        got = kmeans(X, k, seed=seed)
+        with mock.patch.object(clustering, "_sq_dists", doubled_data_first):
+            want = kmeans(X, k, seed=seed)
+        assert got.assignment.tobytes() == want.assignment.tobytes()
+        assert got.centroids.tobytes() == want.centroids.tobytes()
+        assert got.inertia_history == want.inertia_history
+        assert got.iterations_run == want.iterations_run
 
 
 class TestClusterMembers:

@@ -415,6 +415,65 @@ def chunked_neighbours(points, m, rows, chunk):
         oversample.SORT_ROWS = saved
 
 
+
+def filter_slack(points):
+    """The filter's slack per point, as `neighbours` works it out, without
+    its absolute underflow term."""
+    u, d = 2.0**-24, points.shape[1]
+    centred = points - points.mean(axis=0)
+    norms = (centred * centred).sum(axis=1)
+    return 2 * 8 * (d + 2) * u / (1 - (d + 2) * u) * (norms + norms.max())
+
+
+@st.composite
+def gap_edge_pools(draw):
+    """(points, m) whose filter gaps sit at the edge of the gap test that
+    lets the float32 filter order a row alone: duplicated points (zero
+    gaps beside wide ones); coarse integer grids, some far from 0 (exact
+    ties); near-ties, shells around a few centres whose squared radii step
+    by 1e-3 to 4 times the filter's slack; or pools of BLOCK_MIN_POOL - 1
+    to + 1 points with m about p / 8, where the threshold switches between
+    a partition and block minima."""
+    kind = draw(st.sampled_from(["duplicates", "grid", "near_ties", "block_edge"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(1, 8))
+    m = None
+    if kind == "duplicates":
+        p = draw(st.integers(20, 400))
+        points = rng.normal(size=(p, d))
+        copies = draw(st.integers(1, p // 2))
+        points[rng.integers(p, size=copies)] = points[rng.integers(p, size=copies)]
+    elif kind == "grid":
+        p = draw(st.integers(20, 400))
+        offset = draw(st.sampled_from([0.0, 1e3, 1e6]))
+        points = offset + rng.integers(0, draw(st.integers(2, 6)), size=(p, d))
+    elif kind == "near_ties":
+        centres, shell = draw(st.integers(1, 6)), draw(st.integers(2, 12))
+        directions = rng.normal(size=(centres, shell, d))
+        directions /= np.linalg.norm(directions, axis=2, keepdims=True)
+        steps = rng.permuted(np.tile(np.arange(shell), (centres, 1)), axis=1)
+        middle = 4 * rng.normal(size=(centres, 1, d))
+
+        def pool(step):
+            radii = np.sqrt(1.0 + step * steps)[:, :, None]
+            return np.concatenate([middle, middle + radii * directions], axis=1).reshape(-1, d)
+
+        step = draw(st.sampled_from([1e-3, 0.25, 0.5, 1.0, 1.5, 2.0, 4.0]))
+        points = pool(step * filter_slack(pool(0.0)).max())
+        m = draw(st.integers(1, shell))
+    else:
+        p = oversample.BLOCK_MIN_POOL + draw(st.integers(-1, 1))
+        levels = draw(st.sampled_from([0, 3, 6, 12]))  # 0: Gaussian points
+        if levels:
+            points = rng.integers(0, levels, size=(p, d)) / 4.0
+        else:
+            points = rng.normal(size=(p, d))
+        m = p // 8 + draw(st.integers(-1, 1))
+    if m is None:
+        m = draw(st.integers(1, min(8, points.shape[0] - 1)))
+    return points, m
+
+
 # lists of tiny, mid-size and wide pools, hashed in a fresh process so that
 # the BLAS thread count can be set; at d = 60 the filter's BLAS product has
 # other bits with one thread than with two
@@ -550,6 +609,38 @@ class TestNeighbours:
 
     def test_no_rows_no_lists(self):
         assert neighbours(np.zeros((3, 1)), 2, np.array([], dtype=np.intp)).shape == (0, 2)
+
+
+class TestFilterOrder:
+    """Rows whose filter gaps decide their order skip the difference form;
+    the lists stay those of the full sort."""
+
+    @given(pool=gap_edge_pools())
+    @settings(max_examples=80, deadline=None)
+    def test_gap_edge_pools_equal_full_sort(self, pool):
+        points, m = pool
+        want = brute_force_neighbours(points, m)
+        rows = np.arange(points.shape[0])
+        for chunk in (1, 7, 256):
+            assert np.array_equal(chunked_neighbours(points, m, rows, chunk), want)
+
+    def test_most_wide_rows_skip_the_difference_form(self, monkeypatch):
+        # blobs in 60 dimensions, as the wide benchmark workload draws
+        # them: about 6% of these rows reach the difference form
+        rng = np.random.default_rng(21)
+        centres = rng.normal(0.0, 0.6, (8, 60))
+        points = centres[rng.integers(8, size=1500)] + rng.normal(size=(1500, 60))
+        reached = []
+        difference_form = oversample._difference_form
+
+        def counted(left, i, right, j):
+            reached.append(np.unique(i).size)
+            return difference_form(left, i, right, j)
+
+        monkeypatch.setattr(oversample, "_difference_form", counted)
+        got = neighbours(points, 5, np.arange(1500))
+        assert sum(reached) <= 1500 // 5
+        assert np.array_equal(got, brute_force_neighbours(points, 5))
 
 
 class TestSynthesisPaths:
