@@ -15,6 +15,7 @@ import argparse
 import csv
 import io
 import json
+import math
 import os
 import shutil
 import sys
@@ -30,6 +31,7 @@ from .clustering import check_k, kmeans
 from .config import ConfigError, DatasetSource, ExperimentConfig, load_config
 from .dataset import (
     DatasetError,
+    check_row_norms,
     compute_stats,
     filter_labels,
     make_fold_plan,
@@ -160,16 +162,24 @@ def _naming(source: DatasetSource) -> Iterator[None]:
         raise DatasetError(f"dataset {source.name!r}: {exc}") from exc
 
 
+# with R the largest row norm, k-means' expanded squared distances and
+# their partial sums stay within 4 R^2, and the neighbour filter's sums of
+# centred squared norms within 8 R^2: all finite in float64 while 8 R^2 is
+DISTANCE_NORM_LIMIT = math.sqrt(sys.float_info.max / 8)
+
+
 def _per_dataset(cfg: ExperimentConfig, write, clustered: bool) -> int:
-    """Load and prepare every dataset, checking k_clusters against its rows
-    if `clustered`. Then call write(cfg, ds, assign, dataset, out) on each,
-    `assign` its k-means clustering (or None), `out` the staging directory."""
+    """Load and prepare every dataset, checking its row norms against
+    DISTANCE_NORM_LIMIT and, if `clustered`, k_clusters against its rows.
+    Then call write(cfg, ds, assign, dataset, out) on each, `assign` its
+    k-means clustering (or None), `out` the staging directory."""
     k = cfg.oversample.k_clusters
     prepared = []
     for source in cfg.datasets:
         ds = source.load()
         with _naming(source):
             ds = cfg.prepare(ds)
+            check_row_norms(ds, DISTANCE_NORM_LIMIT, "whose squared distances stay finite")
             if clustered:
                 check_k(k, ds.n)
             prepared.append((source, ds))
@@ -259,8 +269,8 @@ def cmd_experiment(cfg: ExperimentConfig) -> int:
         ds = source.load()
         with _naming(source):
             ds = cfg.prepare(ds)
-            check_training_range(ds)
             plan = make_fold_plan(ds.n, cfg.cv_reps, cfg.cv_folds, cfg.seed)
+            check_training_range(ds, plan, cfg.train)
             if "uclso" in cfg.methods:
                 # uclso clusters training folds of n - ceil(n / folds) rows or more
                 check_k(cfg.oversample.k_clusters, ds.n - -(-ds.n // cfg.cv_folds))

@@ -3,6 +3,7 @@ cross-validation fold planning and synthetic toy-data generation."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -295,3 +296,20 @@ def scale_min_max(ds: MultiLabelDataset) -> MultiLabelDataset:
     span = np.where(hi > lo, width, 1.0)
     scaled = (ds.features - lo) / span
     return replace(ds, features=scaled)
+
+
+def check_row_norms(ds: MultiLabelDataset, limit: float, reason: str) -> None:
+    """Raise DatasetError if a row's Euclidean norm is past limit, naming
+    the first row of largest norm, its norm and the limit, `reason` saying
+    what the limit keeps. The squared norms are summed row by row, with no
+    temporary the size of the features. Past about 1.3e154 they overflow:
+    the first such row is named, its norm worked out without overflow."""
+    with np.errstate(over="ignore"):
+        squares = np.einsum("ij,ij->i", ds.features, ds.features)
+    row = int(np.argmax(squares))
+    norm = math.hypot(*ds.features[row])
+    if norm > limit:
+        raise DatasetError(
+            f"row {row} has norm {norm!r}, past {limit!r}, the largest {reason}: "
+            "rescale the features, for example by scale: minmax"
+        )

@@ -18,9 +18,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clustering import kmeans
-from .dataset import DatasetError, FoldPlan, MultiLabelDataset
-from .linear import TrainConfig, fit_lockstep, score
+from .clustering import ClusterAssignment, kmeans
+from .dataset import FoldPlan, MultiLabelDataset, check_row_norms
+from .linear import TrainConfig, fit_lockstep, norm_limit, score
 from .metrics import auc_label, confusion, f1_label, macro_average
 from .oversample import (
     LabelUnusableError,
@@ -94,6 +94,21 @@ class MetricReport:
         return out
 
 
+@dataclass(frozen=True, eq=False)
+class _Unit:
+    """One (cell, method) unit as run_cv plans it for _fit_group."""
+
+    method: str
+    train: MultiLabelDataset  # the cell's training rows, shared by its units
+    rep: int
+    fold: int
+    test_idx: np.ndarray
+    oversample: OversampleConfig  # seeded for the cell
+    assign: ClusterAssignment | None  # uclso's clustering of the training rows
+    draws: list  # label_draws per label
+    stores_base: bool  # the first of its cell's units in the group
+
+
 def _cell_seed(base: int, rep: int, fold: int) -> int:
     return int(np.random.SeedSequence([base, rep, fold]).generate_state(1)[0])
 
@@ -151,20 +166,16 @@ def _score_cell(
     )
 
 
-def check_training_range(ds: MultiLabelDataset) -> None:
-    """Raise DatasetError naming the first feature value, in row order,
-    whose magnitude is past float32's largest: the training matrix is
-    float32, where that value would round to inf."""
-    limit = float(np.finfo(np.float32).max)
-    X = ds.features
-    if X.max() <= limit and X.min() >= -limit:
-        return
-    row, col = np.argwhere(np.abs(X) > limit)[0]
-    raise DatasetError(
-        f"feature {ds.feature_names[col]!r} holds the value {float(X[row, col])!r} "
-        f"in row {row}, beyond the single-precision range of training "
-        f"(magnitude at most {limit!r})"
-    )
+def check_training_range(ds: MultiLabelDataset, plan: FoldPlan, cfg: TrainConfig) -> None:
+    """Raise DatasetError, before any compute, if a row's norm is past
+    linear.norm_limit for models of 2n rows, n the plan's largest training
+    fold. Label l's model trains on the fold's n rows and its synthetic
+    points, at most n_maj <= n of them: each quota's ceiling adds under
+    one point per cluster that holds minority points, and at most n_min
+    clusters hold any. Synthetic points are convex combinations of the
+    fold's rows, so no training row's norm exceeds the dataset's largest."""
+    n = max(sum(map(len, folds)) - min(map(len, folds)) for folds in plan.assignments)
+    check_row_norms(ds, norm_limit(cfg, 2 * n), "that float32 training keeps in range")
 
 
 # Size of one lockstep group, in matrix elements: each training row is
@@ -177,7 +188,8 @@ GROUP_ELEMENTS = 1 << 20
 
 
 def _fit_group(
-    ds: MultiLabelDataset, train_cfg: TrainConfig, group: list, size: int, cells: dict
+    ds: MultiLabelDataset, train_cfg: TrainConfig, group: list[_Unit], size: int,
+    cells: dict
 ) -> None:
     """Lay out the group's units, as run_cv planned them, in one matrix of
     `size` rows, fit every (cell, method, label) model in one lockstep run
@@ -187,24 +199,25 @@ def _fit_group(
     l's model trains on the base rows (targets: its column) and its block
     (targets: 1), under a seed derived from (cell seed, l). The matrix is
     float32: base rows and synthetic points are each rounded to it once,
-    and the models train in float32 (see check_training_range)."""
+    and the models train in float32, in range by check_training_range."""
     X = np.empty((size, ds.d), dtype=np.float32)
     index = np.int32 if size <= np.iinfo(np.int32).max else np.intp  # as fit_lockstep's
     rows, targets, seeds = [], [], []
     end = 0
-    for _, train_ds, (rep, fold, _), os_cfg, assign, draws, stores_base in group:
-        if stores_base:
+    for unit in group:
+        train_ds, os_cfg = unit.train, unit.oversample
+        if unit.stores_base:
             X[end:end + train_ds.n] = train_ds.features
             base = np.arange(end, end + train_ds.n, dtype=index)
             end += train_ds.n
         labels = train_ds.labels.astype(np.int8)
-        cell_seed = _cell_seed(train_cfg.seed, rep, fold)
-        for l, plan in enumerate(draws):
+        cell_seed = _cell_seed(train_cfg.seed, unit.rep, unit.fold)
+        for l, plan in enumerate(unit.draws):
             count = synthetic_count(plan)
             # each label's points land in X; its provenance is dropped with it
             usable = not isinstance(plan, LabelUnusableError)
             if usable and os_cfg.mode == "uclso":
-                uclso_augment(train_ds, assign, l, os_cfg, X[end:end + count], plan)
+                uclso_augment(train_ds, unit.assign, l, os_cfg, X[end:end + count], plan)
             elif usable and os_cfg.mode == "smote":
                 smote_augment(train_ds, l, os_cfg, X[end:end + count], plan)
             rows.append(np.concatenate([base, np.arange(end, end + count, dtype=index)]))
@@ -214,15 +227,15 @@ def _fit_group(
     weights, bias, constant = fit_lockstep(X, rows, targets, seeds, train_cfg)
 
     q = ds.q
-    for u, (name, _, (rep, fold, test_idx), *_) in enumerate(group):
-        cells[name].append(_score_cell(
+    for u, unit in enumerate(group):
+        cells[unit.method].append(_score_cell(
             ds,
-            test_idx,
+            unit.test_idx,
             weights[u * q:(u + 1) * q],
             bias[u * q:(u + 1) * q],
             tuple(ds.label_names[i - u * q] for i in constant if i // q == u),
-            rep,
-            fold,
+            unit.rep,
+            unit.fold,
         ))
 
 
@@ -245,19 +258,20 @@ def run_cv(
        run.
     4. Score each unit on its cell's test rows.
 
-    A feature value past float32's range raises DatasetError before the
-    first cell (check_training_range). threads is accepted for
-    compatibility and ignored: cells run in order in this thread.
+    A row whose norm could take float32 training out of range raises
+    DatasetError before the first cell (check_training_range), so no cell
+    fails once computed. threads is accepted for compatibility and
+    ignored: cells run in order in this thread.
     """
     if not methods:
         raise ValueError("need at least one method")
     names = [m.name for m in methods]
     if len(set(names)) != len(names):
         raise ValueError("duplicate method names")
-    check_training_range(ds)
+    check_training_range(ds, plan, train_cfg)
     max_rows = GROUP_ELEMENTS // (ds.d + ds.q)
     cells: dict[str, list[FoldCell]] = {name: [] for name in names}
-    group: list = []
+    group: list[_Unit] = []
     group_rows = 0
     for rep in range(plan.repetitions):
         for fold in range(plan.folds_per_rep):
@@ -272,11 +286,11 @@ def run_cv(
                     assign = kmeans(train_ds.features, os_cfg.k_clusters, seed=os_cfg.seed)
                 draws = [label_draws(train_ds, os_cfg, assign, l) for l in range(ds.q)]
                 # the cell's base rows are stored once per group, by its first unit
-                stores_base = not group or group[-1][1] is not train_ds
+                stores_base = not group or group[-1].train is not train_ds
                 if stores_base:
                     group_rows += train_ds.n
-                cell = (rep, fold, test_idx)
-                group.append((method.name, train_ds, cell, os_cfg, assign, draws, stores_base))
+                group.append(_Unit(method.name, train_ds, rep, fold, test_idx, os_cfg,
+                                   assign, draws, stores_base))
                 group_rows += sum(map(synthetic_count, draws))
                 if group_rows >= max_rows:
                     _fit_group(ds, train_cfg, group, group_rows, cells)

@@ -15,17 +15,24 @@ its temporaries are buffers allocated once per fit. A model's arithmetic
 does not depend on which other models share its run, so fitting it alone
 or with any other models gives bit-equal weights. A float32 row matrix
 trains in float32, at half the bytes per step; any other trains in
-float64. A fit that overflows its dtype raises TrainingError. A fit
-returns each model's weight row and bias only, as float64; it computes
-no loss.
+float64. The epoch loop has no error path: `norm_limit` bounds the row
+norms at which float32 training stays in range, and `experiment` checks
+that bound before any compute. A fit returns each model's weight row and
+bias only, as float64; it computes no loss.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
+
+F32_MAX = float(np.finfo(np.float32).max)
+# the smallest reg_c: lambda = 1 / (reg_c * n) <= 1 / reg_c stays at most
+# F32_MAX / 4, also when it is rounded to float32
+REG_C_FLOOR = 4 / F32_MAX
 
 
 class TrainingError(ValueError):
@@ -43,6 +50,33 @@ class TrainConfig:
         # not > 0 also rejects a NaN reg_c, which would make every weight NaN
         if not self.reg_c > 0 or self.epochs < 1 or self.batch_size < 1:
             raise TrainingError("reg_c, epochs and batch_size must be positive")
+        if self.reg_c < REG_C_FLOOR:
+            raise TrainingError(
+                f"reg_c must be at least {REG_C_FLOOR!r} (4 / float32's largest "
+                f"value), got {self.reg_c!r}"
+            )
+
+
+def norm_limit(cfg: TrainConfig, rows: int) -> float:
+    """The largest row norm R at which fit_lockstep on a float32 matrix
+    keeps every value inside float32's range, for models of at most `rows`
+    rows.
+
+    Let F be float32's largest value, B the batch size and T = epochs *
+    ceil(rows / B), the most steps a model takes. The update w <- (1 - eta
+    lambda) w + eta h / size has 0 < eta lambda < 1 and |h / size| <= R,
+    so by induction |w| <= R / lambda = R reg_c n_i <= R reg_c rows. The
+    bias moves by at most eta <= 1 a step, so |b| <= T. Every margin, and
+    every partial sum of one, is then at most R^2 reg_c rows + T, and a
+    minibatch's hinge sum before its division at most B R. The limit keeps
+    both at most F / 4, the factor 4 covering float32's rounding. B R <= F
+    / 4 also keeps every feature finite in float32, and REG_C_FLOOR keeps
+    lambda at most F / 4.
+    """
+    quarter = F32_MAX / 4
+    steps = cfg.epochs * -(-rows // cfg.batch_size)
+    room = quarter - steps if steps < quarter else 0.0
+    return min(math.sqrt(room / (cfg.reg_c * rows)), quarter / cfg.batch_size)
 
 
 def fit_lockstep(
@@ -69,9 +103,9 @@ def fit_lockstep(
     A float32 X trains in float32: weights, bias, margins, violators and
     updates. Any other X is converted to float64 and trains in it. The
     step sizes are worked out in float64 and rounded to the training
-    dtype once per epoch, lambda once per fit. An overflow or invalid
-    value in the training dtype, as float32 margins of features near 1e20
-    give, raises TrainingError.
+    dtype once per epoch, lambda once per fit. Rows of norm at most
+    norm_limit(cfg, max n_i) keep every float32 value finite; the loop
+    does not check.
     """
     X = np.asarray(X)
     if X.dtype != np.float32:
@@ -79,7 +113,7 @@ def fit_lockstep(
     dtype = X.dtype
     if X.ndim != 2:
         raise TrainingError("X must be a 2-d matrix")
-    # a synthetic row between two finite points can still overflow to inf
+    # a NaN or inf would spread to every weight of the models that read it
     if not np.isfinite(X).all():
         raise TrainingError("non-finite feature values")
     d = X.shape[1]
@@ -147,45 +181,38 @@ def fit_lockstep(
                       hinge[:a, 0], grad_w[:a], grad_b[:a], w[:a], w[:a, :, None],
                       b[:a], b[:a, None], lam_w[:a, None], batch[j, :a],
                       batch[j, :a, None], eta[j, :a], eta[j, :a, None]))
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            for epoch in range(cfg.epochs):
-                for rng, r, s, r_e, s_e_k in models:
-                    perm = rng.permutation(r.size)
-                    r.take(perm, out=r_e, mode="clip")
-                    s.take(perm, out=s_e_k, mode="clip")
-                # step size of each model's minibatch j: its t-th step overall
-                t = (epoch * steps + 1 + step).astype(float)
-                eta[:] = 1.0 / (1.0 + lam * t)
-                for (rj, sj, xb, m3, m, act, vi3, vi, h3, h, gw, gb, wa, wa3, ba, ba2, la,
-                     size, size2, ej, ej2) in views:
-                    X.take(rj, axis=0, out=xb, mode="clip")
-                    np.matmul(xb, wa3, out=m3)
-                    m += ba2
-                    m *= sj
-                    np.less(m, 1.0, out=act)
-                    # signed, as sj * 0.0
-                    np.multiply(sj, act, out=vi, dtype=dtype)
-                    # each model's violators summed over its B rows: one gemv
-                    # per model, so no model's sum depends on another's
-                    np.matmul(vi3, xb, out=h3)
-                    h /= size2
-                    np.multiply(la, wa, out=gw)
-                    gw -= h
-                    gw *= ej2
-                    wa -= gw
-                    # +-1 and +-0 sum to an exact integer in any order, and b
-                    # is never -0, so the sign of a zero sum cannot reach it:
-                    # one gemv against ones sums each model's violators
-                    np.matmul(vi, ones, out=gb)
-                    gb /= size
-                    gb *= ej
-                    ba += gb  # bit for bit b - eta * (-sum / size)
-    except FloatingPointError as exc:
-        raise TrainingError(
-            f"{dtype} overflow in training: feature values this large need "
-            "rescaling, for example by scale: minmax"
-        ) from exc
+    for epoch in range(cfg.epochs):
+        for rng, r, s, r_e, s_e_k in models:
+            perm = rng.permutation(r.size)
+            r.take(perm, out=r_e, mode="clip")
+            s.take(perm, out=s_e_k, mode="clip")
+        # step size of each model's minibatch j: its t-th step overall
+        t = (epoch * steps + 1 + step).astype(float)
+        eta[:] = 1.0 / (1.0 + lam * t)
+        for (rj, sj, xb, m3, m, act, vi3, vi, h3, h, gw, gb, wa, wa3, ba, ba2, la,
+             size, size2, ej, ej2) in views:
+            X.take(rj, axis=0, out=xb, mode="clip")
+            np.matmul(xb, wa3, out=m3)
+            m += ba2
+            m *= sj
+            np.less(m, 1.0, out=act)
+            # signed, as sj * 0.0
+            np.multiply(sj, act, out=vi, dtype=dtype)
+            # each model's violators summed over its B rows: one gemv
+            # per model, so no model's sum depends on another's
+            np.matmul(vi3, xb, out=h3)
+            h /= size2
+            np.multiply(la, wa, out=gw)
+            gw -= h
+            gw *= ej2
+            wa -= gw
+            # +-1 and +-0 sum to an exact integer in any order, and b
+            # is never -0, so the sign of a zero sum cannot reach it:
+            # one gemv against ones sums each model's violators
+            np.matmul(vi, ones, out=gb)
+            gb /= size
+            gb *= ej
+            ba += gb  # bit for bit b - eta * (-sum / size)
 
     weights[order] = w
     bias[order] = b

@@ -173,6 +173,11 @@ class TestStats:
             pytest.param("epochs: 6", "epochs: 6, reg_c: .nan",
                          "invalid train config: reg_c, epochs and batch_size must be positive",
                          id="reg_c_nan"),
+            # below its floor lambda = 1 / (reg_c * n) would overflow float32
+            pytest.param("epochs: 6", "epochs: 6, reg_c: 1.0e-45",
+                         "invalid train config: reg_c must be at least "
+                         "1.175494420887215e-38 (4 / float32's largest value), got 1e-45",
+                         id="reg_c_below_floor"),
             pytest.param("methods:", "filter: {max_ir: yes}\nmethods:",
                          "filter: max_ir must be a number, got True", id="max_ir_bool"),
             # a dataset name becomes file names and toy-gen's @relation line
@@ -671,13 +676,18 @@ def test_non_finite_toy_feature_is_rejected(tmp_path, capsys):
     assert not out.exists()
 
 
+# toy_b's largest training fold has 50 rows; its models train on at most
+# 100 rows for 6 epochs of 4 steps each
+TRAINING_LIMIT = "past 9.223371761976864e+17, the largest that float32 training keeps in range"
+
+
 @pytest.mark.parametrize("command", ["stats", "cluster", "oversample", "experiment"])
 def test_feature_beyond_single_precision_stops_experiment_before_any_compute(
         tmp_path, capsys, monkeypatch, command):
     # toy_b's second blob is centred at x1 = 1e39: finite, so every command
-    # can load it, but past float32's range, where the experiment's
-    # training matrix would hold inf. toy_a is checked first and is fine,
-    # and neither dataset reaches run_cv
+    # can load it and its distances stay finite, but past float32's range.
+    # The training range rule rejects it: toy_a is checked first and is
+    # fine, and neither dataset is clustered or trained on
     out = tmp_path / "results"
     path = tmp_path / "config.yaml"
     path.write_text(CONFIG.format(out=out).replace("[[0, 0], [4, 4]]", "[[0, 0], [4, 1.0e+39]]"))
@@ -686,33 +696,65 @@ def test_feature_beyond_single_precision_stops_experiment_before_any_compute(
         assert out.is_dir()
         return
     calls = []
-    monkeypatch.setattr("uclso.cli.run_cv", lambda *a, **k: calls.append("run_cv"))
+    for name in ("uclso.cli.run_cv", "uclso.experiment.kmeans", "uclso.experiment.fit_lockstep"):
+        monkeypatch.setattr(name, lambda *a, name=name, **k: calls.append(name))
     assert main([command, "--config", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: dataset 'toy_b': feature 'x1' holds the value 1e+39 in row 50, beyond "
-        "the single-precision range of training (magnitude at most "
-        "3.4028234663852886e+38)\n"
+        f"error: dataset 'toy_b': row 50 has norm 1e+39, {TRAINING_LIMIT}: rescale the "
+        "features, for example by scale: minmax\n"
     )
     assert calls == []
     assert not out.exists()
 
 
-def test_float32_overflow_in_training_fails_the_experiment(tmp_path, capsys):
-    # toy_b's second blob is centred at x1 = 1e20: inside float32's range,
-    # so the range rule lets it through, but a training margin is about
-    # |x|^2 and overflows. The run fails with the remedy and no --out
+@pytest.mark.parametrize("centre", ["1.0e+19", "1.0e+20"])
+def test_norm_past_training_range_stops_experiment_before_any_compute(
+        tmp_path, capsys, monkeypatch, centre):
+    # inside float32's range, but a training margin could reach about
+    # |x|^2 * reg_c * 100 and overflow it: rejected before run_cv, with the
+    # remedy, and no --out
     out = tmp_path / "results"
     path = tmp_path / "config.yaml"
-    path.write_text(CONFIG.format(out=out).replace("[[0, 0], [4, 4]]", "[[0, 0], [4, 1.0e+20]]"))
+    path.write_text(CONFIG.format(out=out).replace("[[0, 0], [4, 4]]", f"[[0, 0], [4, {centre}]]"))
+    calls = []
+    for name in ("uclso.cli.run_cv", "uclso.experiment.kmeans", "uclso.experiment.fit_lockstep"):
+        monkeypatch.setattr(name, lambda *a, name=name, **k: calls.append(name))
     assert main(["experiment", "--config", str(path)]) == 1
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == (
-        "error: dataset 'toy_b': float32 overflow in training: feature values this "
-        "large need rescaling, for example by scale: minmax\n"
+        f"error: dataset 'toy_b': row 50 has norm {float(centre)!r}, {TRAINING_LIMIT}: "
+        "rescale the features, for example by scale: minmax\n"
     )
+    assert calls == []
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command, mode", [
+    ("cluster", "uclso"), ("oversample", "uclso"), ("oversample", "smote")])
+def test_norm_past_distance_range_stops_before_any_compute(
+        tmp_path, capsys, monkeypatch, command, mode):
+    # at 1e160 squared distances overflow float64, and k-means and the
+    # neighbour search would return arbitrary results: rejected before any
+    # of them, with the remedy, and no --out
+    out = tmp_path / "results"
+    path = tmp_path / "config.yaml"
+    text = CONFIG.format(out=out).replace("[[0, 0], [4, 4]]", "[[0, 0], [4, 1.0e+160]]")
+    path.write_text(text.replace("m_neighbors: 5", f"m_neighbors: 5, mode: {mode}"))
+    calls = []
+    for name in ("kmeans", "iter_augments"):
+        monkeypatch.setattr(f"uclso.cli.{name}", lambda *a, name=name, **k: calls.append(name))
+    assert main([command, "--config", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: dataset 'toy_b': row 50 has norm 1e+160, past 4.740375954054588e+153, the "
+        "largest whose squared distances stay finite: rescale the features, for example "
+        "by scale: minmax\n"
+    )
+    assert calls == []
     assert not out.exists()
 
 

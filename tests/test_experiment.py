@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,7 +8,7 @@ from uclso import experiment
 from uclso.clustering import kmeans
 from uclso.dataset import DatasetError, MultiLabelDataset, make_fold_plan
 from uclso.experiment import MethodSpec, _cell_seed, auc_defined, check_training_range, run_cv
-from uclso.linear import TrainConfig, fit_lockstep
+from uclso.linear import F32_MAX, REG_C_FLOOR, TrainConfig, fit_lockstep
 from uclso.oversample import OversampleConfig, iter_augments
 
 
@@ -29,31 +30,51 @@ def methods(*names, seed=3):
     return [MethodSpec(n, OversampleConfig(k_clusters=3, seed=seed, mode=n)) for n in names]
 
 
+MESSAGE = ("row {row} has norm {norm!r}, past {limit!r}, the largest that float32 "
+           "training keeps in range: rescale the features, for example by scale: minmax")
+
+
 class TestTrainingRange:
-    def test_value_past_float32_is_rejected_before_any_cell(self, monkeypatch):
-        # finite in float64, inf in the float32 training matrix: the first
-        # such value in row order is named, before anything is clustered
+    def test_norm_past_the_limit_is_rejected_before_any_cell(self, monkeypatch):
+        # 1×2 CV of 120 rows: models of at most 2 * 60 rows, 8 epochs of
+        # ceil(120 / 32) steps. Row 9 is within the limit, row 7 past it and
+        # named, before anything is clustered or trained
         ds = small_ds()
         features = ds.features.copy()
-        features[9, 0], features[7, 1] = 5e38, -1e39
+        features[9], features[7] = (8e17, 0.0), (0.0, -1e19)
         big = replace(ds, features=features)
         calls = []
         for name in ("kmeans", "fit_lockstep"):
             monkeypatch.setattr(experiment, name, lambda *a, name=name, **k: calls.append(name))
         with pytest.raises(DatasetError) as err:
             run_cv(big, methods("none", "uclso"), make_fold_plan(ds.n, 1, 2, seed=1), FAST)
-        assert str(err.value) == (
-            "feature 'x1' holds the value -1e+39 in row 7, beyond the single-precision "
-            "range of training (magnitude at most 3.4028234663852886e+38)"
-        )
+        assert str(err.value) == MESSAGE.format(
+            row=7, norm=1e19, limit=math.sqrt((F32_MAX / 4 - 8 * 4) / 120))
         assert calls == []
 
-    def test_float32_extremes_are_in_range(self):
-        top = float(np.finfo(np.float32).max)
-        ds = small_ds()
-        features = ds.features.copy()
-        features[3], features[4] = top, -top
-        check_training_range(replace(ds, features=features))
+    @pytest.mark.parametrize("cfg, limit", [
+        # the T term: 4e37 steps (each model of 2 * 3 rows takes one a
+        # epoch) leave F / 4 - 4e37 to R^2 * reg_c * 6
+        (TrainConfig(epochs=4 * 10**37), math.sqrt((F32_MAX / 4 - 4e37) / 6)),
+        # reg_c at its floor: the minibatch hinge sum, B R <= F / 4, binds
+        (TrainConfig(reg_c=REG_C_FLOOR, batch_size=8), F32_MAX / 4 / 8),
+    ], ids=["steps", "batch"])
+    def test_limit_on_a_small_plan(self, cfg, limit):
+        # 5 rows in 2 folds of 3 and 2: the largest training fold has n = 3
+        # rows, so a model trains on at most 2n = 6. A row at the limit
+        # passes; one float above it is named with the limit
+        def ds(norm):
+            features = np.zeros((5, 2))
+            features[3, 1] = norm
+            return MultiLabelDataset(features, np.array([[0], [1], [0], [1], [0]]),
+                                     ("x0", "x1"), ("l",))
+
+        plan = make_fold_plan(5, 1, 2, seed=1)
+        check_training_range(ds(limit), plan, cfg)
+        above = math.nextafter(limit, math.inf)
+        with pytest.raises(DatasetError) as err:
+            check_training_range(ds(above), plan, cfg)
+        assert str(err.value) == MESSAGE.format(row=3, norm=above, limit=limit)
 
 
 class TestRunCv:

@@ -1,14 +1,16 @@
-import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uclso import experiment
 from uclso.clustering import kmeans
 from uclso.dataset import MultiLabelDataset, make_fold_plan
 from uclso.experiment import MethodSpec, _score_cell, run_cv
-from uclso.linear import TrainConfig, TrainingError, fit_lockstep, score
+from uclso.linear import (F32_MAX, REG_C_FLOOR, TrainConfig, TrainingError, fit_lockstep,
+                          norm_limit, score)
 from uclso.oversample import OversampleConfig, iter_augments
 
 
@@ -304,22 +306,6 @@ class TestLockstep:
         assert np.abs(w32 - w64).max() <= 1e-4 * np.abs(w64).max()
         assert np.abs(b32 - b64).max() <= 1e-4 * (1 + np.abs(b64).max())
 
-    def test_float32_overflow_is_a_training_error(self):
-        # features near 1e20 are finite in float32, but a margin is about
-        # |x|^2 after one step and overflows; the fit raises, and numpy's
-        # overflow warning is not printed
-        rng = np.random.default_rng(5)
-        X = (rng.normal(size=(64, 2)) * 1e20).astype(np.float32)
-        y = (X[:, 0] > 0).astype(int)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(TrainingError) as info:
-                fit_lockstep(X, [np.arange(64)], [y], [1], TrainConfig(epochs=2))
-        assert str(info.value) == (
-            "float32 overflow in training: feature values this large need rescaling, "
-            "for example by scale: minmax"
-        )
-
     def test_other_dtypes_train_in_float64(self):
         # an integer or float16 matrix is converted to float64, as a list is
         X = np.arange(40).reshape(20, 2) % 7 - 3
@@ -353,3 +339,43 @@ class TestLockstep:
         with pytest.raises(ValueError, match="match"):
             fit_lockstep(np.zeros((4, 2)), [np.arange(4)], [np.array([0, 1, 0])], [0],
                          TrainConfig())
+
+
+class TestNormLimit:
+    @given(log_r=st.floats(-2, 37.5), epochs=st.integers(1, 3),
+           batch_size=st.integers(1, 64), n=st.integers(2, 48), d=st.integers(1, 4),
+           aligned=st.booleans(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_fit_at_the_limit_stays_in_range(self, log_r, epochs, batch_size, n, d,
+                                             aligned, seed):
+        # every row at the largest norm the rule allows, with reg_c the
+        # largest that allows norm 10**log_r, down to its floor. Aligned rows
+        # are +-v, labelled by their sign, so that every row pushes w along
+        # v and the margins reach the rule's bound. Nothing may overflow or
+        # turn invalid in float32, not even the cast of the features
+        steps = epochs * -(-n // batch_size)
+        reg_c = max(REG_C_FLOOR, (F32_MAX / 4 - steps) / (10.0**(2 * log_r) * n))
+        cfg = TrainConfig(reg_c=reg_c, epochs=epochs, batch_size=batch_size)
+        rng = np.random.default_rng(seed)
+        y = rng.permutation(np.arange(n) % 2)
+        X = rng.normal(size=(n, d))
+        if aligned:
+            X = np.outer(2 * y - 1, rng.normal(size=d)) + 1e-3 * X
+        X *= norm_limit(cfg, n) / np.sqrt(np.einsum("ij,ij->i", X, X))[:, None]
+        rows = [np.arange(n), rng.choice(n, size=rng.integers(2, n + 1), replace=False)]
+        targets = [y, y[rows[1]]]
+        targets[1][:2] = (0, 1)
+        with np.errstate(over="raise", invalid="raise"):
+            weights, bias, _ = fit_lockstep(X.astype(np.float32), rows, targets, [1, 2], cfg)
+        assert np.isfinite(weights).all() and np.isfinite(bias).all()
+
+    def test_reg_c_floor_keeps_lambda_in_float32(self):
+        # lambda = 1 / (reg_c * n) <= 1 / reg_c, whose float32 cast is finite at the floor
+        assert np.isfinite(np.float32(1 / REG_C_FLOOR))
+        TrainConfig(reg_c=REG_C_FLOOR)
+        with pytest.raises(TrainingError) as info:
+            TrainConfig(reg_c=1e-45)
+        assert str(info.value) == (
+            "reg_c must be at least 1.175494420887215e-38 (4 / float32's largest value), "
+            "got 1e-45"
+        )
