@@ -26,7 +26,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from .arff_io import ArffError, write_mulan
+from .arff_io import ArffError, float_rows, write_mulan
 from .clustering import check_k, kmeans
 from .config import ConfigError, DatasetSource, ExperimentConfig, load_config
 from .dataset import (
@@ -231,17 +231,19 @@ def _write_synthetic(cfg: ExperimentConfig, ds, assign, dataset: str, out: str) 
         # provenance is read by column: attribute reads on each record
         # cost far more than one tolist() per field. Each point is one
         # f-string that writes what _write_rows would: the name as
-        # csv.writer quotes it, ints by str() and floats by repr()
+        # csv.writer quotes it, ints by str(), and the r column and the
+        # point's coordinates by float_rows, whose text is repr()'s
         prov = aug.extra.provenance
-        columns = (prov[f].tolist() for f in ("cluster", "r", "parent_u", "parent_v"))
-        points = map(np.ndarray.tolist, aug.extra.points)
+        columns = (prov[f].tolist() for f in ("cluster", "parent_u", "parent_v"))
         quoted = _csv_field(name)
         path = os.path.join(out, f"{dataset}__label_{l}__synthetic.csv")
         _write_rows(path, cfg, header, ())
         with open(path, "a", encoding="utf-8", newline="") as fh:
             fh.writelines(
-                f"{quoted},{c},{r!r},{u},{v},{','.join(map(repr, point))}\n"
-                for c, r, u, v, point in zip(*columns, points)
+                f"{quoted},{c},{r},{u},{v},{point}\n"
+                for c, u, v, r, point in zip(
+                    *columns, float_rows(prov.r[:, None]), float_rows(aug.extra.points)
+                )
             )
         clusters, counts = np.unique(prov.cluster, return_counts=True)
         if not clusters.size:

@@ -170,7 +170,9 @@ def compute_stats(ds: MultiLabelDataset) -> DatasetStats:
     n, q = ds.n, ds.q
     cardinality = float(ds.labels.sum()) / n
     density = cardinality / q
-    distinct = len({tuple(row) for row in ds.labels})
+    # tolist() first: tuples of Python ints hash far faster than tuples of
+    # numpy scalars, and np.unique(axis=0) is slower still
+    distinct = len({tuple(row) for row in ds.labels.tolist()})
     all_irs = [label_imbalance_ratio(ds.labels[:, k]) for k in range(q)]
     irs = [ir for ir in all_irs if ir != float("inf")]
     undefined = [

@@ -89,12 +89,13 @@ def test_readme_library_example_runs(capsys):
 
 def test_import_loads_no_scipy():
     # scipy.stats alone took about a second to import; the Friedman test
-    # imports scipy.special when it first runs, and nothing else uses scipy
+    # imports scipy.special when it first runs, and nothing else uses scipy.
+    # orjson (about 0.7 MB) is imported when float text is first written
     src = str(Path(uclso.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import sys, uclso, uclso.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+            "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'orjson'))))")
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"

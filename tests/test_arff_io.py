@@ -5,8 +5,9 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as npst
 
 from uclso import arff_io
 from uclso.arff_io import ArffError, load_mulan, read_arff, write_mulan
@@ -166,6 +167,61 @@ def test_round_trip_bit_identical(tmp_path):
     assert np.array_equal(ds.labels, back.labels)
     assert ds.feature_names == back.feature_names
     assert ds.label_names == back.label_names
+
+
+def repr_rows(a):
+    """float_rows' reference: each row's values by repr(), joined by commas."""
+    return [",".join(map(repr, row)) for row in a.tolist()]
+
+
+# the values whose text orjson and repr may write apart: the ends of the
+# band [1e-4, 1e16) where they agree and their neighbours, signed zeros,
+# subnormals, the largest finite value, NaN and the infinities
+_TINY = np.finfo(float).smallest_normal
+EDGE_VALUES = [
+    v * sign
+    for v in (0.0, 5e-324, np.nextafter(_TINY, 0), _TINY, 1e-4, np.nextafter(1e-4, 0),
+              np.nextafter(1e-4, 1), 1e16, np.nextafter(1e16, 0), np.nextafter(1e16, np.inf),
+              np.finfo(float).max, np.inf, np.nan)
+    for sign in (1.0, -1.0)
+]
+ROWS = arff_io._BLOCK_ROWS
+
+
+@given(a=npst.arrays(
+    np.float64,
+    st.tuples(st.sampled_from([0, 1, 2, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1]),
+              st.integers(0, 4)),
+    elements=st.sampled_from(EDGE_VALUES) | st.floats(width=64),
+))
+@example(a=np.zeros((0, 3)))
+@example(a=np.zeros((ROWS + 1, 0)))
+@example(a=np.array([EDGE_VALUES] * (ROWS + 1)))
+@settings(max_examples=300, deadline=None)
+def test_float_rows_equal_repr(a):
+    assert list(arff_io.float_rows(a)) == repr_rows(a)
+
+
+def test_write_mulan_writes_repr_outside_the_orjson_band(tmp_path):
+    # float_rows writes the rows holding 1e-5, 5e-324 and 1e20 by repr,
+    # and -0.0 as orjson does; the rows span three blocks. The data rows
+    # must be the repr-based writer's text
+    rng = np.random.default_rng(5)
+    features = rng.normal(size=(2 * ROWS + 5, 3))
+    features[0, 0] = 1e-5
+    features[ROWS - 1, 1] = -0.0
+    features[ROWS, 2] = 5e-324
+    features[-1] = [1e20, -1e-5, 0.0]
+    labels = rng.integers(0, 2, size=(len(features), 2))
+    ds = MultiLabelDataset(features, labels, ("f0", "f1", "f2"), ("y0", "y1"))
+    arff, xml = str(tmp_path / "d.arff"), str(tmp_path / "d.xml")
+    write_mulan(ds, arff, xml)
+    with open(arff, encoding="utf-8") as fh:
+        data = fh.read().split("@data\n", 1)[1].splitlines()
+    assert data == [
+        f"{x},{','.join(map(str, y))}" for x, y in zip(repr_rows(features), labels.tolist())
+    ]
+    assert data[0].startswith("1e-05,") and data[-1].startswith("1e+20,-1e-05,0.0,")
 
 
 # names with the characters ARFF gives a meaning to: separators, comments,

@@ -346,6 +346,31 @@ class TestCluster:
         assert os.path.exists(os.path.join(out, "toy_a__centroids.csv"))
 
 
+def _synthetic_references(config, mode, augments):
+    """Each label's synthetic CSV as csv.writer and _fmt, which writes
+    floats by repr(), write it, for the points that augments draws."""
+    cfg = load_config(str(config))
+    ds = cfg.prepare(cfg.datasets[0].load())
+    assign = kmeans(ds.features, 2, seed=cfg.oversample.seed) if mode == "uclso" else None
+    header = ["label", "cluster", "r", "parent_u", "parent_v"] + [
+        f"feature_{j}" for j in range(ds.d)
+    ]
+    for l, aug in enumerate(augments(ds, cfg.oversample, assign)):
+        prov = aug.extra.provenance
+        rows = [
+            [ds.label_names[l], int(p.cluster), float(p.r), int(p.parent_u), int(p.parent_v),
+             *(float(v) for v in point)]
+            for p, point in zip(prov, aug.extra.points)
+        ]
+        assert rows
+        reference = io.StringIO()
+        reference.write(f"# config_hash={cfg.config_hash()} seed={cfg.seed}\n")
+        writer = csv.writer(reference, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_fmt(v) for v in row] for row in rows)
+        yield reference.getvalue()
+
+
 class TestOversample:
     def test_writes_synthetic_and_manifest(self, config_path):
         config, out = config_path
@@ -445,30 +470,49 @@ class TestOversample:
             f"oversample: {{k_clusters: 2, m_neighbors: 3, mode: {mode}}}\n"
         )
         assert main(["oversample", "--config", str(path)]) == 0
-        cfg = load_config(str(path))
-        ds = cfg.prepare(cfg.datasets[0].load())
-        assign = kmeans(ds.features, 2, seed=cfg.oversample.seed) if mode == "uclso" else None
-        header = ["label", "cluster", "r", "parent_u", "parent_v"] + [
-            f"feature_{j}" for j in range(ds.d)
-        ]
         quoted = ['"a,b"', '"say ""hi"""', "x y", "plain"]
-        for l, aug in enumerate(iter_augments(ds, cfg.oversample, assign)):
-            prov = aug.extra.provenance
-            rows = [
-                [names[l], int(p.cluster), float(p.r), int(p.parent_u), int(p.parent_v),
-                 *(float(v) for v in point)]
-                for p, point in zip(prov, aug.extra.points)
-            ]
-            assert rows
-            reference = io.StringIO()
-            reference.write(f"# config_hash={cfg.config_hash()} seed={cfg.seed}\n")
-            writer = csv.writer(reference, lineterminator="\n")
-            writer.writerow(header)
-            writer.writerows([_fmt(v) for v in row] for row in rows)
+        for l, reference in enumerate(_synthetic_references(path, mode, iter_augments)):
             written = tmp_path / "out" / f"q__label_{l}__synthetic.csv"
-            assert written.read_bytes() == reference.getvalue().encode("utf-8")
-            body = reference.getvalue().splitlines()[2:]
+            assert written.read_bytes() == reference.encode("utf-8")
+            body = reference.splitlines()[2:]
             assert all(line.startswith(quoted[l] + ",") for line in body)
+
+    @pytest.mark.parametrize("mode", ["uclso", "smote"])
+    def test_values_outside_the_orjson_band_are_written_as_repr(self, tmp_path, monkeypatch,
+                                                                mode):
+        # float_rows writes a row by repr when it holds a value below 1e-4
+        # or past 1e16, where orjson's notation is not repr's. Rows 0-19
+        # are scaled into 1e-6..1e-4, so the points drawn from them hold
+        # such coordinates; every third point's r is scaled down as well
+        rng = np.random.default_rng(3)
+        features = rng.normal(size=(60, 3))
+        features[:20] *= 1e-5
+        labels = (rng.random((60, 2)) < [0.3, 0.2]).astype(int)
+        ds = MultiLabelDataset(features, labels, ("f0", "f1", "f2"), ("a", "b"))
+        arff, xml = str(tmp_path / "q.arff"), str(tmp_path / "q.xml")
+        write_mulan(ds, arff, xml)
+        path = tmp_path / "config.yaml"
+        path.write_text(
+            f"seed: 4\nout: {tmp_path / 'out'}\ndatasets:\n  - name: q\n"
+            f"    mulan: {{arff: {arff}, xml: {xml}}}\n"
+            f"oversample: {{k_clusters: 2, m_neighbors: 3, mode: {mode}}}\n"
+        )
+
+        def small_r(*args):
+            for aug in iter_augments(*args):
+                aug.extra.provenance.r[::3] *= 1e-5
+                yield aug
+
+        monkeypatch.setattr(uclso.cli, "iter_augments", small_r)
+        assert main(["oversample", "--config", str(path)]) == 0
+        outside = {"r": 0, "point": 0}
+        for l, reference in enumerate(_synthetic_references(path, mode, small_r)):
+            written = tmp_path / "out" / f"q__label_{l}__synthetic.csv"
+            assert written.read_bytes() == reference.encode("utf-8")
+            for row in csv.reader(reference.splitlines()[2:]):
+                outside["r"] += 0 < float(row[2]) < 1e-4
+                outside["point"] += any(0 < abs(float(v)) < 1e-4 for v in row[5:])
+        assert outside["r"] > 0 and outside["point"] > 0
 
     def test_mode_none_is_error(self, tmp_path):
         path = tmp_path / "c.yaml"

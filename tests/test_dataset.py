@@ -152,6 +152,20 @@ class TestComputeStats:
         st_ = compute_stats(make_ds(labels))
         assert st_.ir_min == st_.ir_max == st_.ir_avg == pytest.approx(4.0)
 
+    @given(data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_distinct_labelsets_equal_numpy_unique_rows(self, data):
+        # n = 1, and every row the same, are the edges of the count
+        n = data.draw(st.sampled_from([1, 2, 40]) | st.integers(1, 40))
+        q = data.draw(st.integers(1, 5))
+        if data.draw(st.booleans()):
+            labels = np.tile(data.draw(hnp.arrays(int, q, elements=st.integers(0, 1))), (n, 1))
+        else:
+            labels = data.draw(hnp.arrays(int, (n, q), elements=st.integers(0, 1)))
+        st_ = compute_stats(make_ds(labels))
+        assert st_.distinct_labelsets == len(np.unique(labels, axis=0))
+        assert st_.proportion_distinct == st_.distinct_labelsets / n
+
     def test_density_times_labels_is_cardinality(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
