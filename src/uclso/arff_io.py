@@ -415,10 +415,12 @@ def write_mulan(ds: MultiLabelDataset, arff_path: str, xml_path: str,
     Features are written as numeric attributes and labels as nominal {0,1};
     reloading yields identical names and feature and label matrices. A name
     that is empty, holds a line break, holds both quote characters or holds
-    a lone surrogate (which UTF-8 cannot encode), and a label name that
-    holds a character XML 1.0 forbids, cannot be written, and are rejected
-    before any file is opened.
+    a lone surrogate (which UTF-8 cannot encode), a label name that holds a
+    character XML 1.0 forbids, and a relation that holds a line break,
+    cannot be written, and are rejected before any file is opened.
     """
+    if "\n" in relation or "\r" in relation:
+        raise ArffError(f"relation {relation!r} cannot be written to ARFF")
     features = [_quoted(name) for name in ds.feature_names]
     labels = [_quoted_label(name) for name in ds.label_names]
     with open(arff_path, "w", encoding="utf-8") as fh:

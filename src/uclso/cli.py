@@ -311,7 +311,7 @@ def cmd_experiment(cfg: ExperimentConfig) -> int:
             names = [m.name for m in methods]
             ds_names = [s.name for s in cfg.datasets]
             for metric, scores in (("f1", f1_scores), ("auc", auc_scores)):
-                rt = average_ranks(scores, names, ds_names)
+                rt = average_ranks(scores, names)
                 rank_rows = [
                     [ds_names[i]]
                     + [v for pair in zip(rt.scores[i], rt.ranks[i]) for v in pair]

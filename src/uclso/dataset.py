@@ -94,9 +94,7 @@ class DatasetStats:
     proportion_distinct: float
     ir_min: float
     ir_max: float
-    ir_avg: float
-    # labels whose IR is undefined (one class empty); excluded from min/max/avg
-    ir_undefined_labels: tuple[str, ...] = ()
+    ir_avg: float  # min, max and mean over the labels whose IR is defined
 
 
 @dataclass(frozen=True)
@@ -104,7 +102,6 @@ class FoldPlan:
     repetitions: int
     folds_per_rep: int
     assignments: tuple  # per repetition, a tuple of index arrays
-    seed: int
 
     def train_test(self, rep: int, fold: int) -> tuple[np.ndarray, np.ndarray]:
         """Train/test row indices for one cross-validation cell."""
@@ -173,11 +170,8 @@ def compute_stats(ds: MultiLabelDataset) -> DatasetStats:
     # tolist() first: tuples of Python ints hash far faster than tuples of
     # numpy scalars, and np.unique(axis=0) is slower still
     distinct = len({tuple(row) for row in ds.labels.tolist()})
-    all_irs = [label_imbalance_ratio(ds.labels[:, k]) for k in range(q)]
-    irs = [ir for ir in all_irs if ir != float("inf")]
-    undefined = [
-        name for name, ir in zip(ds.label_names, all_irs) if ir == float("inf")
-    ]
+    # a label with an empty class has no defined IR and is left out
+    irs = [ir for ir in map(label_imbalance_ratio, ds.labels.T) if ir != float("inf")]
     if irs:
         ir_min, ir_max, ir_avg = min(irs), max(irs), float(np.mean(irs))
     else:
@@ -193,7 +187,6 @@ def compute_stats(ds: MultiLabelDataset) -> DatasetStats:
         ir_min=ir_min,
         ir_max=ir_max,
         ir_avg=ir_avg,
-        ir_undefined_labels=tuple(undefined),
     )
 
 
@@ -239,6 +232,8 @@ def make_fold_plan(n: int, reps: int, folds: int, seed: int) -> FoldPlan:
     Fold sizes differ by at most 1; regenerating with the same seed yields
     identical assignments.
     """
+    if reps < 1:
+        raise DatasetError(f"need at least 1 repetition, got {reps}")
     if folds < 2:
         raise DatasetError("need at least 2 folds")
     if n < folds:
@@ -249,7 +244,7 @@ def make_fold_plan(n: int, reps: int, folds: int, seed: int) -> FoldPlan:
         perm = rng.permutation(n)
         parts = tuple(np.sort(p) for p in np.array_split(perm, folds))
         assignments.append(parts)
-    return FoldPlan(reps, folds, tuple(assignments), seed)
+    return FoldPlan(reps, folds, tuple(assignments))
 
 
 def generate_toy(cfg: ToyConfig) -> MultiLabelDataset:

@@ -116,9 +116,8 @@ def _cell_seed(base: int, rep: int, fold: int) -> int:
 def auc_defined(labels: np.ndarray, plan: FoldPlan) -> bool:
     """Whether some (repetition, fold) cell has a label with both classes
     among its test rows, so that at least one AUC can be defined."""
-    for rep in range(plan.repetitions):
-        for fold in range(plan.folds_per_rep):
-            _, test_idx = plan.train_test(rep, fold)
+    for folds in plan.assignments:
+        for test_idx in folds:
             positives = labels[test_idx].sum(axis=0)
             if ((positives > 0) & (positives < test_idx.size)).any():
                 return True

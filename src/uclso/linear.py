@@ -15,10 +15,11 @@ its temporaries are buffers allocated once per fit. A model's arithmetic
 does not depend on which other models share its run, so fitting it alone
 or with any other models gives bit-equal weights. A float32 row matrix
 trains in float32, at half the bytes per step; any other trains in
-float64. The epoch loop has no error path: `norm_limit` bounds the row
-norms at which float32 training stays in range, and `experiment` checks
-that bound before any compute. A fit returns each model's weight row and
-bias only, as float64; it computes no loss.
+float64. The epoch loop has no error path and no input scan: the rows
+must be finite, which `dataset.MultiLabelDataset` guarantees, and
+`norm_limit` bounds the row norms at which float32 training stays in
+range, which `experiment` checks before any compute. A fit returns each
+model's weight row and bias only, as float64; it computes no loss.
 """
 
 from __future__ import annotations
@@ -64,19 +65,21 @@ def norm_limit(cfg: TrainConfig, rows: int) -> float:
 
     Let F be float32's largest value, B the batch size and T = epochs *
     ceil(rows / B), the most steps a model takes. The update w <- (1 - eta
-    lambda) w + eta h / size has 0 < eta lambda < 1 and |h / size| <= R,
-    so by induction |w| <= R / lambda = R reg_c n_i <= R reg_c rows. The
-    bias moves by at most eta <= 1 a step, so |b| <= T. Every margin, and
-    every partial sum of one, is then at most R^2 reg_c rows + T, and a
-    minibatch's hinge sum before its division at most B R. The limit keeps
-    both at most F / 4, the factor 4 covering float32's rounding. B R <= F
-    / 4 also keeps every feature finite in float32, and REG_C_FLOOR keeps
-    lambda at most F / 4.
+    lambda) w + eta h / size has 0 < eta lambda < 1, eta <= 1 and |h /
+    size| <= R. So by induction |w| <= R / lambda = R reg_c n_i <= R reg_c
+    rows, and, as each step moves w by at most eta R <= R, also |w| <= R T:
+    |w| <= R min(reg_c rows, T). The bias moves by at most eta <= 1 a step,
+    so |b| <= T. Every margin, and every partial sum of one, is then at
+    most R^2 min(reg_c rows, T) + T, and a minibatch's hinge sum before its
+    division at most B R. The limit keeps both at most F / 4, the factor 4
+    covering float32's rounding. B R <= F / 4 also keeps every feature
+    finite in float32, and REG_C_FLOOR keeps lambda at most F / 4.
     """
     quarter = F32_MAX / 4
     steps = cfg.epochs * -(-rows // cfg.batch_size)
     room = quarter - steps if steps < quarter else 0.0
-    return min(math.sqrt(room / (cfg.reg_c * rows)), quarter / cfg.batch_size)
+    reach = min(cfg.reg_c * rows, steps)  # |w| <= R * reach
+    return min(math.sqrt(room / reach), quarter / cfg.batch_size)
 
 
 def fit_lockstep(
@@ -103,9 +106,11 @@ def fit_lockstep(
     A float32 X trains in float32: weights, bias, margins, violators and
     updates. Any other X is converted to float64 and trains in it. The
     step sizes are worked out in float64 and rounded to the training
-    dtype once per epoch, lambda once per fit. Rows of norm at most
-    norm_limit(cfg, max n_i) keep every float32 value finite; the loop
-    does not check.
+    dtype once per epoch, lambda once per fit. The rows must be finite,
+    and of norm at most norm_limit(cfg, max n_i), which keeps every
+    float32 value finite; the loop checks neither. On run_cv's path
+    MultiLabelDataset guarantees the first and check_training_range the
+    second.
     """
     X = np.asarray(X)
     if X.dtype != np.float32:
@@ -113,9 +118,6 @@ def fit_lockstep(
     dtype = X.dtype
     if X.ndim != 2:
         raise TrainingError("X must be a 2-d matrix")
-    # a NaN or inf would spread to every weight of the models that read it
-    if not np.isfinite(X).all():
-        raise TrainingError("non-finite feature values")
     d = X.shape[1]
     weights = np.zeros((len(rows), d))
     bias = np.zeros(len(rows))

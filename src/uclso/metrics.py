@@ -24,10 +24,6 @@ class ConfusionCounts:
     tn: int
     fn: int
 
-    @property
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 def confusion(y_true: np.ndarray, y_pred: np.ndarray) -> ConfusionCounts:
     y_true = np.asarray(y_true).astype(int)

@@ -24,7 +24,6 @@ class RankingError(ValueError):
 
 @dataclass(frozen=True)
 class RankTable:
-    dataset_names: tuple[str, ...]
     method_names: tuple[str, ...]
     scores: np.ndarray  # (datasets, methods)
     ranks: np.ndarray  # within-row ranks, 1 = best, ties get average rank
@@ -50,7 +49,7 @@ class FriedmanResult:
     comparisons: tuple[Comparison, ...]
 
 
-def average_ranks(scores: np.ndarray, method_names, dataset_names=None) -> RankTable:
+def average_ranks(scores: np.ndarray, method_names) -> RankTable:
     """Per-dataset ranks, the highest score first (midrank ties), and their
     per-method means."""
     scores = np.asarray(scores, dtype=float)
@@ -58,21 +57,10 @@ def average_ranks(scores: np.ndarray, method_names, dataset_names=None) -> RankT
         raise RankingError("scores must be a datasets x methods matrix")
     if not np.isfinite(scores).all():
         raise RankingError("non-finite scores")
-    n_data, n_methods = scores.shape
-    if len(method_names) != n_methods:
+    if len(method_names) != scores.shape[1]:
         raise RankingError("method_names length mismatch")
-    if dataset_names is None:
-        dataset_names = tuple(f"dataset_{i}" for i in range(n_data))
-    if len(dataset_names) != n_data:
-        raise RankingError("dataset_names length mismatch")
     ranks = np.vstack([midranks(row) for row in -scores])
-    return RankTable(
-        tuple(dataset_names),
-        tuple(method_names),
-        scores,
-        ranks,
-        ranks.mean(axis=0),
-    )
+    return RankTable(tuple(method_names), scores, ranks, ranks.mean(axis=0))
 
 
 def finner_adjust(p_values: np.ndarray) -> np.ndarray:

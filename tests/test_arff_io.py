@@ -269,6 +269,17 @@ def test_round_trip_names(feature_names, label_names, seed):
     assert np.array_equal(back.labels, ds.labels)
 
 
+@pytest.mark.parametrize("relation", ["a\nb", "a\rb", "\n"])
+def test_relation_with_a_line_break_is_rejected_before_any_file(tmp_path, relation):
+    # the reader would take the text after the break as a header line
+    ds = MultiLabelDataset(np.eye(2), np.eye(2, dtype=int), ("f0", "f1"), ("l0", "l1"))
+    arff, xml = tmp_path / "d.arff", tmp_path / "d.xml"
+    with pytest.raises(ArffError) as err:
+        write_mulan(ds, str(arff), str(xml), relation=relation)
+    assert str(err.value) == f"relation {relation!r} cannot be written to ARFF"
+    assert not arff.exists() and not xml.exists()
+
+
 def test_single_quote_names_use_double_quotes(tmp_path):
     ds = MultiLabelDataset(np.eye(2), np.eye(2, dtype=int), ("it's", "x y"), ("l'1", "l2"))
     arff, xml = str(tmp_path / "d.arff"), str(tmp_path / "d.xml")

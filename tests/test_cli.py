@@ -721,8 +721,9 @@ def test_non_finite_toy_feature_is_rejected(tmp_path, capsys):
 
 
 # toy_b's largest training fold has 50 rows; its models train on at most
-# 100 rows for 6 epochs of 4 steps each
-TRAINING_LIMIT = "past 9.223371761976864e+17, the largest that float32 training keeps in range"
+# 100 rows for 6 epochs of 4 steps each, so the T = 24 steps bound the
+# weights before reg_c * 100 does: R = sqrt((F / 4 - 24) / 24)
+TRAINING_LIMIT = "past 1.8827128770698616e+18, the largest that float32 training keeps in range"
 
 
 @pytest.mark.parametrize("command", ["stats", "cluster", "oversample", "experiment"])

@@ -143,8 +143,7 @@ class TestComputeStats:
         st_ = compute_stats(ds)
         assert st_.cardinality == 0.0
         assert st_.density == 0.0
-        assert set(st_.ir_undefined_labels) == {"l0", "l1"}
-        assert np.isnan(st_.ir_avg)
+        assert np.isnan(st_.ir_min) and np.isnan(st_.ir_max) and np.isnan(st_.ir_avg)
 
     def test_imbalance_ratio(self):
         labels = np.zeros((10, 1), dtype=int)
@@ -244,6 +243,12 @@ class TestFoldPlan:
         train, test = plan.train_test(0, 0)
         assert set(train).isdisjoint(test)
         assert len(train) + len(test) == 10
+
+    @pytest.mark.parametrize("reps", [0, -1])
+    def test_rejects_fewer_than_one_repetition(self, reps):
+        # a plan with no cell has no training fold to check or train on
+        with pytest.raises(DatasetError, match=f"need at least 1 repetition, got {reps}$"):
+            make_fold_plan(40, reps, 2, seed=1)
 
     def test_rejects_too_few_rows(self):
         with pytest.raises(DatasetError):

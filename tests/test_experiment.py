@@ -37,7 +37,8 @@ MESSAGE = ("row {row} has norm {norm!r}, past {limit!r}, the largest that float3
 class TestTrainingRange:
     def test_norm_past_the_limit_is_rejected_before_any_cell(self, monkeypatch):
         # 1×2 CV of 120 rows: models of at most 2 * 60 rows, 8 epochs of
-        # ceil(120 / 32) steps. Row 9 is within the limit, row 7 past it and
+        # ceil(120 / 32) steps, whose T = 32 bounds the weights before
+        # reg_c * 120 does. Row 9 is within the limit, row 7 past it and
         # named, before anything is clustered or trained
         ds = small_ds()
         features = ds.features.copy()
@@ -49,16 +50,19 @@ class TestTrainingRange:
         with pytest.raises(DatasetError) as err:
             run_cv(big, methods("none", "uclso"), make_fold_plan(ds.n, 1, 2, seed=1), FAST)
         assert str(err.value) == MESSAGE.format(
-            row=7, norm=1e19, limit=math.sqrt((F32_MAX / 4 - 8 * 4) / 120))
+            row=7, norm=1e19, limit=math.sqrt((F32_MAX / 4 - 8 * 4) / (8 * 4)))
         assert calls == []
 
     @pytest.mark.parametrize("cfg, limit", [
         # the T term: 4e37 steps (each model of 2 * 3 rows takes one a
         # epoch) leave F / 4 - 4e37 to R^2 * reg_c * 6
         (TrainConfig(epochs=4 * 10**37), math.sqrt((F32_MAX / 4 - 4e37) / 6)),
+        # a large reg_c: the 3 steps, not reg_c * 6, bound the weights, so
+        # R^2 * 3 + 3 <= F / 4
+        (TrainConfig(reg_c=1e30, epochs=3), math.sqrt((F32_MAX / 4 - 3) / 3)),
         # reg_c at its floor: the minibatch hinge sum, B R <= F / 4, binds
         (TrainConfig(reg_c=REG_C_FLOOR, batch_size=8), F32_MAX / 4 / 8),
-    ], ids=["steps", "batch"])
+    ], ids=["steps", "weights_by_steps", "batch"])
     def test_limit_on_a_small_plan(self, cfg, limit):
         # 5 rows in 2 folds of 3 and 2: the largest training fold has n = 3
         # rows, so a model trains on at most 2n = 6. A row at the limit
