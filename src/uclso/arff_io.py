@@ -7,14 +7,26 @@ rejected.
 
 The data block is streamed: each pass re-reads it from the first line
 after @data, so a load holds the value matrix but never the block's text.
-A dense block is parsed in one vectorised pass (numpy's `loadtxt`, fed
-the rows one at a time, with nominal tokens mapped to their domain index
-as they are read). Sparse rows, quoted tokens, and any block that pass
-does not take (a missing value, a row with the wrong number of fields, a
-token outside a nominal domain or one `loadtxt` cannot read) go through
-the line parser, which parses a row at a time into a preallocated
-matrix. Either way the values are the same, and error messages and line
-numbers come from the line parser. A UTF-8 byte-order mark is skipped.
+A dense block goes through up to three passes, each of which takes the
+whole block or refuses it for the next:
+
+- the orjson pass reads blocks whose rows hold only JSON numbers and
+  whose nominal attributes have the domain 0…k-1, as `write_mulan`
+  writes them: it counts and screens the rows, then parses a chunk of
+  rows per `orjson.loads` call, whose correctly rounded conversion gives
+  `float()`'s values;
+- the `loadtxt` pass (numpy's `loadtxt`, fed the rows one at a time, with
+  nominal tokens mapped to their domain index as they are read) takes the
+  rest of the dense blocks: `inf`, `nan`, `-0`, `+.5`, padded tokens and
+  nominal domains of any values;
+- the line parser parses a row at a time into a preallocated matrix. It
+  takes sparse rows, quoted tokens, and whatever the other two refuse (a
+  missing value, a row with the wrong number of fields, a token outside a
+  nominal domain or one `loadtxt` cannot read).
+
+Whichever pass takes a block, the values are the same, and error messages
+and line numbers come from the line parser. A UTF-8 byte-order mark is
+skipped.
 
 Float text, here and in the CLI's synthetic CSVs, comes from `float_rows`:
 each value as `repr()` writes it, formatted a block of rows at a time by
@@ -27,6 +39,7 @@ import re
 import xml.etree.ElementTree as ET
 from collections.abc import Iterator
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
@@ -188,11 +201,86 @@ class _DataBlock:
             if line and not line.startswith("%"):
                 yield lineno, line
 
+    def chunks(self) -> Iterator[list[str]]:
+        """The same stripped lines, without their line numbers, as lists
+        of about _CHUNK_CHARS characters of text."""
+        self.fh.seek(self.start)
+        while raw := self.fh.readlines(_CHUNK_CHARS):
+            yield [line for line in map(str.strip, raw) if line and not line.startswith("%")]
+
+
+# characters of text per chunk of the orjson pass, which holds about eight
+# times that at once: the chunk's lines, stripped and joined, and the Python
+# floats orjson makes of them. A 3000x48 load peaked at 1.22 times its
+# matrix with this size, and at 1.85 times with chunks four times as large
+_CHUNK_CHARS = 1 << 15
+
+# all that a row of the orjson pass may hold: JSON numbers, commas and the
+# blanks JSON skips (and the line feeds that join a chunk's rows)
+_JSON_ROW_BYTES = b"0123456789eE+-., \t\n"
+
+# the integer token -0, which orjson reads as 0 and float() as -0.0. A
+# zero followed by a digit is not JSON, so -0 followed by anything but a
+# fraction or an exponent is that token (or an exponent's -0, refused too)
+_NEGATIVE_ZERO = re.compile(rb"-0(?![0-9.eE])")
+
 
 def _parse_dense(block: _DataBlock, attributes: list[_Attribute]) -> np.ndarray | None:
-    """The raw value matrix of a dense block in one vectorised pass, or None
-    when the block holds anything this pass does not take. The caller then
-    runs the line parser, which gives the error and its line number."""
+    """The raw value matrix of a dense block, by the orjson pass or else
+    the loadtxt pass, or None when both refuse it. The caller then runs
+    the line parser, which gives the error and its line number."""
+    values = _parse_json(block, attributes)
+    return values if values is not None else _parse_loadtxt(block, attributes)
+
+
+def _parse_json(block: _DataBlock, attributes: list[_Attribute]) -> np.ndarray | None:
+    """The orjson pass: each chunk of rows parsed as one JSON array of
+    arrays by one orjson.loads call, or None when the block holds anything
+    that orjson would read other than float() and the line parser do."""
+    # a nominal cell must be a JSON int, which indexes the domain 0…k-1 as
+    # the line parser indexes its token; the line parser rejects 1.0 and 1e0
+    nominal = [j for j, a in enumerate(attributes) if a.kind == "nominal"]
+    if any(attributes[j].values != tuple(map(str, range(len(attributes[j].values))))
+           for j in nominal):
+        return None
+    # first pass: count the rows and screen their text, so a refusal on
+    # characters costs this pass only
+    n = 0
+    for rows in block.chunks():
+        text = "\n".join(rows).encode()
+        if text.translate(None, _JSON_ROW_BYTES) or _NEGATIVE_ZERO.search(text):
+            return None
+        n += len(rows)
+    # imported here, as float_rows imports it
+    import orjson
+
+    width = len(attributes)
+
+    def parsed_rows():
+        for rows in block.chunks():
+            # the screen leaves no brackets in a row, so each row is one array
+            parsed = orjson.loads(f"[[{'],['.join(rows)}]]") if rows else []
+            if any(len(row) != width for row in parsed):
+                raise ValueError("a row of the wrong width")
+            if any(type(row[j]) is not int for row in parsed for j in nominal):
+                raise ValueError("a nominal cell that is not an int")
+            yield from parsed
+
+    try:
+        out = np.fromiter(chain.from_iterable(parsed_rows()), np.float64, count=n * width)
+    except ValueError:  # orjson's JSONDecodeError is one
+        return None
+    out = out.reshape(n, width)
+    for j in nominal:
+        if not ((out[:, j] >= 0) & (out[:, j] < len(attributes[j].values))).all():
+            return None
+    return out
+
+
+def _parse_loadtxt(block: _DataBlock, attributes: list[_Attribute]) -> np.ndarray | None:
+    """The loadtxt pass: the raw value matrix of a dense block by numpy's
+    loadtxt, or None when the block holds anything this pass does not
+    take."""
     commas = len(attributes) - 1
 
     def lines():
@@ -308,12 +396,14 @@ def load_mulan(arff_path: str, xml_path: str) -> MultiLabelDataset:
     for out_k, col in enumerate(label_cols):
         attr = attributes[col]
         if attr.kind == "nominal":
-            # map domain indices back to the declared values, expect "0"/"1"
-            mapped = np.asarray(attr.values)[raw[:, col].astype(int)]
-            found = np.unique(mapped).tolist()
+            # the declared values of the domain indices present; expect "0"/"1".
+            # bincount, not np.unique, which imports numpy.ma
+            idx = raw[:, col].astype(np.intp)
+            present = np.flatnonzero(np.bincount(idx, minlength=len(attr.values)))
+            found = sorted({attr.values[i] for i in present.tolist()})
             if not set(found) <= {"0", "1"}:
                 raise ArffError(f"label {attr.name!r} has non-binary values {found}")
-            labels[:, out_k] = mapped == "1"
+            labels[:, out_k] = np.array([v == "1" for v in attr.values])[idx]
         else:
             col_vals = raw[:, col]
             if not np.isin(col_vals, (0.0, 1.0)).all():

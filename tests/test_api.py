@@ -99,3 +99,28 @@ def test_import_loads_no_scipy():
     result = subprocess.run([sys.executable, "-c", code], env=env,
                             capture_output=True, text=True, check=True)
     assert result.stdout == "[]\n"
+
+
+def test_commands_on_arff_load_no_numpy_ma(tmp_path):
+    # np.unique imports numpy.ma (about 20 ms); the ARFF label check counts
+    # domain indices instead, so these commands import it nowhere
+    rng = np.random.default_rng(3)
+    ds = uclso.MultiLabelDataset(rng.normal(size=(60, 3)), (rng.random((60, 2)) < 0.3).astype(int),
+                                 ("f0", "f1", "f2"), ("y0", "y1"))
+    arff, xml = tmp_path / "d.arff", tmp_path / "d.xml"
+    uclso.write_mulan(ds, str(arff), str(xml))
+    config = tmp_path / "c.yaml"
+    config.write_text(f"seed: 1\nout: {tmp_path / 'out'}\ndatasets:\n  - name: d\n"
+                      f"    mulan: {{arff: {arff}, xml: {xml}}}\n"
+                      "oversample: {k_clusters: 2, m_neighbors: 3}\n")
+    src = str(Path(uclso.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    code = ("import contextlib, io, sys, uclso.cli\n"
+            "for command in ('stats', 'cluster', 'oversample'):\n"
+            "    with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"        assert uclso.cli.main([command, '--config', {str(config)!r}]) == 0\n"
+            "    print(command, 'numpy.ma' in sys.modules)\n")
+    result = subprocess.run([sys.executable, "-c", code], env=env,
+                            capture_output=True, text=True, check=True)
+    assert result.stdout == "stats False\ncluster False\noversample False\n"

@@ -1,6 +1,7 @@
 import os
 import tempfile
 import tracemalloc
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -313,6 +314,12 @@ def no_line_parser():
     return mock.patch.object(arff_io, "_parse_row", side_effect=AssertionError)
 
 
+def no_loadtxt():
+    """A patch under which read_arff fails if the orjson pass refuses a
+    dense block: with no_line_parser, it must take the whole block."""
+    return mock.patch.object(arff_io, "_parse_loadtxt", side_effect=AssertionError)
+
+
 # tokens both parsers read, then tokens at least one of them rejects
 NUMERIC_OK = ["0", "1", "-0", "2.5", " 3 ", "\t-1e3\t", "inf", "-Infinity", "nan",
               "-nan", "1e400", "1e-320", "+.5", "\x0c1", "1\u2028"]
@@ -481,3 +488,159 @@ def test_sparse_load_holds_the_matrix_and_one_row(tmp_path):
     (_, raw), peak = traced_peak(lambda: read_arff(str(path)))
     assert raw.shape == (n, width) and 0.03 < raw.mean() < 0.05
     assert peak < 1.25 * raw.nbytes
+
+
+@pytest.mark.parametrize("dense_pass", ["orjson", "loadtxt"])
+def test_each_dense_pass_holds_the_matrix_not_the_text(tmp_path, dense_pass):
+    # the same bound for the block each vectorised pass takes: the orjson
+    # pass must take it, or is skipped so that the loadtxt pass does
+    if dense_pass == "orjson":
+        only = no_loadtxt()
+    else:
+        only = mock.patch.object(arff_io, "_parse_json", return_value=None)
+    with only:
+        test_dense_load_holds_the_matrix_not_the_text(tmp_path)
+
+
+# The orjson pass reads dense blocks of JSON numbers, and refuses, for the
+# loadtxt pass, any block it would read other than float() does.
+
+def test_orjson_pass_reads_write_mulan_files(tmp_path):
+    # a 6000x40 file with 8 labels, as written and with CRLF line ends
+    rng = np.random.default_rng(9)
+    n, d, q = 6000, 40, 8
+    ds = MultiLabelDataset(rng.normal(size=(n, d)), rng.integers(0, 2, size=(n, q)),
+                           tuple(f"f{j}" for j in range(d)), tuple(f"y{j}" for j in range(q)))
+    arff, xml = tmp_path / "d.arff", str(tmp_path / "d.xml")
+    write_mulan(ds, str(arff), xml)
+    crlf = tmp_path / "crlf.arff"
+    crlf.write_bytes(arff.read_bytes().replace(b"\n", b"\r\n"))
+    for path in (arff, crlf):
+        with no_loadtxt(), no_line_parser():
+            back = load_mulan(str(path), xml)
+        assert back.features.tobytes() == ds.features.tobytes()
+        assert np.array_equal(back.labels, ds.labels)
+
+
+def test_orjson_pass_drops_comments_and_blank_lines(tmp_path):
+    path = write(tmp_path, "c.arff",
+                 HEADER + "@data\n% first\n1,0,2\n\n   \n\x0c\n% x,y\n  3 ,\t1,4 \n%\n")
+    with no_loadtxt(), no_line_parser():
+        _, raw = read_arff(path)
+    assert raw.tobytes() == np.array([[1, 0, 2], [3, 1, 4]], dtype=float).tobytes()
+
+
+def test_lone_carriage_returns_end_rows(tmp_path):
+    # text mode ends a row at a lone \r, as the line parser reads it; a
+    # reader that split on \n alone would read 1,2,\r3,4 as one row of four
+    header = "@relation r\n" + "".join(f"@attribute a{j} numeric\n" for j in range(4))
+    good = tmp_path / "good.arff"
+    good.write_bytes((header + "@data\r1,2,3,4\r5,6,7,8\r").encode())
+    with no_loadtxt(), no_line_parser():
+        _, raw = read_arff(str(good))
+    assert np.array_equal(raw, [[1, 2, 3, 4], [5, 6, 7, 8]])
+    bad = tmp_path / "bad.arff"
+    bad.write_bytes((header + "@data\n1,2,\r3,4\n").encode())
+    fast = read_or_error(str(bad))
+    with mock.patch.object(arff_io, "_parse_dense", return_value=None):
+        assert fast == read_or_error(str(bad)) == ("line 7: expected 4 values, got 3", 7)
+
+
+def halfway(x):
+    """The exact decimal midway between x and the next float up."""
+    return f"{(Decimal(x) + Decimal(np.nextafter(x, np.inf))) / 2:E}"
+
+
+@st.composite
+def long_mantissas(draw):
+    """17 to 40 significant digits, with or without a fraction and an
+    exponent, in JSON's grammar."""
+    digits = draw(st.sampled_from("123456789")) + draw(st.text("0123456789", min_size=16,
+                                                              max_size=39))
+    point = draw(st.integers(0, len(digits)))
+    body = "0." + digits if point == 0 else digits[:point] + (
+        "." + digits[point:] if point < len(digits) else "")
+    # at most 1e40 times 1e260, so finite; down to 1e-380, so subnormal or 0
+    exponent = draw(st.sampled_from(["", "e{}", "E+{:03d}"])).format(draw(st.integers(1, 260)))
+    exponent = draw(st.sampled_from([exponent, f"e-{draw(st.integers(1, 380)):02d}"]))
+    return draw(st.sampled_from(["", "-"])) + body + exponent
+
+
+# numeric tokens orjson reads as float() does: the orjson pass must take
+# them. Then tokens it must refuse: -0, which orjson reads as 0 and
+# float() as -0.0, and 1e400, which orjson rejects and float() reads as inf
+JSON_NUMERIC = (
+    st.sampled_from(["0", "1", "-0.0", "-0e5", "-1e-400", "1E+5", "4.9e-324", " 2.5\t",
+                     "2.2250738585072011e-308", "1.7976931348623157e308"])
+    | long_mantissas()
+    | st.integers(2**53, 2**70).map(str) | st.integers(-2**70, -2**53).map(str)
+    | st.floats(-_TINY, _TINY).map(repr)
+    | st.floats(-1e300, 1e300).map(halfway)
+)
+JSON_NUMERIC_REFUSED = ["-0", "1e400", "-1E400"]
+# {0,1} tokens: JSON ints in the domain, then tokens the line parser
+# rejects; 1.0 and 1e0 are JSON floats
+JSON_NOMINAL = ["0", "1", " 1 ", "\t0"]
+JSON_NOMINAL_REFUSED = ["1.0", "1e0", "2", "-1", "01", "-0"]
+
+
+@st.composite
+def json_blocks(draw):
+    """An ARFF file of numeric and {0,1} columns whose tokens are JSON
+    numbers, with line ends of every kind, and whether it is clean. In a
+    clean block every token is one that orjson reads as float() and the
+    line parser do; in the rest a token is one the orjson pass must refuse
+    one time in four, and a row may have a field too many or too few."""
+    clean = draw(st.booleans())
+    kinds = draw(st.lists(st.booleans(), min_size=1, max_size=4))
+    lines = ["@relation r"]
+    for j, nominal in enumerate(kinds):
+        lines.append(f"@attribute a{j} " + ("{0,1}" if nominal else "numeric"))
+    lines.append("@data")
+    for _ in range(draw(st.integers(1, 6))):
+        width = len(kinds)
+        if not clean:
+            width += draw(st.sampled_from([0, 0, 0, 0, 0, 0, -1, 1]))
+        tokens = []
+        for j in range(max(width, 1)):
+            nominal = j < len(kinds) and kinds[j]
+            refused = not clean and draw(st.integers(0, 3)) == 0
+            if nominal:
+                tokens.append(draw(st.sampled_from(JSON_NOMINAL_REFUSED if refused
+                                                   else JSON_NOMINAL)))
+            else:
+                tokens.append(draw(st.sampled_from(JSON_NUMERIC_REFUSED) if refused
+                                   else JSON_NUMERIC))
+        lines.append(",".join(tokens))
+        lines.extend(draw(st.lists(st.sampled_from(["", "% note", "  "]), max_size=1)))
+    ends = draw(st.lists(st.sampled_from(["\n", "\r\n", "\r"]), min_size=len(lines),
+                         max_size=len(lines)))
+    return "".join(line + end for line, end in zip(lines, ends)), clean
+
+
+@given(block=json_blocks(), chunk=st.integers(1, 200))
+@example(block=("@relation r\n@attribute a numeric\n@data\n1\n-0\n", False), chunk=64)
+@example(block=("@relation r\n@attribute a {0,1}\n@data\n1\n1.0\n", False), chunk=64)
+@example(block=("@relation r\n@attribute a {0,1}\n@data\n1\n1e0\n", False), chunk=64)
+@settings(max_examples=300, deadline=None)
+def test_orjson_pass_matches_line_parser(block, chunk):
+    # chunk: the characters per chunk, small so that a block spans many
+    text, clean = block
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "b.arff")
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        with mock.patch.object(arff_io, "_CHUNK_CHARS", chunk):
+            if clean:
+                with no_loadtxt(), no_line_parser():
+                    fast = read_arff(path)[1]
+            else:
+                fast = read_or_error(path)
+        with mock.patch.object(arff_io, "_parse_dense", return_value=None):
+            lines = read_or_error(path)
+    assert type(fast) is type(lines)
+    if isinstance(lines, tuple):
+        assert fast == lines
+    else:
+        assert fast.dtype == lines.dtype and fast.shape == lines.shape
+        assert fast.tobytes() == lines.tobytes()
