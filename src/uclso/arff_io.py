@@ -7,22 +7,19 @@ rejected.
 
 The data block is streamed: each pass re-reads it from the first line
 after @data, so a load holds the value matrix but never the block's text.
-A dense block goes through up to three passes, each of which takes the
-whole block or refuses it for the next:
+A dense block goes through up to two passes:
 
 - the orjson pass reads blocks whose rows hold only JSON numbers and
   whose nominal attributes have the domain 0…k-1, as `write_mulan`
   writes them: it counts and screens the rows, then parses a chunk of
   rows per `orjson.loads` call, whose correctly rounded conversion gives
-  `float()`'s values;
-- the `loadtxt` pass (numpy's `loadtxt`, fed the rows one at a time, with
-  nominal tokens mapped to their domain index as they are read) takes the
-  rest of the dense blocks: `inf`, `nan`, `-0`, `+.5`, padded tokens and
-  nominal domains of any values;
+  `float()`'s values. It takes the whole block or refuses it;
 - the line parser parses a row at a time into a preallocated matrix. It
-  takes sparse rows, quoted tokens, and whatever the other two refuse (a
-  missing value, a row with the wrong number of fields, a token outside a
-  nominal domain or one `loadtxt` cannot read).
+  takes sparse rows and every block the orjson pass refuses, such as one
+  with quoted tokens, `inf`, `nan`, `-0`, `+.5`, form-feed padding or a
+  nominal domain of other values. It gives the error of a bad row: a
+  missing value, a row with the wrong number of fields, a token outside
+  a nominal domain or one `float()` cannot read.
 
 Whichever pass takes a block, the values are the same, and error messages
 and line numbers come from the line parser. A UTF-8 byte-order mark is
@@ -178,7 +175,7 @@ def read_arff(path: str) -> tuple[list[_Attribute], np.ndarray]:
         block = _DataBlock(fh, lineno)
         if next(iter(block), None) is None:
             raise ArffError("empty @data section", None)
-        values = _parse_dense(block, attributes)
+        values = _parse_json(block, attributes)
         if values is None:
             values = _parse_lines(block, attributes)
     return attributes, values
@@ -225,14 +222,6 @@ _JSON_ROW_BYTES = b"0123456789eE+-., \t\n"
 _NEGATIVE_ZERO = re.compile(rb"-0(?![0-9.eE])")
 
 
-def _parse_dense(block: _DataBlock, attributes: list[_Attribute]) -> np.ndarray | None:
-    """The raw value matrix of a dense block, by the orjson pass or else
-    the loadtxt pass, or None when both refuse it. The caller then runs
-    the line parser, which gives the error and its line number."""
-    values = _parse_json(block, attributes)
-    return values if values is not None else _parse_loadtxt(block, attributes)
-
-
 def _parse_json(block: _DataBlock, attributes: list[_Attribute]) -> np.ndarray | None:
     """The orjson pass: each chunk of rows parsed as one JSON array of
     arrays by one orjson.loads call, or None when the block holds anything
@@ -275,50 +264,6 @@ def _parse_json(block: _DataBlock, attributes: list[_Attribute]) -> np.ndarray |
         if not ((out[:, j] >= 0) & (out[:, j] < len(attributes[j].values))).all():
             return None
     return out
-
-
-def _parse_loadtxt(block: _DataBlock, attributes: list[_Attribute]) -> np.ndarray | None:
-    """The loadtxt pass: the raw value matrix of a dense block by numpy's
-    loadtxt, or None when the block holds anything this pass does not
-    take."""
-    commas = len(attributes) - 1
-
-    def lines():
-        for _, line in block:
-            # loadtxt takes its field count from the first row, so a block
-            # whose rows are all one field short would read without error.
-            # The characters are the line parser's: sparse rows, quotes,
-            # missing values, % (a comment only at the start of a line),
-            # and NUL, which numpy drops from the end of a string where the
-            # line parser keeps it
-            if (line.count(",") != commas or "{" in line or "'" in line
-                    or '"' in line or "?" in line or "%" in line or "\x00" in line):
-                raise ValueError("a row for the line parser")
-            yield line
-
-    converters = {
-        col: _DomainIndex((v, float(a.values.index(v))) for v in a.values).__getitem__
-        for col, a in enumerate(attributes) if a.kind == "nominal"
-    }
-    try:
-        # comments=None: with "#", loadtxt reads "1#2" as 1.0. encoding=None
-        # hands converters str, not bytes, on numpy 1.x too
-        return np.loadtxt(lines(), delimiter=",", comments=None, ndmin=2,
-                          converters=converters, encoding=None)
-    except ValueError:
-        return None
-
-
-class _DomainIndex(dict):
-    """Nominal value → domain index, looked up by loadtxt for each nominal
-    cell. A token is looked up as read, then stripped as the line parser
-    strips it; a token outside the domain raises ValueError."""
-
-    def __missing__(self, token: str) -> float:
-        stripped = token.strip()
-        if stripped == token:
-            raise ValueError(f"{token!r} is not in the domain")
-        return self[stripped]
 
 
 def _parse_lines(block: _DataBlock, attributes: list[_Attribute]) -> np.ndarray:

@@ -126,7 +126,8 @@ def fit_lockstep(
     for i, (r, y) in enumerate(zip(rows, targets)):
         if len(r) != len(y):
             raise TrainingError("X rows must match y length")
-        classes = np.unique(y)
+        # return_counts: np.unique without it imports numpy.ma (13 ms cold)
+        classes, _ = np.unique(y, return_counts=True)
         if classes.size >= 2:
             if np.min(r) < 0 or np.max(r) >= X.shape[0]:
                 raise TrainingError("row index out of range of X")

@@ -87,18 +87,24 @@ def test_readme_library_example_runs(capsys):
     assert all(0.0 <= v <= 1.0 for v in printed.values())
 
 
+def run_python(code: str) -> str:
+    """The standard output of `code`, run by a fresh interpreter that
+    imports this checkout's uclso."""
+    src = str(Path(uclso.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True).stdout
+
+
 def test_import_loads_no_scipy():
     # scipy.stats alone took about a second to import; the Friedman test
     # imports scipy.special when it first runs, and nothing else uses scipy.
     # orjson (about 0.7 MB) is imported when float text is first written
-    src = str(Path(uclso.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    # or a dense ARFF block is first read
     code = ("import sys, uclso, uclso.cli; "
             "print(sorted(m for m in sys.modules if m.startswith(('scipy', 'orjson'))))")
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, check=True)
-    assert result.stdout == "[]\n"
+    assert run_python(code) == "[]\n"
 
 
 def test_commands_on_arff_load_no_numpy_ma(tmp_path):
@@ -113,14 +119,22 @@ def test_commands_on_arff_load_no_numpy_ma(tmp_path):
     config.write_text(f"seed: 1\nout: {tmp_path / 'out'}\ndatasets:\n  - name: d\n"
                       f"    mulan: {{arff: {arff}, xml: {xml}}}\n"
                       "oversample: {k_clusters: 2, m_neighbors: 3}\n")
-    src = str(Path(uclso.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        p for p in (src, os.environ.get("PYTHONPATH")) if p))
     code = ("import contextlib, io, sys, uclso.cli\n"
             "for command in ('stats', 'cluster', 'oversample'):\n"
             "    with contextlib.redirect_stdout(io.StringIO()):\n"
             f"        assert uclso.cli.main([command, '--config', {str(config)!r}]) == 0\n"
             "    print(command, 'numpy.ma' in sys.modules)\n")
-    result = subprocess.run([sys.executable, "-c", code], env=env,
-                            capture_output=True, text=True, check=True)
-    assert result.stdout == "stats False\ncluster False\noversample False\n"
+    assert run_python(code) == "stats False\ncluster False\noversample False\n"
+
+
+def test_fit_lockstep_loads_no_numpy_ma():
+    # plain np.unique imports numpy.ma (about 13 ms cold); the class check
+    # of every model that experiment and run_cv train must not
+    code = ("import sys, numpy as np\n"
+            "from uclso.linear import TrainConfig, fit_lockstep\n"
+            "X = np.arange(12.0).reshape(6, 2) / 10\n"
+            "rows = [np.arange(6), np.arange(3)]\n"
+            "targets = [np.array([0, 1, 0, 1, 1, 0]), np.array([1, 1, 1])]\n"
+            "_, _, constant = fit_lockstep(X, rows, targets, [1, 2], TrainConfig(epochs=2))\n"
+            "print(constant, 'numpy.ma' in sys.modules)\n")
+    assert run_python(code) == "[1] False\n"

@@ -314,12 +314,6 @@ def no_line_parser():
     return mock.patch.object(arff_io, "_parse_row", side_effect=AssertionError)
 
 
-def no_loadtxt():
-    """A patch under which read_arff fails if the orjson pass refuses a
-    dense block: with no_line_parser, it must take the whole block."""
-    return mock.patch.object(arff_io, "_parse_loadtxt", side_effect=AssertionError)
-
-
 # tokens both parsers read, then tokens at least one of them rejects
 NUMERIC_OK = ["0", "1", "-0", "2.5", " 3 ", "\t-1e3\t", "inf", "-Infinity", "nan",
               "-nan", "1e400", "1e-320", "+.5", "\x0c1", "1\u2028"]
@@ -363,7 +357,7 @@ def test_vectorised_pass_matches_line_parser(text):
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
         fast = read_or_error(path)
-        with mock.patch.object(arff_io, "_parse_dense", return_value=None):
+        with mock.patch.object(arff_io, "_parse_json", return_value=None):
             lines = read_or_error(path)
     assert type(fast) is type(lines)
     if isinstance(lines, tuple):
@@ -374,9 +368,9 @@ def test_vectorised_pass_matches_line_parser(text):
 
 
 def test_vectorised_pass_keeps_special_values(tmp_path):
+    # tokens the orjson pass refuses, so the line parser reads the block
     path = write(tmp_path, "v.arff", HEADER + "@data\ninf,1,-0\n1e-320,0,-Infinity\n 1e400 , 1 ,nan\n")
-    with no_line_parser():
-        _, raw = read_arff(path)
+    _, raw = read_arff(path)
     expected = [[np.inf, 1.0, -0.0], [1e-320, 0.0, -np.inf], [np.inf, 1.0, np.nan]]
     assert raw.tobytes() == np.array(expected).tobytes()
 
@@ -413,8 +407,8 @@ def test_bad_row_reports_its_line(tmp_path, row, message):
 
 
 def test_tokens_only_float_reads_go_to_line_parser(tmp_path):
-    # float() reads 1_0 as 10 and full-width digits as digits; loadtxt
-    # rejects both, so the block falls back and reads as float() does
+    # float() reads 1_0 as 10 and full-width digits as digits; the orjson
+    # pass refuses both, so the block falls back and reads as float() does
     path = tmp_path / "u.arff"
     path.write_text(HEADER + "@data\n1_0,1,\uff12\n", encoding="utf-8")
     assert np.array_equal(read_arff(str(path))[1], [[10, 1, 2]])
@@ -490,20 +484,30 @@ def test_sparse_load_holds_the_matrix_and_one_row(tmp_path):
     assert peak < 1.25 * raw.nbytes
 
 
-@pytest.mark.parametrize("dense_pass", ["orjson", "loadtxt"])
-def test_each_dense_pass_holds_the_matrix_not_the_text(tmp_path, dense_pass):
-    # the same bound for the block each vectorised pass takes: the orjson
-    # pass must take it, or is skipped so that the loadtxt pass does
-    if dense_pass == "orjson":
-        only = no_loadtxt()
-    else:
-        only = mock.patch.object(arff_io, "_parse_json", return_value=None)
-    with only:
-        test_dense_load_holds_the_matrix_not_the_text(tmp_path)
+def test_dense_refused_block_holds_the_matrix_and_one_row(tmp_path):
+    # a {NO,YES} domain and the tokens +.5, -0 and 1e400 each make the
+    # orjson pass refuse the block, so the line parser reads it: a 1000x200
+    # block of two row patterns, each of five columns repeated 40 times
+    n, repeats = 1000, 40
+    rows = ["YES,+.5,-0,1e400,1", "NO,-2.5e-3,7,-1E400,0"]
+    path = tmp_path / "d.arff"
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("@relation d\n")
+        for r in range(repeats):
+            fh.write(f"@attribute s{r} {{NO,YES}}\n")
+            fh.writelines(f"@attribute {c}{r} numeric\n" for c in "abc")
+            fh.write(f"@attribute y{r} {{0,1}}\n")
+        fh.write("@data\n")
+        fh.writelines(",".join([rows[i % 2]] * repeats) + "\n" for i in range(n))
+    (_, raw), peak = traced_peak(lambda: read_arff(str(path)))
+    expected = np.tile([[1.0, 0.5, -0.0, np.inf, 1.0], [0.0, -2.5e-3, 7.0, -np.inf, 0.0]],
+                       (n // 2, repeats))
+    assert raw.tobytes() == expected.tobytes()
+    assert peak < 1.25 * raw.nbytes
 
 
 # The orjson pass reads dense blocks of JSON numbers, and refuses, for the
-# loadtxt pass, any block it would read other than float() does.
+# line parser, any block it would read other than float() does.
 
 def test_orjson_pass_reads_write_mulan_files(tmp_path):
     # a 6000x40 file with 8 labels, as written and with CRLF line ends
@@ -516,7 +520,7 @@ def test_orjson_pass_reads_write_mulan_files(tmp_path):
     crlf = tmp_path / "crlf.arff"
     crlf.write_bytes(arff.read_bytes().replace(b"\n", b"\r\n"))
     for path in (arff, crlf):
-        with no_loadtxt(), no_line_parser():
+        with no_line_parser():
             back = load_mulan(str(path), xml)
         assert back.features.tobytes() == ds.features.tobytes()
         assert np.array_equal(back.labels, ds.labels)
@@ -525,7 +529,7 @@ def test_orjson_pass_reads_write_mulan_files(tmp_path):
 def test_orjson_pass_drops_comments_and_blank_lines(tmp_path):
     path = write(tmp_path, "c.arff",
                  HEADER + "@data\n% first\n1,0,2\n\n   \n\x0c\n% x,y\n  3 ,\t1,4 \n%\n")
-    with no_loadtxt(), no_line_parser():
+    with no_line_parser():
         _, raw = read_arff(path)
     assert raw.tobytes() == np.array([[1, 0, 2], [3, 1, 4]], dtype=float).tobytes()
 
@@ -536,13 +540,13 @@ def test_lone_carriage_returns_end_rows(tmp_path):
     header = "@relation r\n" + "".join(f"@attribute a{j} numeric\n" for j in range(4))
     good = tmp_path / "good.arff"
     good.write_bytes((header + "@data\r1,2,3,4\r5,6,7,8\r").encode())
-    with no_loadtxt(), no_line_parser():
+    with no_line_parser():
         _, raw = read_arff(str(good))
     assert np.array_equal(raw, [[1, 2, 3, 4], [5, 6, 7, 8]])
     bad = tmp_path / "bad.arff"
     bad.write_bytes((header + "@data\n1,2,\r3,4\n").encode())
     fast = read_or_error(str(bad))
-    with mock.patch.object(arff_io, "_parse_dense", return_value=None):
+    with mock.patch.object(arff_io, "_parse_json", return_value=None):
         assert fast == read_or_error(str(bad)) == ("line 7: expected 4 values, got 3", 7)
 
 
@@ -632,11 +636,11 @@ def test_orjson_pass_matches_line_parser(block, chunk):
             fh.write(text)
         with mock.patch.object(arff_io, "_CHUNK_CHARS", chunk):
             if clean:
-                with no_loadtxt(), no_line_parser():
+                with no_line_parser():
                     fast = read_arff(path)[1]
             else:
                 fast = read_or_error(path)
-        with mock.patch.object(arff_io, "_parse_dense", return_value=None):
+        with mock.patch.object(arff_io, "_parse_json", return_value=None):
             lines = read_or_error(path)
     assert type(fast) is type(lines)
     if isinstance(lines, tuple):
