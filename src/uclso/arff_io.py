@@ -101,6 +101,8 @@ def _parse_attribute(rest: str, lineno: int) -> _Attribute:
 
 def _split_csv(line: str, lineno: int) -> list[str]:
     """Split a dense data row on commas, honouring quotes."""
+    if "'" not in line and '"' not in line:
+        return [t.strip() for t in line.split(",")]
     out = []
     buf = []
     quote = None

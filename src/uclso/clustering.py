@@ -2,7 +2,9 @@
 
 One clustering is computed per training set and shared, read-only, across
 all labels. Distance ties break toward the lowest cluster id and every
-step is deterministic under the seed.
+step is deterministic under the seed. A Lloyd update sorts the rows by
+cluster once and sums each cluster's gathered rows in row order, so every
+centroid keeps the bits of the masked mean X[assignment == j].mean(axis=0).
 """
 
 from __future__ import annotations
@@ -72,22 +74,22 @@ def _kmeanspp_init(
 
 
 def _assign_with_repair(
-    X: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Nearest-centroid assignment (ties to the lowest id). Empty clusters
-    are repaired by moving their centroid onto the point farthest from its
-    own centroid and force-assigning that point, which keeps k populated
-    clusters and never increases the total cost."""
-    n = X.shape[0]
+    X: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray, rows: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, float, np.ndarray]:
+    """Nearest-centroid assignment (ties to the lowest id), with `rows`
+    the indices 0..n-1 of X's rows. Empty clusters are repaired by moving
+    their centroid onto the point farthest from its own centroid and
+    force-assigning that point, which keeps k populated clusters and never
+    increases the total cost. Returns the assignment, the centroids, the
+    inertia and each cluster's row count."""
     k = centroids.shape[0]
     d2 = _sq_dists(X, x_sq, centroids)
     assignment = d2.argmin(axis=1)
     counts = np.bincount(assignment, minlength=k)
-    empties = np.flatnonzero(counts == 0)
-    if empties.size:
-        own = d2[np.arange(n), assignment].copy()
+    if not counts.all():
+        own = d2[rows, assignment].copy()
         centroids = centroids.copy()
-        for e in empties:
+        for e in np.flatnonzero(counts == 0):
             # never drain a singleton cluster while filling another
             candidates = np.flatnonzero(counts[assignment] > 1)
             if candidates.size == 0:
@@ -99,8 +101,8 @@ def _assign_with_repair(
             centroids[e] = X[j]
             own[j] = 0.0
         d2 = _sq_dists(X, x_sq, centroids)
-    inertia = float(d2[np.arange(n), assignment].sum())
-    return assignment, centroids, inertia
+    inertia = float(d2[rows, assignment].sum())
+    return assignment, centroids, inertia, counts
 
 
 def check_k(k: int, n: int) -> None:
@@ -122,14 +124,25 @@ def kmeans(X: np.ndarray, k: int, seed: int) -> ClusterAssignment:
     rng = np.random.default_rng(seed)
     x_sq = (X * X).sum(axis=1)  # fixed across every distance pass
     centroids = _kmeanspp_init(X, x_sq, k, rng)
+    rows = np.arange(X.shape[0])
+    # cluster ids as a key of at most 16 bits when k allows, which numpy's
+    # stable sort orders by radix sort
+    key = np.min_scalar_type(k - 1)
     history = []
     while True:
-        assignment, centroids, inertia = _assign_with_repair(X, x_sq, centroids)
+        assignment, centroids, inertia, counts = _assign_with_repair(
+            X, x_sq, centroids, rows
+        )
         history.append(inertia)
-        new_centroids = centroids.copy()
-        for j in range(k):
-            members = assignment == j
-            new_centroids[j] = X[members].mean(axis=0)
+        # each cluster's rows in row order, so each sum adds the rows
+        # X[assignment == j] holds in its order, as its mean(axis=0) does
+        order = np.argsort(assignment.astype(key), kind="stable")
+        new_centroids = np.empty_like(centroids)
+        end = 0
+        for j, count in enumerate(counts.tolist()):
+            start, end = end, end + count
+            np.add.reduce(X.take(order[start:end], axis=0), axis=0, out=new_centroids[j])
+        new_centroids /= counts[:, None]
         shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
         if shift < TOL or len(history) >= MAX_ITER:
             break

@@ -7,19 +7,22 @@ Training is the fixed-T minibatch Pegasos update (Shalev-Shwartz, Singer
 & Srebro, ICML 2007): `epochs` passes, no early stop. A model of n rows
 has regularization lambda = 1 / (reg_c * n) and its t-th step has size
 eta_t = 1 / (1 + lambda * t). Many independent models are fit in
-lockstep, as one (models x features) weight matrix over one shared row
-matrix: each step advances every model by one minibatch of its own rows,
-with its own random stream, step counter and regularization. A step's
-hinge sum is one BLAS gemv per model over its own batch_size rows, and
-its temporaries are buffers allocated once per fit. A model's arithmetic
-does not depend on which other models share its run, so fitting it alone
-or with any other models gives bit-equal weights. A float32 row matrix
-trains in float32, at half the bytes per step; any other trains in
-float64. The epoch loop has no error path and no input scan: the rows
-must be finite, which `dataset.MultiLabelDataset` guarantees, and
-`norm_limit` bounds the row norms at which float32 training stays in
-range, which `experiment` checks before any compute. A fit returns each
-model's weight row and bias only, as float64; it computes no loss.
+lockstep, as one (models x (features + 1)) weight matrix over one shared
+row matrix: each step advances every model by one minibatch of its own
+rows, with its own random stream, step counter and regularization. Each
+model's bias trains as column d of its weight row, under a zero weight
+decay, so one update advances both. A step is 13 numpy calls over the
+models still in their epoch; its hinge sum is one BLAS gemv per model
+over its own batch_size rows, and its temporaries are buffers allocated
+once per fit. A model's arithmetic does not depend on which other models
+share its run, so fitting it alone or with any other models gives
+bit-equal weights. A float32 row matrix trains in float32, at half the
+bytes per step; any other trains in float64. The epoch loop has no error
+path and no input scan: the rows must be finite, which
+`dataset.MultiLabelDataset` guarantees, and `norm_limit` bounds the row
+norms at which float32 training stays in range, which `experiment`
+checks before any compute. A fit returns each model's weight row and
+bias only, as float64; it computes no loss.
 """
 
 from __future__ import annotations
@@ -162,17 +165,18 @@ def fit_lockstep(
     batch = np.minimum(B, n[None, :] - B * step).astype(dtype)
 
     eta = np.empty(batch.shape, dtype=dtype)
-    w = np.zeros((M, d), dtype=dtype)
-    b = np.zeros(M, dtype=dtype)
-    lam_w = lam.astype(dtype)  # lambda in the training dtype, for the weight decay
+    # each model's weights, with its bias as column d
+    wb = np.zeros((M, d + 1), dtype=dtype)
+    # lambda in the training dtype for the weight decay, 0 for the bias
+    lam_wb = np.zeros((M, d + 1), dtype=dtype)
+    lam_wb[:, :d] = lam[:, None]
     # every step's temporaries, allocated once and used as their first [:a]
     Xb = np.empty((M, B, d), dtype=dtype)  # minibatch rows
     margins = np.empty((M, B, 1), dtype=dtype)
     active = np.empty((M, B), dtype=bool)  # margin < 1
     viol = np.empty((M, 1, B), dtype=dtype)  # +-1 where the hinge is active, else 0
-    hinge = np.empty((M, 1, d), dtype=dtype)
-    grad_w = np.empty((M, d), dtype=dtype)
-    grad_b = np.empty(M, dtype=dtype)
+    hinge = np.empty((M, 1, d + 1), dtype=dtype)  # violator sums, the bias's in column d
+    grad = np.empty((M, d + 1), dtype=dtype)
     ones = np.ones(B, dtype=dtype)
     # step j's views: the first `a` models, those still in their epoch
     views = []
@@ -180,10 +184,10 @@ def fit_lockstep(
         a = int((steps > j).sum())
         slots = slice(j * B, (j + 1) * B)
         views.append((rows_e[:a, slots], s_e[:a, slots], Xb[:a], margins[:a],
-                      margins[:a, :, 0], active[:a], viol[:a], viol[:a, 0], hinge[:a],
-                      hinge[:a, 0], grad_w[:a], grad_b[:a], w[:a], w[:a, :, None],
-                      b[:a], b[:a, None], lam_w[:a, None], batch[j, :a],
-                      batch[j, :a, None], eta[j, :a], eta[j, :a, None]))
+                      margins[:a, :, 0], active[:a], viol[:a], viol[:a, 0],
+                      hinge[:a, :, :d], hinge[:a, 0, d], hinge[:a, 0], grad[:a], wb[:a],
+                      wb[:a, :d, None], wb[:a, d, None], lam_wb[:a], batch[j, :a, None],
+                      eta[j, :a, None]))
     for epoch in range(cfg.epochs):
         for rng, r, s, r_e, s_e_k in models:
             perm = rng.permutation(r.size)
@@ -192,8 +196,8 @@ def fit_lockstep(
         # step size of each model's minibatch j: its t-th step overall
         t = (epoch * steps + 1 + step).astype(float)
         eta[:] = 1.0 / (1.0 + lam * t)
-        for (rj, sj, xb, m3, m, act, vi3, vi, h3, h, gw, gb, wa, wa3, ba, ba2, la,
-             size, size2, ej, ej2) in views:
+        for (rj, sj, xb, m3, m, act, vi3, vi, hw3, hb, h, g, wba, wa3, ba2, la, size,
+             ej) in views:
             X.take(rj, axis=0, out=xb, mode="clip")
             np.matmul(xb, wa3, out=m3)
             m += ba2
@@ -203,22 +207,23 @@ def fit_lockstep(
             np.multiply(sj, act, out=vi, dtype=dtype)
             # each model's violators summed over its B rows: one gemv
             # per model, so no model's sum depends on another's
-            np.matmul(vi3, xb, out=h3)
-            h /= size2
-            np.multiply(la, wa, out=gw)
-            gw -= h
-            gw *= ej2
-            wa -= gw
-            # +-1 and +-0 sum to an exact integer in any order, and b
-            # is never -0, so the sign of a zero sum cannot reach it:
-            # one gemv against ones sums each model's violators
-            np.matmul(vi, ones, out=gb)
-            gb /= size
-            gb *= ej
-            ba += gb  # bit for bit b - eta * (-sum / size)
+            np.matmul(vi3, xb, out=hw3)
+            # +-1 and +-0 sum to an exact integer in any order: one gemv
+            # against ones sums each model's violators for its bias
+            np.matmul(vi, ones, out=hb)
+            h /= size
+            np.multiply(la, wba, out=g)
+            g -= h
+            g *= ej
+            # column d is b - eta * (0 * b - x) for x = s / size and the
+            # violator sum s: bit for bit b + eta * x, the Pegasos bias
+            # step, as 0 * b is +-0 and +-0 - x is -x for x != 0. For x =
+            # +-0 both leave b as it is, since b is never -0: it starts at
+            # +0, and a difference that rounds to 0 is +0
+            wba -= g
 
-    weights[order] = w
-    bias[order] = b
+    weights[order] = wb[:, :d]
+    bias[order] = wb[:, d]
     return weights, bias, constant
 
 

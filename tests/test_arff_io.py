@@ -375,6 +375,21 @@ def test_vectorised_pass_keeps_special_values(tmp_path):
     assert raw.tobytes() == np.array(expected).tobytes()
 
 
+@given(line=st.text(st.sampled_from([",", " ", "\t", "\x0b", "\x0c", "\x1c", "\u2028", "\u3000",
+                                      "0", "1", "-", ".", "e", "N", "a", "{", "}", "%", "?"]),
+                   max_size=40))
+@example(line="")
+@example(line=",")
+@example(line=" ,\x0c, ,")
+@settings(max_examples=300, deadline=None)
+def test_unquoted_rows_split_as_the_quote_loop_does(line):
+    # a row with no quote is split by str.split; the same row with a
+    # quoted field appended goes through the character loop, whose tokens
+    # before that field must be the same: blanks, form feeds and other
+    # whitespace stripped, empty fields kept
+    assert arff_io._split_csv(line, 1) == arff_io._split_csv(line + ",'q'", 1)[:-1]
+
+
 def test_comments_and_blank_lines_in_data(tmp_path):
     path = write(tmp_path, "c.arff", HEADER + "@data\n% first\n1,0,2\n\n   \n% x,y\n3,1,4\n")
     with no_line_parser():

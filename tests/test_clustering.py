@@ -94,6 +94,40 @@ def duplicated_points(draw):
     return X, k
 
 
+def masked_mean_kmeans(X, k, seed):
+    """kmeans with the masked-mean Lloyd update that the sorted gather
+    replaced, kept as the reference it must agree with bit for bit."""
+    rng = np.random.default_rng(seed)
+    x_sq = (X * X).sum(axis=1)
+    centroids = clustering._kmeanspp_init(X, x_sq, k, rng)
+    rows = np.arange(X.shape[0])
+    history = []
+    while True:
+        assignment, centroids, inertia, _ = clustering._assign_with_repair(
+            X, x_sq, centroids, rows
+        )
+        history.append(inertia)
+        new_centroids = centroids.copy()
+        for j in range(k):
+            new_centroids[j] = X[assignment == j].mean(axis=0)
+        shift = float(np.sqrt(((new_centroids - centroids) ** 2).sum(axis=1)).max())
+        if shift < clustering.TOL or len(history) >= clustering.MAX_ITER:
+            return assignment, centroids, tuple(history)
+        centroids = new_centroids
+
+
+@st.composite
+def scaled_grids(draw):
+    """(X, k): up to 200 rows on an integer grid times a power of ten, so
+    that a cluster's sum rounds differently when its rows are added in
+    another order; k from 1 to 12."""
+    n = draw(st.integers(1, 200))
+    d = draw(st.integers(1, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    X = rng.integers(-40, 41, size=(n, d)) * 10.0**draw(st.integers(-30, 30))
+    return X, draw(st.integers(1, min(n, 12)))
+
+
 class TestKmeansProperties:
     @given(data=duplicated_points(), seed=st.integers(0, 2**16))
     @settings(max_examples=200, deadline=None)
@@ -129,6 +163,19 @@ class TestKmeansProperties:
         assert got.centroids.tobytes() == want.centroids.tobytes()
         assert got.inertia_history == want.inertia_history
         assert got.iterations_run == want.iterations_run
+
+    @given(data=duplicated_points() | scaled_grids(), seed=st.integers(0, 2**16))
+    @settings(max_examples=200, deadline=None)
+    def test_gathered_update_bits_equal_the_masked_mean(self, data, seed):
+        # each centroid sums its cluster's rows in row order, as
+        # X[assignment == j].mean(axis=0) does, so every bit is the same
+        X, k = data
+        got = kmeans(X, k, seed=seed)
+        assignment, centroids, history = masked_mean_kmeans(X, k, seed)
+        assert got.assignment.tobytes() == assignment.tobytes()
+        assert got.centroids.tobytes() == centroids.tobytes()
+        assert got.inertia_history == history
+        assert got.iterations_run == len(history)
 
 
 class TestClusterMembers:

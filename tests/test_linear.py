@@ -238,6 +238,43 @@ class TestBrFit:
         assert (predict(weights[0], bias[0], ds.features) == 1).all()
 
 
+@st.composite
+def lockstep_problems(draw):
+    """(X, rows, targets, seeds, cfg): up to 8 problems over one matrix of
+    three blocks. Noisy problems draw rows of a Gaussian block. Separable
+    problems draw rows at +-scale * v, labelled by their sign, so most of
+    their steps after the first have no violator. Origin problems draw
+    all-zero rows of alternating classes, where every row violates: a
+    minibatch with as many rows of each class sums its violators to 0, so
+    a bias can stay at 0 or return to it."""
+    dtype = draw(st.sampled_from([np.float64, np.float32]))
+    d = draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noisy = rng.normal(size=(60, d))
+    sign = np.resize([1.0, -1.0], 60)
+    scale = 10.0**draw(st.floats(0, 2)) * (1 + rng.random(60))
+    separable = np.outer(sign * scale, rng.normal(size=d) + 0.1)
+    X = np.vstack([noisy, separable, np.zeros((60, d))]).astype(dtype)
+    rows, targets = [], []
+    for kind in draw(st.lists(st.sampled_from(["noisy", "separable", "origin"]),
+                              min_size=1, max_size=8)):
+        k = draw(st.integers(2, 60))
+        pick = rng.choice(60, size=k, replace=False)
+        if kind == "noisy":
+            rows.append(pick)
+            targets.append((noisy[pick, 0] + rng.normal(0, 0.5, k) > 0).astype(int))
+        elif kind == "separable":
+            rows.append(60 + pick)
+            targets.append((sign[pick] > 0).astype(int))
+        else:
+            rows.append(120 + pick)
+            targets.append(np.resize([0, 1], k))
+    seeds = draw(st.lists(st.integers(0, 2**31), min_size=len(rows), max_size=len(rows)))
+    cfg = TrainConfig(epochs=draw(st.integers(1, 6)),
+                      batch_size=draw(st.sampled_from([4, 32, 64])))
+    return X, rows, targets, seeds, cfg
+
+
 class TestLockstep:
     @pytest.mark.parametrize("batch_size", [1, 7, 32, 500])
     @pytest.mark.parametrize("reg_c", [None, 0.05])
@@ -283,6 +320,20 @@ class TestLockstep:
                         w, b = fit_one(X[r], y, replace(cfg, seed=seed))
                         assert np.array_equal(w, weights[k])
                         assert b == bias[k]
+
+    @given(problems=lockstep_problems())
+    @settings(max_examples=100, deadline=None)
+    def test_bias_is_never_minus_zero_and_fits_alone_as_in_group(self, problems):
+        # the fused update leaves a bias as it is when its violator sum is
+        # +-0 only because the bias is never -0; and every model's bits
+        # must not depend on the models that share its run
+        X, rows, targets, seeds, cfg = problems
+        weights, bias, _ = fit_lockstep(X, rows, targets, seeds, cfg)
+        assert not np.signbit(bias[bias == 0]).any()
+        for k, (r, y, seed) in enumerate(zip(rows, targets, seeds)):
+            w, b = fit_one(X[r], y, replace(cfg, seed=seed))
+            assert w.tobytes() == weights[k].tobytes()
+            assert np.float64(b).tobytes() == bias[k].tobytes()
 
     def test_float32_matrix_trains_in_float32(self):
         # the weights come back as float64, every one of them a float32
