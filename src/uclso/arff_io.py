@@ -150,36 +150,41 @@ def read_arff(path: str) -> tuple[list[_Attribute], np.ndarray]:
     Nominal cells hold the index of their value in the declared domain.
     """
     attributes: list[_Attribute] = []
-    # utf-8-sig: a byte-order mark at the start of the file is not text
-    with open(path, "r", encoding="utf-8-sig") as fh:
-        # readline, not iteration: _DataBlock needs fh.tell(), which text
-        # files disable while they are iterated
-        for lineno, raw in enumerate(iter(fh.readline, ""), start=1):
-            line = raw.strip()
-            if not line or line.startswith("%"):
-                continue
-            low = line.lower()
-            if low.startswith("@relation"):
-                continue
-            if low.startswith("@attribute"):
-                m = _ATTR_RE.match(line)
-                if not m:
-                    raise ArffError("malformed @attribute", lineno)
-                attributes.append(_parse_attribute(m.group(1), lineno))
-                continue
-            if low.startswith("@data"):
-                if not attributes:
-                    raise ArffError("@data before any @attribute", lineno)
-                break
-            raise ArffError(f"unexpected header line {line!r}", lineno)
-        else:
-            raise ArffError("no @data section found", None)
-        block = _DataBlock(fh, lineno)
-        if next(iter(block), None) is None:
-            raise ArffError("empty @data section", None)
-        values = _parse_json(block, attributes)
-        if values is None:
-            values = _parse_lines(block, attributes)
+    try:
+        # utf-8-sig: a byte-order mark at the start of the file is not text
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            # readline, not iteration: _DataBlock needs fh.tell(), which text
+            # files disable while they are iterated
+            for lineno, raw in enumerate(iter(fh.readline, ""), start=1):
+                line = raw.strip()
+                if not line or line.startswith("%"):
+                    continue
+                low = line.lower()
+                if low.startswith("@relation"):
+                    continue
+                if low.startswith("@attribute"):
+                    m = _ATTR_RE.match(line)
+                    if not m:
+                        raise ArffError("malformed @attribute", lineno)
+                    attributes.append(_parse_attribute(m.group(1), lineno))
+                    continue
+                if low.startswith("@data"):
+                    if not attributes:
+                        raise ArffError("@data before any @attribute", lineno)
+                    break
+                raise ArffError(f"unexpected header line {line!r}", lineno)
+            else:
+                raise ArffError("no @data section found", None)
+            block = _DataBlock(fh, lineno)
+            if next(iter(block), None) is None:
+                raise ArffError("empty @data section", None)
+            values = _parse_json(block, attributes)
+            if values is None:
+                values = _parse_lines(block, attributes)
+    except UnicodeDecodeError as exc:
+        # text is decoded a chunk at a time, so the line is not known
+        bad = exc.object[exc.start]
+        raise ArffError(f"not UTF-8 text: byte 0x{bad:02x} ({exc.reason})") from None
     return attributes, values
 
 

@@ -3,8 +3,11 @@
 Subcommands: stats, cluster, oversample, experiment, toy-gen. All runs are
 driven by a YAML config file; every output embeds the config hash and the
 global seed so identical configs produce byte-identical artifacts. Every
-command writes its files through `_staged`, which publishes them into the
-output directory only when the whole run succeeds.
+command prepares its datasets through `_checked`: one pass loads each
+dataset once and applies the command's checks, naming the dataset in any
+error, before anything is computed. The command then writes its files
+through `_staged`, which publishes them into the output directory only
+when the whole run succeeds.
 
 Exit codes: 0 success, 1 computation error, 2 usage/config error.
 """
@@ -22,7 +25,7 @@ import sys
 import tempfile
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import replace
+from dataclasses import astuple, fields, replace
 
 import numpy as np
 
@@ -31,6 +34,7 @@ from .clustering import check_k, kmeans
 from .config import ConfigError, DatasetSource, ExperimentConfig, load_config
 from .dataset import (
     DatasetError,
+    DatasetStats,
     check_row_norms,
     compute_stats,
     filter_labels,
@@ -41,21 +45,7 @@ from .experiment import MethodSpec, auc_defined, check_training_range, run_cv
 from .oversample import LabelUnusableError, iter_augments
 from .ranking import average_ranks, critical_difference_rows, friedman
 
-STATS_COLUMNS = [
-    "dataset",
-    "instances",
-    "inputs",
-    "labels",
-    "type",
-    "cardinality",
-    "density",
-    "distinct_labelsets",
-    "proportion_distinct",
-    "ir_min",
-    "ir_max",
-    "ir_avg",
-    "variant",
-]
+STATS_COLUMNS = ["dataset", *(f.name for f in fields(DatasetStats)), "variant"]
 
 
 def _fmt(v) -> str:
@@ -109,57 +99,52 @@ def _csv_field(text: str) -> str:
     return buf.getvalue()[:-2]
 
 
-def _stats_row(name: str, ds, variant: str) -> list:
-    st = compute_stats(ds)
-    return [
-        name,
-        st.instances,
-        st.inputs,
-        st.labels,
-        ds.feature_type,
-        st.cardinality,
-        st.density,
-        st.distinct_labelsets,
-        st.proportion_distinct,
-        st.ir_min,
-        st.ir_max,
-        st.ir_avg,
-        variant,
-    ]
-
-
-def cmd_stats(cfg: ExperimentConfig) -> int:
-    # every dataset is loaded and scaled, and so checked, before any is
-    # computed on
-    loaded = []
-    for source in cfg.datasets:
-        ds = source.load()
-        if cfg.scale == "minmax":
-            with _naming(source):
-                ds = scale_min_max(ds)
-        loaded.append((source, ds))
-    rows = []
-    for source, ds in loaded:
-        rows.append(_stats_row(source.name, ds, "raw"))
-        try:
-            filtered, _ = filter_labels(ds, cfg.max_ir, cfg.min_pos)
-            rows.append(_stats_row(source.name, filtered, "filtered"))
-        except DatasetError as exc:
-            print(f"warning: {source.name}: {exc}", file=sys.stderr)
-    with _staged(cfg) as out:
-        _write_rows(os.path.join(out, "stats.csv"), cfg, STATS_COLUMNS, rows)
-    _csv_rows(sys.stdout, STATS_COLUMNS, rows)
-    return 0
+@contextmanager
+def _naming(source: DatasetSource) -> Iterator[None]:
+    """Re-raise an error inside the block as one that names the dataset it
+    was raised on: an ArffError stays one, so a malformed file stays a
+    usage error (exit 2), and any other ValueError becomes a DatasetError."""
+    try:
+        yield
+    except ArffError as exc:
+        raise ArffError(f"dataset {source.name!r}: {exc}") from exc
+    except ValueError as exc:
+        raise DatasetError(f"dataset {source.name!r}: {exc}") from exc
 
 
 @contextmanager
-def _naming(source: DatasetSource) -> Iterator[None]:
-    """Re-raise a computation error inside the block as one that names
-    the dataset it was computed on."""
-    try:
-        yield
-    except ValueError as exc:
-        raise DatasetError(f"dataset {source.name!r}: {exc}") from exc
+def _checked(cfg: ExperimentConfig, check, sources=None) -> Iterator[tuple[str, list]]:
+    """Load each of `sources` (by default every dataset of cfg) once and
+    pass it to check, which returns what the command computes on; a
+    failure names its dataset. Only when every dataset has passed, yield
+    the _staged directory and the (source, checked) pairs, so a run that
+    cannot finish fails before it computes or writes anything."""
+    checked = []
+    for source in cfg.datasets if sources is None else sources:
+        with _naming(source):
+            checked.append((source, check(source.load())))
+    with _staged(cfg) as out:
+        yield out, checked
+
+
+def _stats_row(name: str, ds, variant: str) -> list:
+    return [name, *astuple(compute_stats(ds)), variant]
+
+
+def cmd_stats(cfg: ExperimentConfig) -> int:
+    scale = scale_min_max if cfg.scale == "minmax" else lambda ds: ds
+    with _checked(cfg, scale) as (out, loaded):
+        rows = []
+        for source, ds in loaded:
+            rows.append(_stats_row(source.name, ds, "raw"))
+            try:
+                filtered, _ = filter_labels(ds, cfg.max_ir, cfg.min_pos)
+                rows.append(_stats_row(source.name, filtered, "filtered"))
+            except DatasetError as exc:
+                print(f"warning: {source.name}: {exc}", file=sys.stderr)
+        _write_rows(os.path.join(out, "stats.csv"), cfg, STATS_COLUMNS, rows)
+    _csv_rows(sys.stdout, STATS_COLUMNS, rows)
+    return 0
 
 
 # with R the largest row norm, k-means' expanded squared distances and
@@ -169,21 +154,20 @@ DISTANCE_NORM_LIMIT = math.sqrt(sys.float_info.max / 8)
 
 
 def _per_dataset(cfg: ExperimentConfig, write, clustered: bool) -> int:
-    """Load and prepare every dataset, checking its row norms against
+    """Prepare every dataset, checking its row norms against
     DISTANCE_NORM_LIMIT and, if `clustered`, k_clusters against its rows.
     Then call write(cfg, ds, assign, dataset, out) on each, `assign` its
     k-means clustering (or None), `out` the staging directory."""
     k = cfg.oversample.k_clusters
-    prepared = []
-    for source in cfg.datasets:
-        ds = source.load()
-        with _naming(source):
-            ds = cfg.prepare(ds)
-            check_row_norms(ds, DISTANCE_NORM_LIMIT, "whose squared distances stay finite")
-            if clustered:
-                check_k(k, ds.n)
-            prepared.append((source, ds))
-    with _staged(cfg) as out:
+
+    def check(ds):
+        ds = cfg.prepare(ds)
+        check_row_norms(ds, DISTANCE_NORM_LIMIT, "whose squared distances stay finite")
+        if clustered:
+            check_k(k, ds.n)
+        return ds
+
+    with _checked(cfg, check) as (out, prepared):
         for source, ds in prepared:
             with _naming(source):
                 assign = kmeans(ds.features, k, cfg.oversample.seed) if clustered else None
@@ -262,30 +246,27 @@ def cmd_experiment(cfg: ExperimentConfig) -> int:
         MethodSpec(name, replace(cfg.oversample, mode=name)) for name in cfg.methods
     ]
     ranked = len(cfg.datasets) >= 2 and len(methods) >= 2
-    # every dataset is loaded, prepared and planned once, before any
-    # compute. The rank tables need a defined AUC on every dataset, and the
-    # fold plan shows whether there is one, so a run that cannot finish
-    # fails before it computes or writes anything
-    prepared = []
-    for source in cfg.datasets:
-        ds = source.load()
-        with _naming(source):
-            ds = cfg.prepare(ds)
-            plan = make_fold_plan(ds.n, cfg.cv_reps, cfg.cv_folds, cfg.seed)
-            check_training_range(ds, plan, cfg.train)
-            if "uclso" in cfg.methods:
-                # uclso clusters training folds of n - ceil(n / folds) rows or more
-                check_k(cfg.oversample.k_clusters, ds.n - -(-ds.n // cfg.cv_folds))
+
+    def check(ds):
+        # the rank tables need a defined AUC on every dataset, and the
+        # fold plan shows whether there is one
+        ds = cfg.prepare(ds)
+        plan = make_fold_plan(ds.n, cfg.cv_reps, cfg.cv_folds, cfg.seed)
+        check_training_range(ds, plan, cfg.train)
+        if "uclso" in cfg.methods:
+            # uclso clusters training folds of n - ceil(n / folds) rows or more
+            check_k(cfg.oversample.k_clusters, ds.n - -(-ds.n // cfg.cv_folds))
         if ranked and not auc_defined(ds.labels, plan):
             raise DatasetError(
-                f"dataset {source.name!r}: no cross-validation cell has a label "
-                "with both classes in its test fold, so no AUC can be defined"
+                "no cross-validation cell has a label with both classes in its "
+                "test fold, so no AUC can be defined"
             )
-        prepared.append((source, ds, plan))
+        return ds, plan
+
     f1_scores = np.zeros((len(cfg.datasets), len(methods)))
     auc_scores = np.zeros_like(f1_scores)
-    with _staged(cfg) as out:
-        for di, (source, ds, plan) in enumerate(prepared):
+    with _checked(cfg, check) as (out, prepared):
+        for di, (source, (ds, plan)) in enumerate(prepared):
             with _naming(source):
                 reports = run_cv(ds, methods, plan, cfg.train)
             for mi, method in enumerate(methods):
@@ -357,10 +338,10 @@ def cmd_toy_gen(cfg: ExperimentConfig) -> int:
     toys = [source for source in cfg.datasets if source.toy is not None]
     if not toys:
         raise ConfigError("toy-gen: config contains no toy datasets")
-    with _staged(cfg) as out:
-        for source in toys:
+    with _checked(cfg, lambda ds: ds, toys) as (out, loaded):
+        for source, ds in loaded:
             write_mulan(
-                source.load(),
+                ds,
                 os.path.join(out, f"{source.name}.arff"),
                 os.path.join(out, f"{source.name}.xml"),
                 relation=source.name,

@@ -11,14 +11,13 @@ from dataclasses import dataclass, field, fields
 import yaml
 
 from .dataset import (
-    DatasetError,
     MultiLabelDataset,
     ToyConfig,
     filter_labels,
     generate_toy,
     scale_min_max,
 )
-from .arff_io import ArffError, load_mulan
+from .arff_io import load_mulan
 from .linear import TrainConfig
 from .oversample import OversampleConfig
 
@@ -35,15 +34,10 @@ class DatasetSource:
     xml_path: str | None = None
 
     def load(self) -> MultiLabelDataset:
-        """The dataset, generated or read. Every command loads its datasets
-        here, so one the type rejects stops the run, named, before any compute."""
-        try:
-            if self.toy is not None:
-                return generate_toy(self.toy)
-            return load_mulan(self.arff_path, self.xml_path)
-        except (DatasetError, ArffError) as exc:
-            # same class, so a malformed file stays a usage error (exit 2)
-            raise type(exc)(f"dataset {self.name!r}: {exc}") from exc
+        """The dataset, generated or read."""
+        if self.toy is not None:
+            return generate_toy(self.toy)
+        return load_mulan(self.arff_path, self.xml_path)
 
 
 @dataclass(frozen=True)
@@ -198,6 +192,17 @@ def _toy_from_dict(d: dict, default_seed: int, where: str) -> ToyConfig:
         raise ConfigError(f"{where}: {exc}") from None
 
 
+def _check_file(path, what: str, missing: str) -> None:
+    """Reject a path that does not name a regular file: open() would take
+    a number for a file descriptor, and cannot read a directory."""
+    if not isinstance(path, (str, os.PathLike)):
+        raise ConfigError(f"{what} must be a path string, got {path!r}")
+    if not os.path.exists(path):
+        raise ConfigError(f"{missing}: {path}")
+    if not os.path.isfile(path):
+        raise ConfigError(f"{what} {path} is not a regular file")
+
+
 def load_config(
     path: str,
     seed_override: int | None = None,
@@ -205,13 +210,17 @@ def load_config(
 ) -> ExperimentConfig:
     """Read a YAML experiment config, applying CLI overrides before the
     canonical hash is computed."""
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
+    _check_file(path, "config file", "config file not found")
     with open(path, "r", encoding="utf-8") as fh:
         try:
             data = yaml.safe_load(fh)
         except yaml.YAMLError as exc:
             raise ConfigError(f"cannot parse config: {exc}") from None
+        except UnicodeDecodeError as exc:
+            bad = exc.object[exc.start]
+            raise ConfigError(
+                f"config file {path} is not UTF-8 text: byte 0x{bad:02x} ({exc.reason})"
+            ) from None
     _section(data, TOP_KEYS, "config")
     if seed_override is not None:
         data["seed"] = int(seed_override)
@@ -258,9 +267,8 @@ def load_config(
             xml = mulan.get("xml")
             if not arff or not xml:
                 raise ConfigError(f"{where}: mulan needs arff and xml paths")
-            for p in (arff, xml):
-                if not os.path.exists(p):
-                    raise ConfigError(f"{where}: path not found: {p}")
+            for key in MULAN_KEYS:
+                _check_file(mulan[key], f"{where}: mulan {key}", f"{where}: path not found")
             sources.append(DatasetSource(name, arff_path=arff, xml_path=xml))
         else:
             raise ConfigError(f"{where} needs a 'toy' or 'mulan' entry")

@@ -88,6 +88,7 @@ class DatasetStats:
     instances: int
     inputs: int
     labels: int
+    type: str  # the dataset's feature_type, "numeric" or "nominal"
     cardinality: float
     density: float
     distinct_labelsets: int
@@ -180,6 +181,7 @@ def compute_stats(ds: MultiLabelDataset) -> DatasetStats:
         instances=n,
         inputs=ds.d,
         labels=q,
+        type=ds.feature_type,
         cardinality=cardinality,
         density=density,
         distinct_labelsets=distinct,

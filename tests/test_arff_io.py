@@ -444,6 +444,23 @@ def test_byte_order_mark_is_skipped(tmp_path):
         assert bom_raw.tobytes() == raw.tobytes()
 
 
+@pytest.mark.parametrize("text", [
+    pytest.param(HEADER.encode().replace(b" r\n", b" caf\xe9\n", 1) + b"@data\n1,0,2\n",
+                 id="relation"),
+    # past the first decoded chunk, while the data passes read
+    pytest.param(HEADER.encode() + b"@data\n" + b"1,0,2\n" * 3000 + b"% caf\xe9\n",
+                 id="data"),
+])
+def test_text_that_is_not_utf8_is_an_arff_error(tmp_path, text):
+    # text is decoded a chunk at a time, so no line is named
+    path = tmp_path / "latin1.arff"
+    path.write_bytes(text)
+    with pytest.raises(ArffError) as info:
+        read_arff(str(path))
+    assert str(info.value) == "not UTF-8 text: byte 0xe9 (invalid continuation byte)"
+    assert info.value.line is None
+
+
 def test_sparse_row_semantics(tmp_path):
     # the line parser's reading of sparse rows, which item 5's vectorised
     # sparse pass must keep: {} is all zeros, a repeated index keeps its

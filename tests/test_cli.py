@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -14,9 +15,9 @@ import pytest
 import uclso.cli
 from uclso.arff_io import write_mulan
 from uclso.cli import _fmt, main
-from uclso.dataset import MultiLabelDataset
+from uclso.dataset import DatasetStats, MultiLabelDataset
 from uclso.clustering import kmeans
-from uclso.config import DatasetSource, load_config
+from uclso.config import ConfigError, DatasetSource, load_config
 from uclso.experiment import run_cv
 from uclso.oversample import iter_augments, uclso_augment
 
@@ -77,6 +78,19 @@ class TestStats:
         body = [l.split(",") for l in lines[1:]]
         assert any(row[0] == "toy_a" and row[-1] == "raw" for row in body)
         assert os.path.exists(os.path.join(out, "stats.csv"))
+
+    def test_columns_are_the_dataset_stats_fields(self, config_path, capsys):
+        # one layout: the dataset's name, then DatasetStats' fields in
+        # their order, then the variant, in stats.csv and on stdout
+        config, out = config_path
+        assert main(["stats", "--config", config]) == 0
+        header = ["dataset", *(f.name for f in fields(DatasetStats)), "variant"]
+        assert header[4] == "type"
+        with open(os.path.join(out, "stats.csv"), encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+        assert lines[1] == ",".join(header)
+        assert capsys.readouterr().out.splitlines()[0] == ",".join(header)
+        assert all(row.split(",")[4] == "numeric" for row in lines[2:])
 
     def test_missing_config_is_usage_error(self, tmp_path):
         assert main(["stats", "--config", str(tmp_path / "nope.yaml")]) == 2
@@ -842,6 +856,100 @@ def test_arff_error_at_load_names_the_dataset(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["stats", "cluster", "oversample", "experiment", "toy-gen"])
+def test_each_dataset_loaded_once(config_path, monkeypatch, command):
+    # one pass loads and checks every dataset before any compute, and the
+    # compute uses that same load: a ranked experiment checks every
+    # dataset's AUC from it
+    loads = Counter()
+    load = DatasetSource.load
+
+    def counting_load(source):
+        loads[source.name] += 1
+        return load(source)
+
+    config, _ = config_path
+    monkeypatch.setattr(DatasetSource, "load", counting_load)
+    assert main([command, "--config", config]) == 0
+    assert loads == {"toy_a": 1, "toy_b": 1}
+
+
+@pytest.mark.parametrize("key", ["arff", "xml", "config"])
+@pytest.mark.parametrize("value, shown", [
+    pytest.param(1, "must be a path string, got 1", id="int"),
+    pytest.param(True, "must be a path string, got True", id="bool"),
+    pytest.param(["d.arff"], "must be a path string, got ['d.arff']", id="list"),
+    pytest.param("folder", "folder is not a regular file", id="directory"),
+])
+def test_path_naming_no_regular_file_is_usage_error(tmp_path, capsys, monkeypatch, key,
+                                                    value, shown):
+    # open() would take 1 or True for file descriptor 1, standard output,
+    # cannot open a list and cannot read a directory: each is rejected
+    # when the config loads, and the message names the dataset and the key
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "folder").mkdir()
+    (tmp_path / "d.arff").write_text("@relation d\n@attribute f0 numeric\n"
+                                     "@attribute lab {0,1}\n@data\n0.5,1\n1.5,0\n")
+    (tmp_path / "d.xml").write_text(LAB_XML)
+    if key == "config":
+        if isinstance(value, str):
+            assert main(["stats", "--config", value]) == 2
+            assert capsys.readouterr().err == f"error: config file {shown}\n"
+        else:
+            with pytest.raises(ConfigError) as info:
+                load_config(value)
+            assert str(info.value) == f"config file {shown}"
+        assert sorted(os.listdir(tmp_path)) == ["d.arff", "d.xml", "folder"]
+        return
+    mulan = {"arff": "d.arff", "xml": "d.xml", key: value}
+    (tmp_path / "config.yaml").write_text(
+        f"out: results\ndatasets:\n  - name: d\n    mulan: {json.dumps(mulan)}\n"
+    )
+    assert main(["stats", "--config", "config.yaml"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: dataset 'd': mulan {key} {shown}\n"
+    assert sorted(os.listdir(tmp_path)) == ["config.yaml", "d.arff", "d.xml", "folder"]
+
+
+def test_config_that_is_not_utf8_is_usage_error(tmp_path, capsys):
+    # a Latin-1 é in a comment
+    path = tmp_path / "config.yaml"
+    path.write_bytes(b"# caf\xe9\n" + CONFIG.format(out=tmp_path / "results").encode())
+    assert main(["stats", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: config file {path} is not UTF-8 text: byte 0xe9 (invalid continuation "
+        "byte)\n"
+    )
+    assert os.listdir(tmp_path) == ["config.yaml"]
+
+
+@pytest.mark.parametrize("command", ["stats", "cluster", "oversample", "experiment"])
+def test_arff_that_is_not_utf8_is_usage_error_naming_the_dataset(tmp_path, capsys,
+                                                                 monkeypatch, command):
+    # a Latin-1 é in the @relation line of the third dataset: a malformed
+    # file, so a usage error, found before the toys are computed on
+    arff, xml = tmp_path / "latin1.arff", tmp_path / "latin1.xml"
+    arff.write_bytes(b"@relation caf\xe9\n@attribute f0 numeric\n@attribute lab {0,1}\n"
+                     b"@data\n0.5,1\n1.5,0\n")
+    xml.write_text(LAB_XML)
+    out = tmp_path / "results"
+    path = tmp_path / "config.yaml"
+    path.write_text(CONFIG.format(out=out).replace(
+        "oversample:", f"  - name: latin1\n    mulan: {{arff: {arff}, xml: {xml}}}\noversample:"
+    ))
+    calls = []
+    for name in ("compute_stats", "kmeans", "iter_augments", "run_cv"):
+        monkeypatch.setattr(f"uclso.cli.{name}", lambda *a, name=name, **k: calls.append(name))
+    assert main([command, "--config", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: dataset 'latin1': not UTF-8 text: byte 0xe9 (invalid continuation byte)\n"
+    )
+    assert calls == [] and not out.exists()
+
+
 class TestExperiment:
     def test_outputs_and_rank_tables(self, config_path):
         config, out = config_path
@@ -899,21 +1007,6 @@ class TestExperiment:
             "error: dataset 'toy_a': all labels dropped by filtering; dataset unusable\n"
         )
         assert not out.exists()
-
-    def test_each_dataset_loaded_once(self, config_path, monkeypatch):
-        # a ranked run checks every dataset's AUC before any compute, from
-        # the same load that its cross-validation then uses
-        loads = Counter()
-        load = DatasetSource.load
-
-        def counting_load(source):
-            loads[source.name] += 1
-            return load(source)
-
-        config, _ = config_path
-        monkeypatch.setattr(DatasetSource, "load", counting_load)
-        assert main(["experiment", "--config", config]) == 0
-        assert loads == {"toy_a": 1, "toy_b": 1}
 
     def test_preparation_error_comes_before_any_compute(self, tmp_path, capsys,
                                                         monkeypatch):
