@@ -150,6 +150,7 @@ def read_arff(path: str) -> tuple[list[_Attribute], np.ndarray]:
     Nominal cells hold the index of their value in the declared domain.
     """
     attributes: list[_Attribute] = []
+    names: set[str] = set()
     try:
         # utf-8-sig: a byte-order mark at the start of the file is not text
         with open(path, "r", encoding="utf-8-sig") as fh:
@@ -166,7 +167,11 @@ def read_arff(path: str) -> tuple[list[_Attribute], np.ndarray]:
                     m = _ATTR_RE.match(line)
                     if not m:
                         raise ArffError("malformed @attribute", lineno)
-                    attributes.append(_parse_attribute(m.group(1), lineno))
+                    attr = _parse_attribute(m.group(1), lineno)
+                    if attr.name in names:
+                        raise ArffError(f"duplicate attribute name {attr.name!r}", lineno)
+                    names.add(attr.name)
+                    attributes.append(attr)
                     continue
                 if low.startswith("@data"):
                     if not attributes:
@@ -326,6 +331,11 @@ def read_label_names(xml_path: str) -> list[str]:
     ]
     if not names:
         raise ArffError("label XML names no labels")
+    seen = set()
+    for name in names:
+        if name in seen:
+            raise ArffError(f"label XML names {name!r} twice")
+        seen.add(name)
     return names
 
 
@@ -458,13 +468,22 @@ def write_mulan(ds: MultiLabelDataset, arff_path: str, xml_path: str,
     reloading yields identical names and feature and label matrices. A name
     that is empty, holds a line break, holds both quote characters or holds
     a lone surrogate (which UTF-8 cannot encode), a label name that holds a
-    character XML 1.0 forbids, and a relation that holds a line break,
-    cannot be written, and are rejected before any file is opened.
+    character XML 1.0 forbids, a name given to both a feature and a label
+    (read_arff refuses an attribute declared twice) and a relation that
+    holds a line break cannot be written, and are rejected before any file
+    is opened.
     """
     if "\n" in relation or "\r" in relation:
         raise ArffError(f"relation {relation!r} cannot be written to ARFF")
     features = [_quoted(name) for name in ds.feature_names]
     labels = [_quoted_label(name) for name in ds.label_names]
+    feature_set = set(ds.feature_names)
+    shared = [name for name in ds.label_names if name in feature_set]
+    if shared:
+        raise ArffError(
+            f"attribute name {shared[0]!r} of both a feature and a label cannot be "
+            "written to ARFF"
+        )
     with open(arff_path, "w", encoding="utf-8") as fh:
         fh.write(f"@relation {relation}\n\n")
         for name in features:

@@ -39,16 +39,17 @@ class ClusterAssignment:
 
 
 def _sq_dists(X: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray) -> np.ndarray:
-    # (n, k) squared Euclidean distances, with x_sq the squared norms of
-    # X's rows; clip guards tiny negatives. Doubling the (n, k) product,
-    # not X, spares a scaled copy of X; doubling is exact, so the bits are
-    # those of (2X) @ C^T wherever the products are normal floats
-    d2 = (
-        x_sq[:, None]
-        - 2.0 * (X @ centroids.T)
-        + (centroids * centroids).sum(axis=1)[None, :]
-    )
-    return np.maximum(d2, 0.0)
+    # (n, k) squared Euclidean distances |x|^2 - 2 x.c + |c|^2, with x_sq
+    # the squared norms of X's rows, built in place in the one (n, k)
+    # product; the clip guards tiny negatives. Doubling the product, not X,
+    # spares a scaled copy of X; doubling and negation are exact, and
+    # a + (-b) rounds as a - b, so the bits are those of
+    # x_sq - (2X) @ C^T + |c|^2 wherever the products are normal floats
+    d2 = X @ centroids.T
+    d2 *= -2.0
+    d2 += x_sq[:, None]
+    d2 += (centroids * centroids).sum(axis=1)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def _kmeanspp_init(

@@ -3,14 +3,15 @@ augmentation, binary-relevance training and metric collection.
 
 The (repetition, fold) cells are taken in turn. Each cell's training rows
 are subset once and shared by every method; each (cell, method) unit then
-clusters them and plans each label's draws. A group of units at a time
-goes into one training matrix, laid out by `_fit_group` alone, and all of
-the group's (cell, method, label) models are fit together in one lockstep
-run (see `linear.fit_lockstep`). Small cells share a group; a unit of
-large data is a group of its own (see GROUP_ELEMENTS). There is no thread
-pool. Each unit is pure given its derived seed, and a model's fit does not
-depend on the models that share its run, so the report depends only on
-the inputs.
+clusters them (uclso) and plans each label's draws, which are all that its
+method's mode decides. A group of units at a time goes into one training
+matrix, laid out by `_fit_group` alone: `oversample.augment`, the path the
+CLI takes too, writes each label's points into it, and all of the group's
+(cell, method, label) models are fit together in one lockstep run (see
+`linear.fit_lockstep`). Small cells share a group; a unit of large data is
+a group of its own (see GROUP_ELEMENTS). There is no thread pool. Each
+unit is pure given its derived seed, and a model's fit does not depend on
+the models that share its run, so the report depends only on the inputs.
 """
 from __future__ import annotations
 
@@ -18,18 +19,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clustering import ClusterAssignment, kmeans
+from .clustering import kmeans
 from .dataset import FoldPlan, MultiLabelDataset, check_row_norms
 from .linear import TrainConfig, fit_lockstep, norm_limit, score
 from .metrics import auc_label, confusion, f1_label, macro_average
-from .oversample import (
-    LabelUnusableError,
-    OversampleConfig,
-    label_draws,
-    smote_augment,
-    synthetic_count,
-    uclso_augment,
-)
+from .oversample import OversampleConfig, augment, label_draws, synthetic_count
 
 
 @dataclass(frozen=True)
@@ -104,7 +98,6 @@ class _Unit:
     fold: int
     test_idx: np.ndarray
     oversample: OversampleConfig  # seeded for the cell
-    assign: ClusterAssignment | None  # uclso's clustering of the training rows
     draws: list  # label_draws per label
     stores_base: bool  # the first of its cell's units in the group
 
@@ -191,14 +184,15 @@ def _fit_group(
     cells: dict
 ) -> None:
     """Lay out the group's units, as run_cv planned them, in one matrix of
-    `size` rows, fit every (cell, method, label) model in one lockstep run
-    and append each unit's scored cell to cells[method name]. A unit that
-    stores its cell's base rows puts them next; then, label by label, the
-    mode's augmenter writes the label's points into its own block. Label
-    l's model trains on the base rows (targets: its column) and its block
-    (targets: 1), under a seed derived from (cell seed, l). The matrix is
-    float32: base rows and synthetic points are each rounded to it once,
-    and the models train in float32, in range by check_training_range."""
+    `size` rows, fit every (cell, method, label) model in one lockstep run and
+    append each unit's scored cell to cells[method name]. A unit that
+    stores its cell's base rows puts them next; then, label by label,
+    augment writes the points of the label's draws into its own block.
+    Label l's model trains on the base rows (targets: its column) and its
+    block (targets: 1), under a seed derived from (cell seed, l). The
+    matrix is float32: base rows and synthetic points are each rounded to
+    it once, and the models train in float32, in range by
+    check_training_range."""
     X = np.empty((size, ds.d), dtype=np.float32)
     index = np.int32 if size <= np.iinfo(np.int32).max else np.intp  # as fit_lockstep's
     rows, targets, seeds = [], [], []
@@ -213,12 +207,8 @@ def _fit_group(
         cell_seed = _cell_seed(train_cfg.seed, unit.rep, unit.fold)
         for l, plan in enumerate(unit.draws):
             count = synthetic_count(plan)
-            # each label's points land in X; its provenance is dropped with it
-            usable = not isinstance(plan, LabelUnusableError)
-            if usable and os_cfg.mode == "uclso":
-                uclso_augment(train_ds, unit.assign, l, os_cfg, X[end:end + count], plan)
-            elif usable and os_cfg.mode == "smote":
-                smote_augment(train_ds, l, os_cfg, X[end:end + count], plan)
+            if count:  # the label's points land in X; its provenance is dropped with it
+                augment(train_ds, l, os_cfg, plan, X[end:end + count])
             rows.append(np.concatenate([base, np.arange(end, end + count, dtype=index)]))
             targets.append(np.concatenate([labels[:, l], np.ones(count, dtype=np.int8)]))
             seeds.append(int(np.random.SeedSequence([cell_seed, l]).generate_state(1)[0]))
@@ -289,7 +279,7 @@ def run_cv(
                 if stores_base:
                     group_rows += train_ds.n
                 group.append(_Unit(method.name, train_ds, rep, fold, test_idx, os_cfg,
-                                   assign, draws, stores_base))
+                                   draws, stores_base))
                 group_rows += sum(map(synthetic_count, draws))
                 if group_rows >= max_rows:
                     _fit_group(ds, train_cfg, group, group_rows, cells)

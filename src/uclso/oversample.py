@@ -1,12 +1,13 @@
 """Label-specific synthetic minority generation.
 
-Two flavours share the same interpolation primitive: the cluster-guarded
-generator keeps parent pairs inside one k-means cluster with per-cluster
+A label's mode decides only its pools (label_draws): the cluster-guarded
+generator draws from one pool per k-means cluster, with per-cluster
 quotas proportional to the cluster's minority share, while the plain
-SMOTE baseline draws neighbours from the global minority set. Either way a
-parent's neighbours are its nearest other pool points by exact squared
-distance, ties to the lower index, found only for the points drawn as
-parents and in memory linear in the pool size.
+SMOTE baseline draws from the whole minority set. One function, augment,
+turns any mode's pools into points, for the CLI and the experiment
+harness alike. A parent's neighbours are its nearest other pool points
+by exact squared distance, ties to the lower index, found only for the
+points drawn as parents and in memory linear in the pool size.
 """
 
 from __future__ import annotations
@@ -376,8 +377,10 @@ def _synthesize(
 Draws = list[tuple[int, np.ndarray, int]]
 
 
-def _uclso_draws(ds: MultiLabelDataset, assign: ClusterAssignment, l: int) -> Draws:
+def _uclso_draws(ds: MultiLabelDataset, assign: ClusterAssignment | None, l: int) -> Draws:
     """(cluster, minority pool, count) per cluster with a non-zero quota."""
+    if assign is None:
+        raise OversampleError("uclso mode needs a clustering")
     if assign.assignment.shape[0] != ds.n:
         raise OversampleError("clustering was not computed on this dataset")
     min_idx, maj_idx = minority_class(ds, l)
@@ -426,14 +429,18 @@ def synthetic_count(draws: Draws | LabelUnusableError) -> int:
     return sum(count for _, _, count in draws)
 
 
-def _augment(
+def augment(
     ds: MultiLabelDataset,
     l: int,
     cfg: OversampleConfig,
     draws: Draws,
-    out: np.ndarray | None,
+    out: np.ndarray | None = None,
 ) -> AugmentedDataset:
-    """Label l's points from its draws, each (finite) pool gathered in turn."""
+    """Label l's points from `draws`, its label_draws result, whatever the
+    mode: each pool's count, interpolated between that pool's minority
+    points, the pools in turn from the label's own random stream. The
+    points are written into `out` (shape: synthetic count by d) when
+    given, else into a new array."""
     total = synthetic_count(draws)
     if out is None:
         out = np.empty((total, ds.d))
@@ -454,39 +461,20 @@ def _augment(
 
 
 def uclso_augment(
-    ds: MultiLabelDataset,
-    assign: ClusterAssignment,
-    l: int,
-    cfg: OversampleConfig,
-    out: np.ndarray | None = None,
-    draws: Draws | None = None,
+    ds: MultiLabelDataset, assign: ClusterAssignment, l: int, cfg: OversampleConfig
 ) -> AugmentedDataset:
     """Cluster-guarded augmentation for one label.
 
     Each cluster with minority presence contributes its quota of synthetic
     points, interpolated between minority points of that cluster only.
-    The points are written into `out` (shape: synthetic count by d) when
-    given, else into a new array. `draws`, the label's label_draws result
-    when the caller already has it, is not worked out again.
     """
-    if draws is None:
-        draws = _uclso_draws(ds, assign, l)
-    return _augment(ds, l, cfg, draws, out)
+    return augment(ds, l, cfg, _uclso_draws(ds, assign, l))
 
 
-def smote_augment(
-    ds: MultiLabelDataset,
-    l: int,
-    cfg: OversampleConfig,
-    out: np.ndarray | None = None,
-    draws: Draws | None = None,
-) -> AugmentedDataset:
+def smote_augment(ds: MultiLabelDataset, l: int, cfg: OversampleConfig) -> AugmentedDataset:
     """Global-neighbourhood baseline: neighbours come from the whole
-    minority set and exactly n_maj - n_min points are generated, into
-    `out` when given, from `draws` as for uclso_augment."""
-    if draws is None:
-        draws = _smote_draws(ds, l)
-    return _augment(ds, l, cfg, draws, out)
+    minority set and exactly n_maj - n_min points are generated."""
+    return augment(ds, l, cfg, _smote_draws(ds, l))
 
 
 def iter_augments(
@@ -498,15 +486,6 @@ def iter_augments(
     makes, or the LabelUnusableError saying why the label has none.
     Labels are produced one at a time, so a caller that writes each one
     out never holds them all."""
-    if cfg.mode == "uclso" and assign is None:
-        raise OversampleError("uclso mode needs a clustering")
     for l in range(ds.q):
         plan = label_draws(ds, cfg, assign, l)
-        if isinstance(plan, LabelUnusableError):
-            yield plan
-        elif cfg.mode == "uclso":
-            yield uclso_augment(ds, assign, l, cfg, draws=plan)
-        elif cfg.mode == "smote":
-            yield smote_augment(ds, l, cfg, draws=plan)
-        else:
-            yield _augment(ds, l, cfg, plan, None)
+        yield plan if isinstance(plan, LabelUnusableError) else augment(ds, l, cfg, plan)

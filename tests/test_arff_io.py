@@ -151,6 +151,30 @@ class TestLoadMulan:
         with pytest.raises(ArffError, match="line 6"):
             load_mulan(arff, xml)
 
+    @pytest.mark.parametrize("second", ["y {0,1}", "'y' numeric", '"y" {0,1}'])
+    def test_attribute_declared_twice_rejected_with_line(self, tmp_path, second):
+        # without the check the first y column would load as a feature
+        # named y, and the label would come from the second
+        arff = write(
+            tmp_path,
+            "twice.arff",
+            "@relation t\n@attribute y numeric\n@attribute f numeric\n"
+            f"@attribute {second}\n@data\n1,2,1\n3,4,0\n",
+        )
+        xml = write(tmp_path, "twice.xml", '<labels><label name="y"/></labels>')
+        with pytest.raises(ArffError) as err:
+            load_mulan(arff, xml)
+        assert str(err.value) == "line 4: duplicate attribute name 'y'"
+
+    def test_label_listed_twice_rejected(self, tmp_path, dense_pair):
+        arff, _ = dense_pair
+        xml = write(tmp_path, "twice.xml",
+                    '<labels><label name="lab1"/><label name="lab2"/>'
+                    '<label name="lab1"/></labels>')
+        with pytest.raises(ArffError) as err:
+            load_mulan(arff, xml)
+        assert str(err.value) == "label XML names 'lab1' twice"
+
 
 def test_read_arff_requires_data_section(tmp_path):
     path = write(tmp_path, "x.arff", "@relation x\n@attribute f1 numeric\n")
@@ -244,6 +268,7 @@ def representable(name, label):
 
 @given(feature_names=NAMES, label_names=NAMES, seed=st.integers(0, 2**16))
 @settings(max_examples=150, deadline=None)
+@example(feature_names=["a", "9"], label_names=["9"], seed=0)
 def test_round_trip_names(feature_names, label_names, seed):
     rng = np.random.default_rng(seed)
     ds = MultiLabelDataset(
@@ -256,6 +281,8 @@ def test_round_trip_names(feature_names, label_names, seed):
         arff, xml = os.path.join(tmp, "d.arff"), os.path.join(tmp, "d.xml")
         bad = [n for n in feature_names if not representable(n, False)]
         bad += [n for n in label_names if not representable(n, True)]
+        # an ARFF declares each attribute once
+        bad += [n for n in label_names if n in feature_names]
         if bad:
             with pytest.raises(ArffError, match="cannot be written") as err:
                 write_mulan(ds, arff, xml)

@@ -818,11 +818,13 @@ def test_norm_past_distance_range_stops_before_any_compute(
 
 
 def test_dataset_error_at_load_names_the_dataset(tmp_path, capsys):
-    # the dataset type rejects the duplicate feature name; the load adds
-    # the name of the dataset it was reading
+    # the attribute names differ, but the one-hot column a=x of nominal a
+    # takes the name of numeric attribute a=x: the dataset type rejects
+    # the duplicate feature name, and the load adds the name of the
+    # dataset it was reading
     arff, xml = tmp_path / "dup.arff", tmp_path / "dup.xml"
-    arff.write_text("@relation dup\n@attribute a numeric\n@attribute a numeric\n"
-                    "@attribute lab {0,1}\n@data\n1,2,1\n3,4,0\n")
+    arff.write_text("@relation dup\n@attribute a {x,y}\n@attribute a=x numeric\n"
+                    "@attribute lab {0,1}\n@data\nx,2,1\ny,4,0\n")
     xml.write_text(LAB_XML)
     out = tmp_path / "results"
     path = tmp_path / "config.yaml"
@@ -853,6 +855,29 @@ def test_arff_error_at_load_names_the_dataset(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "error: dataset 'bad': line 6: invalid numeric value 'abc' for attribute 'f0'\n"
     )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("header, labels, message", [
+    # a second y would otherwise leave the first y column a feature named y
+    ("@attribute y numeric\n@attribute f numeric\n@attribute y {0,1}\n", ["y"],
+     "line 4: duplicate attribute name 'y'"),
+    ("@attribute f numeric\n@attribute f2 numeric\n@attribute y {0,1}\n", ["y", "y"],
+     "label XML names 'y' twice"),
+])
+@pytest.mark.parametrize("command", ["stats", "experiment"])
+def test_name_given_twice_is_a_usage_error(tmp_path, capsys, header, labels, message,
+                                           command):
+    arff, xml = tmp_path / "twice.arff", tmp_path / "twice.xml"
+    arff.write_text(f"@relation t\n{header}@data\n1,2,1\n3,4,0\n")
+    xml.write_text('<labels xmlns="http://mulan.sourceforge.net/labels">'
+                   + "".join(f'<label name="{name}"/>' for name in labels) + "</labels>\n")
+    out = tmp_path / "results"
+    path = tmp_path / "config.yaml"
+    path.write_text(f"out: {out}\ndatasets:\n  - name: twice\n"
+                    f"    mulan: {{arff: {arff}, xml: {xml}}}\n")
+    assert main([command, "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: dataset 'twice': {message}\n"
     assert not out.exists()
 
 

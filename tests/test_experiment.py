@@ -1,15 +1,24 @@
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uclso import experiment
 from uclso.clustering import kmeans
 from uclso.dataset import DatasetError, MultiLabelDataset, make_fold_plan
 from uclso.experiment import MethodSpec, _cell_seed, auc_defined, check_training_range, run_cv
 from uclso.linear import F32_MAX, REG_C_FLOOR, TrainConfig, fit_lockstep
-from uclso.oversample import OversampleConfig, iter_augments
+from uclso.oversample import (
+    LabelUnusableError,
+    OversampleConfig,
+    iter_augments,
+    label_draws,
+    synthetic_count,
+)
 
 
 def small_ds(seed=0, n=120):
@@ -460,6 +469,114 @@ class TestCrossMethodGroups:
         alone = run_cv(ds, methods(*ALL), plan, FAST)
         for name in ALL:
             assert same_cells(alone[name].cells, reports[name].cells)
+
+
+@st.composite
+def cv_problems(draw):
+    """(ds, methods, plan, train_cfg) of a small run_cv: n from 8 to 60 rows
+    of d from 1 to 4 features on a coarse grid, often duplicated; q from 1
+    to 3 labels, each drawn bit by bit, with one relevant row (which some
+    training fold lacks), or constant (every training fold single-class);
+    1-2 repetitions of 2-3 folds; k from 1 to the smallest training fold,
+    m from 1 to 6, 1-2 epochs of batches of 1-8 rows, and any non-empty
+    subset of the three methods."""
+    n = draw(st.integers(8, 60))
+    d = draw(st.integers(1, 4))
+    q = draw(st.integers(1, 3))
+    distinct = draw(st.integers(1, n))
+    values = draw(st.lists(st.integers(-6, 6), min_size=distinct * d, max_size=distinct * d))
+    pick = draw(st.lists(st.integers(0, distinct - 1), min_size=n, max_size=n))
+    features = (np.array(values, dtype=float).reshape(distinct, d) / 4.0)[pick]
+    labels = np.array(draw(st.lists(st.booleans(), min_size=n * q, max_size=n * q)),
+                      dtype=int).reshape(n, q)
+    for l in range(q):
+        kind = draw(st.sampled_from(["bits", "bits", "one", "zeros", "ones"]))
+        if kind == "one":
+            labels[:, l] = 0
+            labels[draw(st.integers(0, n - 1)), l] = 1
+        elif kind != "bits":
+            labels[:, l] = kind == "ones"
+    ds = MultiLabelDataset(features, labels, tuple(f"x{j}" for j in range(d)),
+                           tuple(f"l{l}" for l in range(q)))
+    plan = make_fold_plan(n, draw(st.integers(1, 2)), draw(st.integers(2, 3)),
+                          seed=draw(st.integers(0, 1000)))
+    smallest = min(n - len(test) for folds in plan.assignments for test in folds)
+    k, m = draw(st.integers(1, smallest)), draw(st.integers(1, 6))
+    seed = draw(st.integers(0, 1000))
+    names = draw(st.lists(st.sampled_from(ALL), min_size=1, max_size=3, unique=True))
+    chosen = [MethodSpec(name, OversampleConfig(k, m, seed, name)) for name in names]
+    train_cfg = TrainConfig(epochs=draw(st.integers(1, 2)),
+                            batch_size=draw(st.integers(1, 8)), seed=draw(st.integers(0, 1000)))
+    return ds, chosen, plan, train_cfg
+
+
+class TestRunCvProperties:
+    @given(problem=cv_problems())
+    @settings(max_examples=60, deadline=None)
+    def test_cells_keep_the_papers_invariants(self, problem):
+        # every (cell, method, label) problem that run_cv hands to
+        # fit_lockstep, checked against the cell's training rows, found
+        # here from the plan's test fold alone
+        ds, chosen, plan, train_cfg = problem
+        problems = []
+
+        def spy(X, rows, targets, seeds, cfg):
+            problems.extend((X, r, y) for r, y in zip(rows, targets))
+            return fit_lockstep(X, rows, targets, seeds, cfg)
+
+        with mock.patch.object(experiment, "fit_lockstep", spy):
+            reports = run_cv(ds, chosen, plan, train_cfg)
+        assert len(problems) == plan.repetitions * plan.folds_per_rep * len(chosen) * ds.q
+        problems = iter(problems)  # cell-major, then method, then label
+        for rep, folds in enumerate(plan.assignments):
+            for fold, test_idx in enumerate(folds):
+                train = ds.subset(np.setdiff1d(np.arange(ds.n), test_idx))
+                for method in chosen:
+                    cfg = replace(method.oversample,
+                                  seed=_cell_seed(method.oversample.seed, rep, fold))
+                    assign = (kmeans(train.features, cfg.k_clusters, seed=cfg.seed)
+                              if cfg.mode == "uclso" else None)
+                    augments = iter_augments(train, cfg, assign)
+                    for l, aug in enumerate(augments):
+                        X, r, y = next(problems)
+                        n_min = int(train.labels[:, l].sum())
+                        n_maj = train.n - n_min
+                        count = len(r) - train.n
+                        # isolation: the base rows are the training rows,
+                        # and every point is drawn from them alone
+                        assert X[r[:train.n]].tobytes() == (
+                            train.features.astype(np.float32).tobytes())
+                        assert np.array_equal(y[:train.n], train.labels[:, l])
+                        assert (y[train.n:] == 1).all()
+                        assert count == synthetic_count(label_draws(train, cfg, assign, l))
+                        if isinstance(aug, LabelUnusableError):
+                            assert n_min == 0 and count == 0
+                            continue
+                        assert X[r[train.n:]].tobytes() == (
+                            aug.extra.points.astype(np.float32).tobytes())
+                        prov = aug.extra.provenance
+                        assert prov.parent_u.max(initial=0) < train.n
+                        assert prov.parent_v.max(initial=0) < train.n
+                        # the quota formula, cluster by cluster
+                        if cfg.mode == "none" or n_maj <= n_min:
+                            assert count == 0
+                        elif cfg.mode == "smote":
+                            assert count == n_maj - n_min
+                        else:
+                            shares = np.bincount(assign.assignment[train.labels[:, l] == 1],
+                                                 minlength=assign.k)
+                            assert count == sum(-(-int(s) * (n_maj - n_min) // n_min)
+                                                for s in shares)
+                            assert n_maj <= n_min + count <= n_maj + cfg.k_clusters
+                            cluster = assign.assignment
+                            assert (cluster[prov.parent_u] == prov.cluster).all()
+                            assert (cluster[prov.parent_v] == prov.cluster).all()
+        assert next(problems, None) is None
+        # one (cell, method) unit per lockstep run fits the same models
+        with mock.patch.object(experiment, "GROUP_ELEMENTS", 1):
+            alone = run_cv(ds, chosen, plan, train_cfg)
+        for method in chosen:
+            assert same_cells(alone[method.name].cells, reports[method.name].cells)
 
 
 class TestAucDefined:

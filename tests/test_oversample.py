@@ -20,6 +20,7 @@ from uclso.oversample import (
     LabelUnusableError,
     OversampleConfig,
     OversampleError,
+    augment,
     interpolate,
     iter_augments,
     label_draws,
@@ -258,6 +259,21 @@ class TestUclsoAugment:
         assign = kmeans(fig1_toy.features, 5, seed=7)
         uclso_augment(fig1_toy, assign, 0, OversampleConfig(seed=2))
         assert np.array_equal(before, fig1_toy.labels)
+
+    @pytest.mark.parametrize("entry", ["label_draws", "uclso_augment", "iter_augments"])
+    @pytest.mark.parametrize("l", [0, 1])
+    def test_no_clustering_is_an_oversample_error(self, entry, l):
+        # every entry point of uclso mode says what is missing, also for a
+        # label with no minority points (label 1), before it looks at one
+        ds = make_ds(np.arange(8.0).reshape(4, 2), [[1, 0], [0, 0], [0, 0], [1, 0]])
+        cfg = OversampleConfig(k_clusters=2, seed=1)
+        calls = {
+            "label_draws": lambda: label_draws(ds, cfg, None, l),
+            "uclso_augment": lambda: uclso_augment(ds, None, l, cfg),
+            "iter_augments": lambda: list(iter_augments(ds, cfg))[l],
+        }
+        with pytest.raises(OversampleError, match="^uclso mode needs a clustering$"):
+            calls[entry]()
 
 
 class TestSmoteAugment:
@@ -671,10 +687,8 @@ class TestSynthesisPaths:
             start += counts[l]
             if isinstance(plan, LabelUnusableError):
                 written.append(plan)
-            elif mode == "uclso":
-                written.append(uclso_augment(ds, assign, l, cfg, out, plan))
-            else:  # smote, or none, whose draws are empty
-                written.append(smote_augment(ds, l, cfg, out, plan))
+            else:  # whatever the mode; none's draws are empty
+                written.append(augment(ds, l, cfg, plan, out))
         allocated = list(iter_augments(ds, cfg, assign))
         start = 0
         for l, (a, b) in enumerate(zip(allocated, written)):
@@ -742,11 +756,7 @@ class TestSynthesisPaths:
             if isinstance(aug, LabelUnusableError):
                 continue
             block = np.full(aug.extra.points.shape, np.nan, dtype=np.float32)
-            plan = label_draws(ds, cfg, assign, l)
-            if mode == "uclso":
-                uclso_augment(ds, assign, l, cfg, block, plan)
-            else:
-                smote_augment(ds, l, cfg, block, plan)
+            augment(ds, l, cfg, label_draws(ds, cfg, assign, l), block)
             assert block.tobytes() == aug.extra.points.astype(np.float32).tobytes()
 
     def test_wide_float32_block_is_the_float64_points_rounded(self):
@@ -762,14 +772,15 @@ class TestSynthesisPaths:
         points = smote_augment(ds, 0, cfg).extra.points
         assert len(points) > 4 * oversample.SYNTH_ROWS
         block = np.empty(points.shape, dtype=np.float32)
-        smote_augment(ds, 0, cfg, block)
+        augment(ds, 0, cfg, label_draws(ds, cfg, None, 0), block)
         assert block.tobytes() == points.astype(np.float32).tobytes()
         assert np.isfinite(block).all() and np.abs(block[:, :2]).max() == top
 
     def test_block_of_wrong_size_rejected(self):
         ds = make_ds(np.arange(8.0).reshape(4, 2), [[1], [0], [0], [0]])
+        cfg = OversampleConfig(seed=1, mode="smote")
         with pytest.raises(OversampleError, match="block"):
-            smote_augment(ds, 0, OversampleConfig(seed=1), out=np.empty((3, 2)))
+            augment(ds, 0, cfg, label_draws(ds, cfg, None, 0), np.empty((3, 2)))
 
 
 class TestNonFiniteFeatures:
