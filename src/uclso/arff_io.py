@@ -367,10 +367,9 @@ def load_mulan(arff_path: str, xml_path: str) -> MultiLabelDataset:
                 raise ArffError(f"label {attr.name!r} has non-binary values {found}")
             labels[:, out_k] = np.array([v == "1" for v in attr.values])[idx]
         else:
-            col_vals = raw[:, col]
-            if not np.isin(col_vals, (0.0, 1.0)).all():
+            if not np.isin(raw[:, col], (0.0, 1.0)).all():
                 raise ArffError(f"label {attr.name!r} has non-binary values")
-            labels[:, out_k] = col_vals.astype(int)
+            labels[:, out_k] = raw[:, col]
 
     feature_blocks = []
     feature_names = []
@@ -391,6 +390,8 @@ def load_mulan(arff_path: str, xml_path: str) -> MultiLabelDataset:
     if not feature_blocks:
         raise ArffError("ARFF has no feature attributes outside the label list")
     features = np.hstack(feature_blocks)
+    # the dataset checks its features with only their copy held
+    del raw, feature_blocks
     return MultiLabelDataset(
         features,
         labels,

@@ -41,7 +41,7 @@ from .dataset import (
     make_fold_plan,
     scale_min_max,
 )
-from .experiment import MethodSpec, auc_defined, check_training_range, run_cv
+from .experiment import MethodSpec, auc_defined, check_plan, run_cv
 from .oversample import LabelUnusableError, iter_augments
 from .ranking import average_ranks, critical_difference_rows, friedman
 
@@ -252,10 +252,7 @@ def cmd_experiment(cfg: ExperimentConfig) -> int:
         # fold plan shows whether there is one
         ds = cfg.prepare(ds)
         plan = make_fold_plan(ds.n, cfg.cv_reps, cfg.cv_folds, cfg.seed)
-        check_training_range(ds, plan, cfg.train)
-        if "uclso" in cfg.methods:
-            # uclso clusters training folds of n - ceil(n / folds) rows or more
-            check_k(cfg.oversample.k_clusters, ds.n - -(-ds.n // cfg.cv_folds))
+        check_plan(ds, methods, plan, cfg.train)
         if ranked and not auc_defined(ds.labels, plan):
             raise DatasetError(
                 "no cross-validation cell has a label with both classes in its "

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .clustering import kmeans
+from .clustering import check_k, kmeans
 from .dataset import FoldPlan, MultiLabelDataset, check_row_norms
 from .linear import TrainConfig, fit_lockstep, norm_limit, score
 from .metrics import auc_label, confusion, f1_label, macro_average
@@ -158,16 +158,25 @@ def _score_cell(
     )
 
 
-def check_training_range(ds: MultiLabelDataset, plan: FoldPlan, cfg: TrainConfig) -> None:
-    """Raise DatasetError, before any compute, if a row's norm is past
-    linear.norm_limit for models of 2n rows, n the plan's largest training
-    fold. Label l's model trains on the fold's n rows and its synthetic
-    points, at most n_maj <= n of them: each quota's ceiling adds under
-    one point per cluster that holds minority points, and at most n_min
-    clusters hold any. Synthetic points are convex combinations of the
-    fold's rows, so no training row's norm exceeds the dataset's largest."""
-    n = max(sum(map(len, folds)) - min(map(len, folds)) for folds in plan.assignments)
-    check_row_norms(ds, norm_limit(cfg, 2 * n), "that float32 training keeps in range")
+def check_plan(ds: MultiLabelDataset, methods: list[MethodSpec], plan: FoldPlan,
+               cfg: TrainConfig) -> None:
+    """Raise, before any compute, if run_cv cannot finish the plan: no
+    method or a name twice; a row's norm past linear.norm_limit for models
+    of 2n rows, n the largest training fold (label l's model takes the
+    fold's rows and at most n_maj <= n synthetic points, each a convex
+    combination of two of them: a quota's ceiling adds under one point per
+    cluster, and at most n_min clusters hold minority points); or a uclso
+    method's k_clusters past the smallest training fold, which it clusters."""
+    if not methods:
+        raise ValueError("need at least one method")
+    names = [m.name for m in methods]
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate method names")
+    rows = [sum(map(len, folds)) - len(test) for folds in plan.assignments for test in folds]
+    check_row_norms(ds, norm_limit(cfg, 2 * max(rows)), "that float32 training keeps in range")
+    for method in methods:
+        if method.oversample.mode == "uclso":
+            check_k(method.oversample.k_clusters, min(rows))
 
 
 # Size of one lockstep group, in matrix elements: each training row is
@@ -191,8 +200,7 @@ def _fit_group(
     Label l's model trains on the base rows (targets: its column) and its
     block (targets: 1), under a seed derived from (cell seed, l). The
     matrix is float32: base rows and synthetic points are each rounded to
-    it once, and the models train in float32, in range by
-    check_training_range."""
+    it once, and the models train in float32, in range by check_plan."""
     X = np.empty((size, ds.d), dtype=np.float32)
     index = np.int32 if size <= np.iinfo(np.int32).max else np.intp  # as fit_lockstep's
     rows, targets, seeds = [], [], []
@@ -247,19 +255,13 @@ def run_cv(
        run.
     4. Score each unit on its cell's test rows.
 
-    A row whose norm could take float32 training out of range raises
-    DatasetError before the first cell (check_training_range), so no cell
-    fails once computed. threads is accepted for compatibility and
-    ignored: cells run in order in this thread.
+    A plan that could not finish raises before the first cell
+    (check_plan), so no cell fails once computed. threads is accepted for
+    compatibility and ignored: cells run in order in this thread.
     """
-    if not methods:
-        raise ValueError("need at least one method")
-    names = [m.name for m in methods]
-    if len(set(names)) != len(names):
-        raise ValueError("duplicate method names")
-    check_training_range(ds, plan, train_cfg)
+    check_plan(ds, methods, plan, train_cfg)
     max_rows = GROUP_ELEMENTS // (ds.d + ds.q)
-    cells: dict[str, list[FoldCell]] = {name: [] for name in names}
+    cells: dict[str, list[FoldCell]] = {method.name: [] for method in methods}
     group: list[_Unit] = []
     group_rows = 0
     for rep in range(plan.repetitions):

@@ -20,9 +20,9 @@ bit-equal weights. A float32 row matrix trains in float32, at half the
 bytes per step; any other trains in float64. The epoch loop has no error
 path and no input scan: the rows must be finite, which
 `dataset.MultiLabelDataset` guarantees, and `norm_limit` bounds the row
-norms at which float32 training stays in range, which `experiment`
-checks before any compute. A fit returns each model's weight row and
-bias only, as float64; it computes no loss.
+norms at which float32 training stays in range, which
+`experiment.check_plan` checks before run_cv's first cell. A fit returns
+each model's weight row and bias only, as float64; it computes no loss.
 """
 
 from __future__ import annotations
@@ -51,6 +51,10 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("epochs", "batch_size"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise TrainingError(f"{name} must be an integer, got {value!r}")
         # not > 0 also rejects a NaN reg_c, which would make every weight NaN
         if not self.reg_c > 0 or self.epochs < 1 or self.batch_size < 1:
             raise TrainingError("reg_c, epochs and batch_size must be positive")
@@ -112,7 +116,7 @@ def fit_lockstep(
     dtype once per epoch, lambda once per fit. The rows must be finite,
     and of norm at most norm_limit(cfg, max n_i), which keeps every
     float32 value finite; the loop checks neither. On run_cv's path
-    MultiLabelDataset guarantees the first and check_training_range the
+    MultiLabelDataset guarantees the first and experiment.check_plan the
     second.
     """
     X = np.asarray(X)

@@ -37,6 +37,10 @@ class OversampleConfig:
     mode: str = "uclso"  # uclso | smote | none
 
     def __post_init__(self):
+        for name in ("k_clusters", "m_neighbors"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise OversampleError(f"{name} must be an integer, got {value!r}")
         if self.k_clusters < 1:
             raise OversampleError("k_clusters must be >= 1")
         if self.m_neighbors < 1:
@@ -90,6 +94,8 @@ def quota(n_lp: int, n_min: int, n_maj: int) -> int:
     label is already balanced or majority-light."""
     if n_min < 1:
         raise OversampleError("n_min must be >= 1")
+    if n_lp < 0:
+        raise OversampleError("n_lp must be >= 0")
     if n_lp > n_min:
         raise OversampleError("cluster share exceeds total minority count")
     if n_maj <= n_min or n_lp == 0:

@@ -4,15 +4,19 @@ that breaks one of those calls fails here, on every supported Python."""
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import uclso
 import uclso.arff_io
 import uclso.cli
+from uclso.linear import TrainingError
+from uclso.oversample import OversampleError
 
 # the exports, in full: a name removed from the package, such as the
 # single-label fit and cell entry points run_cv's path replaced, or the
@@ -74,6 +78,23 @@ def test_benchmark_calls_work_as_made():
         assert np.isfinite(report.summary()["macro_f1_mean"])
     assert callable(uclso.cli.main) and callable(uclso.arff_io.load_mulan)
     assert callable(uclso.write_mulan)
+
+
+@pytest.mark.parametrize("config, error, key, value", [
+    (uclso.TrainConfig, TrainingError, "epochs", 2.5),
+    (uclso.TrainConfig, TrainingError, "epochs", True),
+    (uclso.TrainConfig, TrainingError, "batch_size", 2.5),
+    (uclso.OversampleConfig, OversampleError, "k_clusters", 2.5),
+    (uclso.OversampleConfig, OversampleError, "k_clusters", True),
+    (uclso.OversampleConfig, OversampleError, "m_neighbors", 2.5),
+])
+def test_config_counts_are_integers(config, error, key, value):
+    # a count that is not an integer fails when the config is made, not
+    # with a TypeError once clustering and synthesis have run; a bool is
+    # not a count (epochs=True would train one epoch). numpy integers are
+    with pytest.raises(error, match=f"^{key} must be an integer, got {re.escape(repr(value))}$"):
+        config(**{key: value})
+    assert getattr(config(**{key: np.int64(3)}), key) == 3
 
 
 def test_readme_library_example_runs(capsys):

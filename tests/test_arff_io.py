@@ -523,6 +523,23 @@ def test_dense_load_holds_the_matrix_not_the_text(tmp_path):
     assert peak < 2 * raw.nbytes
 
 
+def test_mulan_load_validates_without_the_raw_matrix(tmp_path):
+    # load_mulan drops the raw matrix once the features are copied out of
+    # it, so its peak is the copy's: raw, features and labels. Holding raw
+    # while the dataset checks its features adds their n x d finiteness
+    # mask on top, which the bound leaves no room for
+    rng = np.random.default_rng(6)
+    n, d, q = 5000, 100, 8
+    ds = MultiLabelDataset(rng.normal(size=(n, d)), rng.integers(0, 2, size=(n, q)),
+                           tuple(f"f{j}" for j in range(d)), tuple(f"y{j}" for j in range(q)))
+    arff, xml = str(tmp_path / "d.arff"), str(tmp_path / "d.xml")
+    write_mulan(ds, arff, xml)
+    loaded, peak = traced_peak(lambda: load_mulan(arff, xml))
+    assert loaded.features.tobytes() == ds.features.tobytes()
+    raw_bytes = n * (d + q) * 8
+    assert peak < raw_bytes + loaded.features.nbytes + loaded.labels.nbytes + n * d
+
+
 def test_sparse_load_holds_the_matrix_and_one_row(tmp_path):
     # the shape of Mulan's text datasets; the line parser fills a
     # preallocated matrix, where a list of Python float rows peaked at

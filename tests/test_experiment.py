@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from uclso import experiment
-from uclso.clustering import kmeans
+from uclso.clustering import ClusteringError, kmeans
 from uclso.dataset import DatasetError, MultiLabelDataset, make_fold_plan
-from uclso.experiment import MethodSpec, _cell_seed, auc_defined, check_training_range, run_cv
+from uclso.experiment import MethodSpec, _cell_seed, auc_defined, check_plan, run_cv
 from uclso.linear import F32_MAX, REG_C_FLOOR, TrainConfig, fit_lockstep
 from uclso.oversample import (
     LabelUnusableError,
@@ -83,10 +83,10 @@ class TestTrainingRange:
                                      ("x0", "x1"), ("l",))
 
         plan = make_fold_plan(5, 1, 2, seed=1)
-        check_training_range(ds(limit), plan, cfg)
+        check_plan(ds(limit), methods("none"), plan, cfg)
         above = math.nextafter(limit, math.inf)
         with pytest.raises(DatasetError) as err:
-            check_training_range(ds(above), plan, cfg)
+            check_plan(ds(above), methods("none"), plan, cfg)
         assert str(err.value) == MESSAGE.format(row=3, norm=above, limit=limit)
 
 
@@ -189,6 +189,19 @@ class TestRunCv:
         flat = np.mean(list(s["macro_f1_per_rep"].values()))
         # per-rep means of equal-size folds average back to the flat mean
         assert flat == pytest.approx(s["macro_f1_mean"])
+
+    def test_k_past_a_training_fold_fails_before_any_cell(self, monkeypatch):
+        # 40 rows in 1×2 CV: training folds of 20 rows, fewer than uclso's
+        # 25 clusters. With one unit a group, none's and smote's cells
+        # would each be a lockstep run before uclso's k-means fails
+        ds = small_ds(n=40)
+        chosen = [MethodSpec(n, OversampleConfig(k_clusters=25, seed=3, mode=n)) for n in ALL]
+        monkeypatch.setattr(experiment, "GROUP_ELEMENTS", 1)
+        with mock.patch.object(experiment, "kmeans", wraps=kmeans) as clustered, \
+                mock.patch.object(experiment, "fit_lockstep", wraps=fit_lockstep) as fit, \
+                pytest.raises(ClusteringError, match=r"^k=25 must be in \[1, 20\]$"):
+            run_cv(ds, chosen, make_fold_plan(ds.n, 1, 2, seed=1), FAST)
+        assert clustered.call_count == fit.call_count == 0
 
     def test_duplicate_method_names_rejected(self):
         ds = small_ds()
@@ -477,9 +490,10 @@ def cv_problems(draw):
     of d from 1 to 4 features on a coarse grid, often duplicated; q from 1
     to 3 labels, each drawn bit by bit, with one relevant row (which some
     training fold lacks), or constant (every training fold single-class);
-    1-2 repetitions of 2-3 folds; k from 1 to the smallest training fold,
-    m from 1 to 6, 1-2 epochs of batches of 1-8 rows, and any non-empty
-    subset of the three methods."""
+    1-2 repetitions of 2-3 folds; k from 1 to the largest training fold
+    + 1, often near the training folds' sizes; m from 1 to 6, 1-2 epochs
+    of batches of 1-8 rows, and any non-empty subset of the three
+    methods."""
     n = draw(st.integers(8, 60))
     d = draw(st.integers(1, 4))
     q = draw(st.integers(1, 3))
@@ -500,8 +514,9 @@ def cv_problems(draw):
                            tuple(f"l{l}" for l in range(q)))
     plan = make_fold_plan(n, draw(st.integers(1, 2)), draw(st.integers(2, 3)),
                           seed=draw(st.integers(0, 1000)))
-    smallest = min(n - len(test) for folds in plan.assignments for test in folds)
-    k, m = draw(st.integers(1, smallest)), draw(st.integers(1, 6))
+    train_rows = [n - len(test) for folds in plan.assignments for test in folds]
+    edge = st.integers(min(train_rows), max(train_rows) + 1)
+    k, m = draw(st.integers(1, max(train_rows) + 1) | edge), draw(st.integers(1, 6))
     seed = draw(st.integers(0, 1000))
     names = draw(st.lists(st.sampled_from(ALL), min_size=1, max_size=3, unique=True))
     chosen = [MethodSpec(name, OversampleConfig(k, m, seed, name)) for name in names]
@@ -518,6 +533,17 @@ class TestRunCvProperties:
         # fit_lockstep, checked against the cell's training rows, found
         # here from the plan's test fold alone
         ds, chosen, plan, train_cfg = problem
+        k = chosen[0].oversample.k_clusters
+        smallest = min(ds.n - len(test) for folds in plan.assignments for test in folds)
+        if k > smallest and any(m.oversample.mode == "uclso" for m in chosen):
+            # uclso cannot cluster some training fold: the run fails before
+            # it clusters or trains anything
+            with mock.patch.object(experiment, "kmeans", wraps=kmeans) as clustered, \
+                    mock.patch.object(experiment, "fit_lockstep", wraps=fit_lockstep) as fit, \
+                    pytest.raises(ClusteringError, match=rf"^k={k} must be in \[1, {smallest}\]$"):
+                run_cv(ds, chosen, plan, train_cfg)
+            assert clustered.call_count == fit.call_count == 0
+            return
         problems = []
 
         def spy(X, rows, targets, seeds, cfg):

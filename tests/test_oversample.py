@@ -89,6 +89,11 @@ class TestQuota:
         with pytest.raises(OversampleError):
             quota(0, 0, 10)
 
+    @pytest.mark.parametrize("n_lp", [-1, -3])
+    def test_rejects_negative_share(self, n_lp):
+        with pytest.raises(OversampleError, match="^n_lp must be >= 0$"):
+            quota(n_lp, 5, 10)
+
     @given(
         n_min=st.integers(1, 500),
         n_maj=st.integers(0, 2000),
