@@ -18,7 +18,6 @@ import argparse
 import csv
 import io
 import json
-import math
 import os
 import shutil
 import sys
@@ -30,12 +29,11 @@ from dataclasses import astuple, fields, replace
 import numpy as np
 
 from .arff_io import ArffError, float_rows, write_mulan
-from .clustering import check_k, kmeans
+from .clustering import check_distances, check_k, kmeans
 from .config import ConfigError, DatasetSource, ExperimentConfig, load_config
 from .dataset import (
     DatasetError,
     DatasetStats,
-    check_row_norms,
     compute_stats,
     filter_labels,
     make_fold_plan,
@@ -43,7 +41,7 @@ from .dataset import (
 )
 from .experiment import MethodSpec, auc_defined, check_plan, run_cv
 from .oversample import LabelUnusableError, iter_augments
-from .ranking import average_ranks, critical_difference_rows, friedman
+from .ranking import ranked_tables
 
 STATS_COLUMNS = ["dataset", *(f.name for f in fields(DatasetStats)), "variant"]
 
@@ -147,22 +145,16 @@ def cmd_stats(cfg: ExperimentConfig) -> int:
     return 0
 
 
-# with R the largest row norm, k-means' expanded squared distances and
-# their partial sums stay within 4 R^2, and the neighbour filter's sums of
-# centred squared norms within 8 R^2: all finite in float64 while 8 R^2 is
-DISTANCE_NORM_LIMIT = math.sqrt(sys.float_info.max / 8)
-
-
 def _per_dataset(cfg: ExperimentConfig, write, clustered: bool) -> int:
-    """Prepare every dataset, checking its row norms against
-    DISTANCE_NORM_LIMIT and, if `clustered`, k_clusters against its rows.
-    Then call write(cfg, ds, assign, dataset, out) on each, `assign` its
-    k-means clustering (or None), `out` the staging directory."""
+    """Prepare every dataset, checking its row norms by check_distances
+    and, if `clustered`, k_clusters against its rows. Then call
+    write(cfg, ds, assign, dataset, out) on each, `assign` its k-means
+    clustering (or None), `out` the staging directory."""
     k = cfg.oversample.k_clusters
 
     def check(ds):
         ds = cfg.prepare(ds)
-        check_row_norms(ds, DISTANCE_NORM_LIMIT, "whose squared distances stay finite")
+        check_distances(ds.features)
         if clustered:
             check_k(k, ds.n)
         return ds
@@ -286,48 +278,10 @@ def cmd_experiment(cfg: ExperimentConfig) -> int:
                 f1_scores[di, mi] = summary["macro_f1_mean"]
                 auc_scores[di, mi] = summary["macro_auc_mean"]
         if ranked:
-            names = [m.name for m in methods]
-            ds_names = [s.name for s in cfg.datasets]
+            names = [source.name for source in cfg.datasets]
             for metric, scores in (("f1", f1_scores), ("auc", auc_scores)):
-                rt = average_ranks(scores, names)
-                rank_rows = [
-                    [ds_names[i]]
-                    + [v for pair in zip(rt.scores[i], rt.ranks[i]) for v in pair]
-                    for i in range(len(ds_names))
-                ]
-                rank_rows.append(
-                    ["average_rank"]
-                    + [v for a in rt.average_ranks for v in ("", float(a))]
-                )
-                header = ["dataset"] + [
-                    col for n in names for col in (f"{n}_score", f"{n}_rank")
-                ]
-                _write_rows(
-                    os.path.join(out, f"rank_{metric}.csv"), cfg, header, rank_rows
-                )
-                result = friedman(rt)
-                fr_rows = [
-                    ["chi_square", result.chi_square],
-                    ["dof", result.dof],
-                    ["p_value", result.p_value],
-                    ["control", result.control],
-                    ["alpha", result.alpha],
-                ] + [
-                    [f"vs_{c.method}", c.z, c.p_raw, c.p_adjusted, int(c.significant)]
-                    for c in result.comparisons
-                ]
-                _write_rows(
-                    os.path.join(out, f"friedman_{metric}.csv"),
-                    cfg,
-                    ["field", "value", "p_raw", "p_adjusted", "significant"],
-                    fr_rows,
-                )
-                _write_rows(
-                    os.path.join(out, f"cd_{metric}.csv"),
-                    cfg,
-                    ["method", "avg_rank", "group"],
-                    critical_difference_rows(rt, result),
-                )
+                for stem, (header, rows) in ranked_tables(scores, names, cfg.methods).items():
+                    _write_rows(os.path.join(out, f"{stem}_{metric}.csv"), cfg, header, rows)
     return 0
 
 

@@ -9,9 +9,13 @@ centroid keeps the bits of the masked mean X[assignment == j].mean(axis=0).
 
 from __future__ import annotations
 
+import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
+
+from .dataset import check_row_norms
 
 
 # Lloyd iterations stop once no centroid moves by TOL or more, or after
@@ -112,15 +116,30 @@ def check_k(k: int, n: int) -> None:
         raise ClusteringError(f"k={k} must be in [1, {n}]")
 
 
+# with R the largest row norm, k-means' expanded squared distances and
+# their partial sums stay within 4 R^2, and the neighbour filter's sums of
+# centred squared norms within 8 R^2: all finite in float64 while 8 R^2 is
+DISTANCE_NORM_LIMIT = math.sqrt(sys.float_info.max / 8)
+
+
+def check_distances(X: np.ndarray) -> None:
+    """Raise DatasetError, naming the row, if a row of X has a norm past
+    DISTANCE_NORM_LIMIT, where squared distances between rows could
+    overflow and k-means or the neighbour search give arbitrary results."""
+    check_row_norms(X, DISTANCE_NORM_LIMIT, "whose squared distances stay finite")
+
+
 def kmeans(X: np.ndarray, k: int, seed: int) -> ClusterAssignment:
     """Lloyd iterations from a k-means++ start until the centroid shift
-    drops below TOL or MAX_ITER is reached."""
+    drops below TOL or MAX_ITER is reached. A matrix that fails
+    check_distances is refused before any clustering."""
     X = np.asarray(X, dtype=float)
     if X.ndim != 2 or X.shape[0] == 0:
         raise ClusteringError("X must be a non-empty 2-d matrix")
     # X need not come from a MultiLabelDataset: kmeans takes any matrix
     if not np.isfinite(X).all():
         raise ClusteringError("non-finite entries in X")
+    check_distances(X)
     check_k(k, X.shape[0])
     rng = np.random.default_rng(seed)
     x_sq = (X * X).sum(axis=1)  # fixed across every distance pass

@@ -297,16 +297,16 @@ def scale_min_max(ds: MultiLabelDataset) -> MultiLabelDataset:
     return replace(ds, features=scaled)
 
 
-def check_row_norms(ds: MultiLabelDataset, limit: float, reason: str) -> None:
-    """Raise DatasetError if a row's Euclidean norm is past limit, naming
-    the first row of largest norm, its norm and the limit, `reason` saying
-    what the limit keeps. The squared norms are summed row by row, with no
-    temporary the size of the features. Past about 1.3e154 they overflow:
+def check_row_norms(X: np.ndarray, limit: float, reason: str) -> None:
+    """Raise DatasetError if a row of X has a Euclidean norm past limit,
+    naming the first row of largest norm, its norm and the limit, `reason`
+    saying what the limit keeps. The squared norms are summed row by row,
+    with no temporary the size of X. Past about 1.3e154 they overflow:
     the first such row is named, its norm worked out without overflow."""
     with np.errstate(over="ignore"):
-        squares = np.einsum("ij,ij->i", ds.features, ds.features)
+        squares = np.einsum("ij,ij->i", X, X)
     row = int(np.argmax(squares))
-    norm = math.hypot(*ds.features[row])
+    norm = math.hypot(*X[row])
     if norm > limit:
         raise DatasetError(
             f"row {row} has norm {norm!r}, past {limit!r}, the largest {reason}: "

@@ -161,19 +161,28 @@ def _score_cell(
 def check_plan(ds: MultiLabelDataset, methods: list[MethodSpec], plan: FoldPlan,
                cfg: TrainConfig) -> None:
     """Raise, before any compute, if run_cv cannot finish the plan: no
-    method or a name twice; a row's norm past linear.norm_limit for models
-    of 2n rows, n the largest training fold (label l's model takes the
-    fold's rows and at most n_maj <= n synthetic points, each a convex
-    combination of two of them: a quota's ceiling adds under one point per
-    cluster, and at most n_min clusters hold minority points); or a uclso
-    method's k_clusters past the smallest training fold, which it clusters."""
+    method or a name twice; a repetition whose folds do not partition the
+    dataset's rows; a row's norm past linear.norm_limit for models of 2n
+    rows, n the largest training fold (label l's model takes the fold's
+    rows and at most n_maj <= n synthetic points, each a convex combination
+    of two of them: a quota's ceiling adds under one point per cluster, and
+    at most n_min clusters hold minority points); or a uclso method's
+    k_clusters past the smallest training fold, which it clusters."""
     if not methods:
         raise ValueError("need at least one method")
     names = [m.name for m in methods]
     if len(set(names)) != len(names):
         raise ValueError("duplicate method names")
-    rows = [sum(map(len, folds)) - len(test) for folds in plan.assignments for test in folds]
-    check_row_norms(ds, norm_limit(cfg, 2 * max(rows)), "that float32 training keeps in range")
+    every_row = np.arange(ds.n)
+    for r, folds in enumerate(plan.assignments):
+        if not np.array_equal(np.sort(np.concatenate(folds)), every_row):
+            raise ValueError(
+                f"fold plan repetition {r}: its folds do not partition the "
+                f"dataset's {ds.n} rows"
+            )
+    rows = [ds.n - len(test) for folds in plan.assignments for test in folds]
+    limit = norm_limit(cfg, 2 * max(rows))
+    check_row_norms(ds.features, limit, "that float32 training keeps in range")
     for method in methods:
         if method.oversample.mode == "uclso":
             check_k(method.oversample.k_clusters, min(rows))

@@ -51,10 +51,12 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("epochs", "batch_size"):
+        for name in ("epochs", "batch_size", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise TrainingError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise TrainingError(f"seed must be >= 0, got {self.seed}")
         # not > 0 also rejects a NaN reg_c, which would make every weight NaN
         if not self.reg_c > 0 or self.epochs < 1 or self.batch_size < 1:
             raise TrainingError("reg_c, epochs and batch_size must be positive")

@@ -37,10 +37,12 @@ class OversampleConfig:
     mode: str = "uclso"  # uclso | smote | none
 
     def __post_init__(self):
-        for name in ("k_clusters", "m_neighbors"):
+        for name in ("k_clusters", "m_neighbors", "seed"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise OversampleError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise OversampleError(f"seed must be >= 0, got {self.seed}")
         if self.k_clusters < 1:
             raise OversampleError("k_clusters must be >= 1")
         if self.m_neighbors < 1:

@@ -1,5 +1,6 @@
 """Cross-method rank aggregation and the Friedman test with Finner-adjusted
-post-hoc comparisons against the best-ranked method.
+post-hoc comparisons against the best-ranked method, and `ranked_tables`,
+which lays out a study's rank, Friedman and critical-difference tables.
 
 Ranks are numpy midranks (`metrics.midranks`). scipy is used only by the
 Friedman test, for the chi-square and normal tail probabilities, through
@@ -138,13 +139,46 @@ def friedman(rt: RankTable) -> FriedmanResult:
     )
 
 
-def critical_difference_rows(rt: RankTable, result: FriedmanResult) -> list[tuple]:
-    """Plot-ready rows (method, average_rank, group): group 0 holds the
-    control and every method not significantly different from it."""
-    sig = {c.method: c.significant for c in result.comparisons}
-    rows = []
-    for name, avg in zip(rt.method_names, rt.average_ranks):
-        group = 0 if (name == result.control or not sig.get(name, False)) else 1
-        rows.append((name, float(avg), group))
-    rows.sort(key=lambda r: r[1])
-    return rows
+def ranked_tables(scores: np.ndarray, dataset_names, method_names) -> dict[str, tuple]:
+    """The tables of a ranked study of datasets x methods scores, the
+    highest best, each a (header, rows) pair keyed by its file's stem:
+    rank, one row per dataset of each method's score and rank, then the
+    average_rank row, its score cells empty; friedman, the test's fields,
+    then a vs_<method> row for each comparison with the control; cd, the
+    plot-ready (method, average rank, group) rows by average rank, group 0
+    the control and every method not significantly different from it."""
+    rt = average_ranks(scores, method_names)
+    if len(dataset_names) != rt.scores.shape[0]:
+        raise RankingError("dataset_names length mismatch")
+    result = friedman(rt)
+    rank_rows = [
+        [name, *(v for pair in zip(row_scores, row_ranks) for v in pair)]
+        for name, row_scores, row_ranks in zip(
+            dataset_names, rt.scores.tolist(), rt.ranks.tolist()
+        )
+    ]
+    rank_rows.append(["average_rank", *(v for a in rt.average_ranks.tolist() for v in ("", a))])
+    friedman_rows = [
+        ["chi_square", result.chi_square],
+        ["dof", result.dof],
+        ["p_value", result.p_value],
+        ["control", result.control],
+        ["alpha", result.alpha],
+    ] + [
+        [f"vs_{c.method}", c.z, c.p_raw, c.p_adjusted, int(c.significant)]
+        for c in result.comparisons
+    ]
+    split = {c.method for c in result.comparisons if c.significant}
+    cd_rows = sorted(
+        ((name, avg, int(name in split))
+         for name, avg in zip(rt.method_names, rt.average_ranks.tolist())),
+        key=lambda row: row[1],
+    )
+    return {
+        "rank": (
+            ["dataset", *(col for n in rt.method_names for col in (f"{n}_score", f"{n}_rank"))],
+            rank_rows,
+        ),
+        "friedman": (["field", "value", "p_raw", "p_adjusted", "significant"], friedman_rows),
+        "cd": (["method", "avg_rank", "group"], cd_rows),
+    }

@@ -87,14 +87,30 @@ def test_benchmark_calls_work_as_made():
     (uclso.OversampleConfig, OversampleError, "k_clusters", 2.5),
     (uclso.OversampleConfig, OversampleError, "k_clusters", True),
     (uclso.OversampleConfig, OversampleError, "m_neighbors", 2.5),
+    (uclso.TrainConfig, TrainingError, "seed", 2.5),
+    (uclso.TrainConfig, TrainingError, "seed", True),
+    (uclso.OversampleConfig, OversampleError, "seed", 2.5),
+    (uclso.OversampleConfig, OversampleError, "seed", True),
 ])
 def test_config_counts_are_integers(config, error, key, value):
-    # a count that is not an integer fails when the config is made, not
-    # with a TypeError once clustering and synthesis have run; a bool is
-    # not a count (epochs=True would train one epoch). numpy integers are
+    # a count or seed that is not an integer fails when the config is
+    # made, not with a TypeError once clustering and synthesis have run; a
+    # bool is not a count (epochs=True would train one epoch). numpy
+    # integers are
     with pytest.raises(error, match=f"^{key} must be an integer, got {re.escape(repr(value))}$"):
         config(**{key: value})
     assert getattr(config(**{key: np.int64(3)}), key) == 3
+
+
+@pytest.mark.parametrize("config, error", [
+    (uclso.TrainConfig, TrainingError), (uclso.OversampleConfig, OversampleError)])
+@pytest.mark.parametrize("seed", [-1, np.int64(-1)])
+def test_config_seeds_are_non_negative(config, error, seed):
+    # a negative seed fails when the config is made, not once run_cv has
+    # clustered and synthesised and derives the first cell's seed from it
+    with pytest.raises(error, match="^seed must be >= 0, got -1$"):
+        config(seed=seed)
+    assert config(seed=np.int64(0)).seed == 0
 
 
 def test_readme_library_example_runs(capsys):

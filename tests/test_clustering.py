@@ -1,3 +1,5 @@
+import math
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -7,6 +9,7 @@ from hypothesis import strategies as st
 
 from uclso import clustering
 from uclso.clustering import ClusteringError, kmeans
+from uclso.dataset import DatasetError
 
 
 class TestKmeans:
@@ -78,6 +81,32 @@ class TestKmeans:
         X = np.array([[0.0, np.nan], [1.0, 1.0]])
         with pytest.raises(ClusteringError, match="finite"):
             kmeans(X, 1, seed=0)
+
+    def test_rejects_rows_past_the_distance_limit(self, two_blob_features):
+        # at 1e160 every squared norm overflows, and k-means once returned
+        # clusters of 99 and 1 rows, a nan inertia and 20 RuntimeWarnings.
+        # The first row of largest norm, row 0, is named instead, with no
+        # warning
+        X = two_blob_features * 1e160
+        message = (f"row 0 has norm {math.hypot(*X[0])!r}, past 4.740375954054588e+153, the "
+                   "largest whose squared distances stay finite: rescale the features, for "
+                   "example by scale: minmax")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetError) as err:
+                kmeans(X, 2, seed=5)
+        assert str(err.value) == message
+
+    def test_row_at_the_distance_limit_clusters(self):
+        # two rows DISTANCE_NORM_LIMIT apart: squared distance max / 8
+        limit = clustering.DISTANCE_NORM_LIMIT
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = kmeans(np.array([[0.0, 0.0], [0.0, limit]]), 2, seed=0)
+        assert sorted(res.assignment) == [0, 1] and res.inertia == 0.0
+        above = math.nextafter(limit, math.inf)
+        with pytest.raises(DatasetError, match="^row 1 has norm "):
+            kmeans(np.array([[0.0, 0.0], [0.0, above]]), 2, seed=0)
 
 
 @st.composite

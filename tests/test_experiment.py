@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from uclso import experiment
 from uclso.clustering import ClusteringError, kmeans
-from uclso.dataset import DatasetError, MultiLabelDataset, make_fold_plan
+from uclso.dataset import DatasetError, FoldPlan, MultiLabelDataset, make_fold_plan
 from uclso.experiment import MethodSpec, _cell_seed, auc_defined, check_plan, run_cv
 from uclso.linear import F32_MAX, REG_C_FLOOR, TrainConfig, fit_lockstep
 from uclso.oversample import (
@@ -201,6 +201,23 @@ class TestRunCv:
                 mock.patch.object(experiment, "fit_lockstep", wraps=fit_lockstep) as fit, \
                 pytest.raises(ClusteringError, match=r"^k=25 must be in \[1, 20\]$"):
             run_cv(ds, chosen, make_fold_plan(ds.n, 1, 2, seed=1), FAST)
+        assert clustered.call_count == fit.call_count == 0
+
+    @pytest.mark.parametrize("plan, rep", [
+        # 20 of the 120 rows in no fold; rows 120 to 139 not in the data
+        (make_fold_plan(100, 1, 2, seed=1), 0),
+        (make_fold_plan(140, 1, 2, seed=1), 0),
+        # a second repetition that tests row 0 twice and row 119 never
+        (FoldPlan(2, 2, make_fold_plan(120, 2, 2, seed=1).assignments[:1]
+                  + ((np.arange(60), np.append(np.arange(60, 119), 0)),)), 1),
+    ], ids=["fewer_rows", "more_rows", "row_twice"])
+    def test_plan_not_partitioning_the_rows_fails_before_any_cell(self, plan, rep):
+        ds = small_ds()
+        with mock.patch.object(experiment, "kmeans", wraps=kmeans) as clustered, \
+                mock.patch.object(experiment, "fit_lockstep", wraps=fit_lockstep) as fit, \
+                pytest.raises(ValueError, match=rf"^fold plan repetition {rep}: its folds "
+                              r"do not partition the dataset's 120 rows$"):
+            run_cv(ds, methods("none", "uclso"), plan, FAST)
         assert clustered.call_count == fit.call_count == 0
 
     def test_duplicate_method_names_rejected(self):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,9 +9,9 @@ from scipy.stats import chi2, norm
 from uclso.ranking import (
     RankingError,
     average_ranks,
-    critical_difference_rows,
     finner_adjust,
     friedman,
+    ranked_tables,
 )
 
 
@@ -128,9 +130,65 @@ class TestFinner:
 
 def test_critical_difference_rows():
     scores = np.array([[3.0, 2.0, 1.0]] * 10)
-    rt = average_ranks(scores, ["a", "b", "c"])
-    res = friedman(rt)
-    rows = critical_difference_rows(rt, res)
+    names = [f"d{i}" for i in range(10)]
+    _, rows = ranked_tables(scores, names, ["a", "b", "c"])["cd"]
     assert [r[0] for r in rows] == ["a", "b", "c"]  # sorted by average rank
     assert rows[0][2] == 0  # control always in group 0
     assert rows[-1][2] == 1  # clearly worse method split off
+
+
+def test_ranked_tables_by_hand():
+    # d2 ties a and b for first place, so both take rank 1.5. Rank sums
+    # 3.5, 6.5 and 8 give 12 / (3 * 3 * 4) * 118.5 - 3 * 3 * 4 = 3.5, and
+    # d2's tie group of two corrects it by 1 - 6 / (3 * 3 * 8) = 11 / 12,
+    # to 42 / 11, whose chi-square tail at 2 dof is exp(-21 / 11). The
+    # control is a; each other method's z is its average rank's distance
+    # from a's over sqrt(3 * 4 / (6 * 3)), with p = erfc(z / sqrt 2), and
+    # Finner adjusts the smaller p (c's) to 1 - (1 - p)^2 and raises b's
+    # to at least that. No adjusted p is below 0.05, so every cd group is 0
+    scores = np.array([[0.9, 0.8, 0.7], [0.6, 0.6, 0.5], [0.9, 0.2, 0.5]])
+    tables = ranked_tables(scores, ["d1", "d2", "d3"], ["a", "b", "c"])
+    z_b, z_c = math.sqrt(1.5), 1.5 * math.sqrt(1.5)
+    p_b, p_c = (math.erfc(z / math.sqrt(2)) for z in (z_b, z_c))
+    adj_c = 1 - (1 - p_c) ** 2
+    expected = {
+        "rank": (
+            ["dataset", "a_score", "a_rank", "b_score", "b_rank", "c_score", "c_rank"],
+            [
+                ["d1", 0.9, 1.0, 0.8, 2.0, 0.7, 3.0],
+                ["d2", 0.6, 1.5, 0.6, 1.5, 0.5, 3.0],
+                ["d3", 0.9, 1.0, 0.2, 3.0, 0.5, 2.0],
+                ["average_rank", "", 3.5 / 3, "", 6.5 / 3, "", 8 / 3],
+            ],
+        ),
+        "friedman": (
+            ["field", "value", "p_raw", "p_adjusted", "significant"],
+            [
+                ["chi_square", 42 / 11],
+                ["dof", 2],
+                ["p_value", math.exp(-21 / 11)],
+                ["control", "a"],
+                ["alpha", 0.05],
+                ["vs_b", z_b, p_b, max(p_b, adj_c), 0],
+                ["vs_c", z_c, p_c, adj_c, 0],
+            ],
+        ),
+        "cd": (
+            ["method", "avg_rank", "group"],
+            [("a", 3.5 / 3, 0), ("b", 6.5 / 3, 0), ("c", 8 / 3, 0)],
+        ),
+    }
+    assert list(tables) == list(expected)
+    for stem, (header, rows) in expected.items():
+        assert tables[stem][0] == header
+        assert len(tables[stem][1]) == len(rows)
+        for got, want in zip(tables[stem][1], rows):
+            assert got == pytest.approx(want, rel=1e-12)
+            # the file's text follows each cell's type: an int, not a bool
+            # or a numpy scalar, and a float, not a numpy float
+            assert list(map(type, got)) == list(map(type, want))
+
+
+def test_ranked_tables_rejects_dataset_names_of_another_length():
+    with pytest.raises(RankingError, match="^dataset_names length mismatch$"):
+        ranked_tables(np.ones((3, 2)), ["d1", "d2"], ["a", "b"])
