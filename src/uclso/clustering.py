@@ -30,16 +30,25 @@ class ClusteringError(ValueError):
 
 @dataclass(frozen=True)
 class ClusterAssignment:
-    k: int
     assignment: np.ndarray  # (n,) cluster ids in [0, k)
     centroids: np.ndarray  # (k, d)
-    inertia: float
-    iterations_run: int
-    inertia_history: tuple[float, ...] = ()
+    inertia_history: tuple[float, ...]  # each Lloyd iteration's, the last final
 
     def __post_init__(self):
         self.assignment.setflags(write=False)
         self.centroids.setflags(write=False)
+
+    @property
+    def k(self) -> int:
+        return self.centroids.shape[0]
+
+    @property
+    def inertia(self) -> float:
+        return self.inertia_history[-1]
+
+    @property
+    def iterations_run(self) -> int:
+        return len(self.inertia_history)
 
 
 def _sq_dists(X: np.ndarray, x_sq: np.ndarray, centroids: np.ndarray) -> np.ndarray:
@@ -122,11 +131,12 @@ def check_k(k: int, n: int) -> None:
 DISTANCE_NORM_LIMIT = math.sqrt(sys.float_info.max / 8)
 
 
-def check_distances(X: np.ndarray) -> None:
-    """Raise DatasetError, naming the row, if a row of X has a norm past
-    DISTANCE_NORM_LIMIT, where squared distances between rows could
+def check_distances(X: np.ndarray, rows: np.ndarray | None = None) -> None:
+    """Raise DatasetError, naming the row (by its entry in `rows`, the
+    dataset row of each row of X, when given), if a row of X has a norm
+    past DISTANCE_NORM_LIMIT, where squared distances between rows could
     overflow and k-means or the neighbour search give arbitrary results."""
-    check_row_norms(X, DISTANCE_NORM_LIMIT, "whose squared distances stay finite")
+    check_row_norms(X, DISTANCE_NORM_LIMIT, "whose squared distances stay finite", rows)
 
 
 def kmeans(X: np.ndarray, k: int, seed: int) -> ClusterAssignment:
@@ -167,11 +177,4 @@ def kmeans(X: np.ndarray, k: int, seed: int) -> ClusterAssignment:
         if shift < TOL or len(history) >= MAX_ITER:
             break
         centroids = new_centroids
-    return ClusterAssignment(
-        k=k,
-        assignment=assignment,
-        centroids=centroids,
-        inertia=inertia,
-        iterations_run=len(history),
-        inertia_history=tuple(history),
-    )
+    return ClusterAssignment(assignment, centroids, tuple(history))

@@ -100,9 +100,7 @@ class DatasetStats:
 
 @dataclass(frozen=True)
 class FoldPlan:
-    repetitions: int
-    folds_per_rep: int
-    assignments: tuple  # per repetition, a tuple of index arrays
+    assignments: tuple  # per repetition, a tuple of index arrays, its folds
 
     def train_test(self, rep: int, fold: int) -> tuple[np.ndarray, np.ndarray]:
         """Train/test row indices for one cross-validation cell."""
@@ -246,7 +244,7 @@ def make_fold_plan(n: int, reps: int, folds: int, seed: int) -> FoldPlan:
         perm = rng.permutation(n)
         parts = tuple(np.sort(p) for p in np.array_split(perm, folds))
         assignments.append(parts)
-    return FoldPlan(reps, folds, tuple(assignments))
+    return FoldPlan(tuple(assignments))
 
 
 def generate_toy(cfg: ToyConfig) -> MultiLabelDataset:
@@ -297,17 +295,22 @@ def scale_min_max(ds: MultiLabelDataset) -> MultiLabelDataset:
     return replace(ds, features=scaled)
 
 
-def check_row_norms(X: np.ndarray, limit: float, reason: str) -> None:
+def check_row_norms(X: np.ndarray, limit: float, reason: str,
+                    rows: np.ndarray | None = None) -> None:
     """Raise DatasetError if a row of X has a Euclidean norm past limit,
-    naming the first row of largest norm, its norm and the limit, `reason`
-    saying what the limit keeps. The squared norms are summed row by row,
-    with no temporary the size of X. Past about 1.3e154 they overflow:
-    the first such row is named, its norm worked out without overflow."""
+    naming the first row of largest norm (by its entry in `rows`, the
+    dataset row of each row of X, when given), its norm and the limit,
+    `reason` saying what the limit keeps. The squared norms are summed row
+    by row, with no temporary the size of X. Past about 1.3e154 they
+    overflow: the first such row is named, its norm worked out without
+    overflow."""
     with np.errstate(over="ignore"):
         squares = np.einsum("ij,ij->i", X, X)
     row = int(np.argmax(squares))
     norm = math.hypot(*X[row])
     if norm > limit:
+        if rows is not None:
+            row = int(rows[row])
         raise DatasetError(
             f"row {row} has norm {norm!r}, past {limit!r}, the largest {reason}: "
             "rescale the features, for example by scale: minmax"

@@ -15,6 +15,7 @@ the models that share its run, so the report depends only on the inputs.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,10 +39,22 @@ class FoldCell:
     fold: int
     f1: tuple[float, ...]  # per label
     auc: tuple[float, ...]  # per label; nan where undefined
-    auc_defined: tuple[bool, ...]
-    macro_f1: float
-    macro_auc: float  # nan when no label had a defined AUC
     constant_labels: tuple[str, ...]  # single-class training fallbacks
+
+    @property
+    def auc_defined(self) -> tuple[bool, ...]:
+        return tuple(not math.isnan(a) for a in self.auc)
+
+    @property
+    def macro_f1(self) -> float:
+        return macro_average(np.array(self.f1))
+
+    @property
+    def macro_auc(self) -> float:  # nan when no label had a defined AUC
+        defined = self.auc_defined
+        if not any(defined):
+            return math.nan
+        return macro_average(np.array(self.auc), np.array(defined))
 
 
 @dataclass(frozen=True)
@@ -129,31 +142,17 @@ def _score_cell(
     """Score label l's model, weights[l] and bias[l], on the test rows."""
     X_test = ds.features[test_idx]
     y_test = ds.labels[test_idx]
-    f1s, aucs, defined = [], [], []
+    f1s, aucs = [], []
     for l, (w, b) in enumerate(zip(weights, bias)):
         scores = score(w, b, X_test)
-        f1s.append(f1_label(confusion(y_test[:, l], (scores > 0.0).astype(int))))
         col = y_test[:, l]
-        if 0 < col.sum() < col.size:
-            aucs.append(auc_label(scores, col))
-            defined.append(True)
-        else:
-            aucs.append(float("nan"))
-            defined.append(False)
-    macro_f1 = macro_average(np.array(f1s))
-    macro_auc = (
-        macro_average(np.array(aucs), np.array(defined))
-        if any(defined)
-        else float("nan")
-    )
+        f1s.append(f1_label(confusion(col, (scores > 0.0).astype(int))))
+        aucs.append(auc_label(scores, col) if 0 < col.sum() < col.size else math.nan)
     return FoldCell(
         rep=rep,
         fold=fold,
         f1=tuple(f1s),
         auc=tuple(aucs),
-        auc_defined=tuple(defined),
-        macro_f1=macro_f1,
-        macro_auc=macro_auc,
         constant_labels=constant_labels,
     )
 
@@ -161,8 +160,9 @@ def _score_cell(
 def check_plan(ds: MultiLabelDataset, methods: list[MethodSpec], plan: FoldPlan,
                cfg: TrainConfig) -> None:
     """Raise, before any compute, if run_cv cannot finish the plan: no
-    method or a name twice; a repetition whose folds do not partition the
-    dataset's rows; a row's norm past linear.norm_limit for models of 2n
+    method or a name twice; a plan with no repetition; a repetition of
+    fewer than 2 folds, whose folds do not partition the dataset's rows or
+    with an empty fold; a row's norm past linear.norm_limit for models of 2n
     rows, n the largest training fold (label l's model takes the fold's
     rows and at most n_maj <= n synthetic points, each a convex combination
     of two of them: a quota's ceiling adds under one point per cluster, and
@@ -173,13 +173,22 @@ def check_plan(ds: MultiLabelDataset, methods: list[MethodSpec], plan: FoldPlan,
     names = [m.name for m in methods]
     if len(set(names)) != len(names):
         raise ValueError("duplicate method names")
+    if not plan.assignments:
+        raise ValueError("fold plan has no repetition")
     every_row = np.arange(ds.n)
     for r, folds in enumerate(plan.assignments):
+        if len(folds) < 2:
+            raise ValueError(
+                f"fold plan repetition {r}: need at least 2 folds, got {len(folds)}"
+            )
         if not np.array_equal(np.sort(np.concatenate(folds)), every_row):
             raise ValueError(
                 f"fold plan repetition {r}: its folds do not partition the "
                 f"dataset's {ds.n} rows"
             )
+        for f, test in enumerate(folds):
+            if len(test) == 0:
+                raise ValueError(f"fold plan repetition {r}: fold {f} is empty")
     rows = [ds.n - len(test) for folds in plan.assignments for test in folds]
     limit = norm_limit(cfg, 2 * max(rows))
     check_row_norms(ds.features, limit, "that float32 training keeps in range")
@@ -273,8 +282,8 @@ def run_cv(
     cells: dict[str, list[FoldCell]] = {method.name: [] for method in methods}
     group: list[_Unit] = []
     group_rows = 0
-    for rep in range(plan.repetitions):
-        for fold in range(plan.folds_per_rep):
+    for rep, folds in enumerate(plan.assignments):
+        for fold in range(len(folds)):
             train_idx, test_idx = plan.train_test(rep, fold)
             train_ds = ds.subset(train_idx)
             for method in methods:

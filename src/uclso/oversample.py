@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clustering import ClusterAssignment
+from .clustering import ClusterAssignment, check_distances
 from .dataset import MultiLabelDataset
 
 
@@ -448,7 +448,8 @@ def augment(
     mode: each pool's count, interpolated between that pool's minority
     points, the pools in turn from the label's own random stream. The
     points are written into `out` (shape: synthetic count by d) when
-    given, else into a new array."""
+    given, else into a new array. A pool whose rows fail check_distances
+    is refused before any point is drawn."""
     total = synthetic_count(draws)
     if out is None:
         out = np.empty((total, ds.d))
@@ -456,14 +457,18 @@ def augment(
         raise OversampleError(
             f"output block has shape {out.shape}, label {l} needs {(total, ds.d)}"
         )
+    # only the pools' rows enter the neighbour search and the interpolation,
+    # so only they are checked, all before the first point is drawn
+    pool_points = [ds.features[pool] for _, pool, _ in draws]
+    for (_, pool, _), points in zip(draws, pool_points):
+        check_distances(points, pool)
     rng = _label_rng(cfg.seed, l)
     provenance = np.recarray(total, dtype=PROVENANCE)
     start = 0
-    for cluster, pool, count in draws:
+    for (cluster, pool, count), points in zip(draws, pool_points):
         end = start + count
         provenance.cluster[start:end] = cluster
-        _synthesize(ds.features[pool], pool, cfg.m_neighbors, rng, out[start:end],
-                    provenance[start:end])
+        _synthesize(points, pool, cfg.m_neighbors, rng, out[start:end], provenance[start:end])
         start = end
     return AugmentedDataset(ds, SyntheticSet(l, out, provenance), l)
 

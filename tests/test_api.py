@@ -3,6 +3,8 @@ benchmark under `perfbench/` makes, in the form it makes them. A change
 that breaks one of those calls fails here, on every supported Python."""
 
 import ast
+import dataclasses
+import math
 import os
 import re
 import subprocess
@@ -15,6 +17,7 @@ import pytest
 import uclso
 import uclso.arff_io
 import uclso.cli
+from uclso.experiment import FoldCell
 from uclso.linear import TrainingError
 from uclso.oversample import OversampleError
 
@@ -79,6 +82,24 @@ def test_benchmark_calls_work_as_made():
     assert callable(uclso.cli.main) and callable(uclso.arff_io.load_mulan)
     assert callable(uclso.write_mulan)
 
+
+
+def test_records_hold_only_what_they_cannot_derive():
+    # a fold plan is its folds, and a cell and a clustering compute their
+    # summaries from what they hold, so no record can contradict itself
+    records = (uclso.FoldPlan, FoldCell, uclso.ClusterAssignment)
+    assert [tuple(f.name for f in dataclasses.fields(r)) for r in records] == [
+        ("assignments",),
+        ("rep", "fold", "f1", "auc", "constant_labels"),
+        ("assignment", "centroids", "inertia_history"),
+    ]
+    cell = FoldCell(0, 1, (0.5, 1.0, 0.0), (math.nan, 0.75, 0.25), ())
+    assert cell.auc_defined == (False, True, True)
+    assert (cell.macro_f1, cell.macro_auc) == (0.5, 0.5)
+    assert math.isnan(FoldCell(0, 0, (1.0,), (math.nan,), ()).macro_auc)
+    assign = uclso.kmeans(np.array([[0.0], [1.0], [5.0], [6.0]]), 2, seed=0)
+    assert (assign.k, assign.inertia) == (2, 1.0) == (2, assign.inertia_history[-1])
+    assert assign.iterations_run == len(assign.inertia_history)
 
 @pytest.mark.parametrize("config, error, key, value", [
     (uclso.TrainConfig, TrainingError, "epochs", 2.5),

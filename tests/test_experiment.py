@@ -11,10 +11,19 @@ from uclso import experiment
 from uclso.clustering import ClusteringError, kmeans
 from uclso.dataset import DatasetError, FoldPlan, MultiLabelDataset, make_fold_plan
 from uclso.experiment import MethodSpec, _cell_seed, auc_defined, check_plan, run_cv
-from uclso.linear import F32_MAX, REG_C_FLOOR, TrainConfig, fit_lockstep
+from uclso.linear import (
+    F32_MAX,
+    REG_C_FLOOR,
+    TrainConfig,
+    TrainingError,
+    fit_lockstep,
+    norm_limit,
+)
 from uclso.oversample import (
     LabelUnusableError,
     OversampleConfig,
+    OversampleError,
+    augment,
     iter_augments,
     label_draws,
     synthetic_count,
@@ -38,6 +47,8 @@ FAST = TrainConfig(seed=5, epochs=8)
 def methods(*names, seed=3):
     return [MethodSpec(n, OversampleConfig(k_clusters=3, seed=seed, mode=n)) for n in names]
 
+
+NOT_PARTITIONED = "its folds do not partition the dataset's 120 rows"
 
 MESSAGE = ("row {row} has norm {norm!r}, past {limit!r}, the largest that float32 "
            "training keeps in range: rescale the features, for example by scale: minmax")
@@ -203,22 +214,37 @@ class TestRunCv:
             run_cv(ds, chosen, make_fold_plan(ds.n, 1, 2, seed=1), FAST)
         assert clustered.call_count == fit.call_count == 0
 
-    @pytest.mark.parametrize("plan, rep", [
+    @pytest.mark.parametrize("plan, message", [
         # 20 of the 120 rows in no fold; rows 120 to 139 not in the data
-        (make_fold_plan(100, 1, 2, seed=1), 0),
-        (make_fold_plan(140, 1, 2, seed=1), 0),
+        (make_fold_plan(100, 1, 2, seed=1), "repetition 0: " + NOT_PARTITIONED),
+        (make_fold_plan(140, 1, 2, seed=1), "repetition 0: " + NOT_PARTITIONED),
         # a second repetition that tests row 0 twice and row 119 never
-        (FoldPlan(2, 2, make_fold_plan(120, 2, 2, seed=1).assignments[:1]
-                  + ((np.arange(60), np.append(np.arange(60, 119), 0)),)), 1),
-    ], ids=["fewer_rows", "more_rows", "row_twice"])
-    def test_plan_not_partitioning_the_rows_fails_before_any_cell(self, plan, rep):
+        (FoldPlan(make_fold_plan(120, 2, 2, seed=1).assignments[:1]
+                  + ((np.arange(60), np.append(np.arange(60, 119), 0)),)),
+         "repetition 1: " + NOT_PARTITIONED),
+        # degenerate plans: no cell at all, a second repetition whose one
+        # fold has no training rows, and a fold that tests nothing
+        (FoldPlan(()), "has no repetition"),
+        (FoldPlan(make_fold_plan(120, 1, 2, seed=1).assignments + ((np.arange(120),),)),
+         "repetition 1: need at least 2 folds, got 1"),
+        (FoldPlan(((np.arange(60), np.array([], dtype=int), np.arange(60, 120)),)),
+         "repetition 0: fold 1 is empty"),
+    ], ids=["fewer_rows", "more_rows", "row_twice", "no_repetition", "one_fold", "empty_fold"])
+    def test_plan_not_partitioning_the_rows_fails_before_any_cell(self, plan, message):
         ds = small_ds()
         with mock.patch.object(experiment, "kmeans", wraps=kmeans) as clustered, \
                 mock.patch.object(experiment, "fit_lockstep", wraps=fit_lockstep) as fit, \
-                pytest.raises(ValueError, match=rf"^fold plan repetition {rep}: its folds "
-                              r"do not partition the dataset's 120 rows$"):
+                pytest.raises(ValueError) as err:
             run_cv(ds, methods("none", "uclso"), plan, FAST)
+        assert type(err.value) is ValueError and str(err.value) == "fold plan " + message
         assert clustered.call_count == fit.call_count == 0
+
+    def test_hand_built_plan_scores_each_of_its_folds(self):
+        # a plan is its folds: three of 40 rows give three cells a method
+        ds = small_ds()
+        plan = FoldPlan((tuple(np.arange(f, 120, 3) for f in range(3)),))
+        for report in run_cv(ds, methods("none", "uclso"), plan, FAST).values():
+            assert [(c.rep, c.fold) for c in report.cells] == [(0, 0), (0, 1), (0, 2)]
 
     def test_duplicate_method_names_rejected(self):
         ds = small_ds()
@@ -569,7 +595,8 @@ class TestRunCvProperties:
 
         with mock.patch.object(experiment, "fit_lockstep", spy):
             reports = run_cv(ds, chosen, plan, train_cfg)
-        assert len(problems) == plan.repetitions * plan.folds_per_rep * len(chosen) * ds.q
+        cells = sum(len(folds) for folds in plan.assignments)
+        assert len(problems) == cells * len(chosen) * ds.q
         problems = iter(problems)  # cell-major, then method, then label
         for rep, folds in enumerate(plan.assignments):
             for fold, test_idx in enumerate(folds):
@@ -620,6 +647,107 @@ class TestRunCvProperties:
             alone = run_cv(ds, chosen, plan, train_cfg)
         for method in chosen:
             assert same_cells(alone[method.name].cells, reports[method.name].cells)
+
+
+CORRUPTIONS = [
+    "none", "other_rows", "no_repetition", "one_fold", "empty_fold", "no_method",
+    "repeated_method", "train_config", "oversample_config", "k_past_fold", "norm_past_range",
+]
+
+
+@st.composite
+def corrupted_cv_problems(draw, kind):
+    """A cv_problems run_cv problem, made valid (k at most the smallest
+    training fold), with the corruption `kind` (one of CORRUPTIONS, "none"
+    for none): (run, error, cells), where run() builds what the corruption
+    touches and calls run_cv on it, and error is the (type, message) it
+    must raise or, uncorrupted, None with the (rep, fold) cells each report
+    must hold."""
+    ds, chosen, plan, train_cfg = draw(cv_problems())
+    rows = [ds.n - len(test) for folds in plan.assignments for test in folds]
+    k = min(chosen[0].oversample.k_clusters, min(rows))
+    chosen = [replace(m, oversample=replace(m.oversample, k_clusters=k)) for m in chosen]
+    reps = plan.assignments
+
+    def run(ds=ds, chosen=chosen, plan=plan):
+        return lambda: run_cv(ds, chosen, plan, train_cfg)
+
+    if kind == "none":
+        return run(), None, [(r, f) for r, folds in enumerate(reps) for f in range(len(folds))]
+    if kind == "other_rows":
+        # a plan of the same shape for a few rows more or fewer
+        n = ds.n + draw(st.sampled_from([-2, -1, 1, 2]))
+        other = make_fold_plan(n, len(reps), len(reps[0]), seed=draw(st.integers(0, 1000)))
+        message = f"fold plan repetition 0: its folds do not partition the dataset's {ds.n} rows"
+        return run(plan=other), (ValueError, message), None
+    if kind == "no_repetition":
+        return run(plan=FoldPlan(())), (ValueError, "fold plan has no repetition"), None
+    if kind in ("one_fold", "empty_fold"):
+        r = draw(st.integers(0, len(reps) - 1))
+        if kind == "one_fold":
+            folds = (np.arange(ds.n),)
+            message = f"fold plan repetition {r}: need at least 2 folds, got 1"
+        else:
+            f = draw(st.integers(0, len(reps[r])))
+            folds = reps[r][:f] + (np.array([], dtype=np.intp),) + reps[r][f:]
+            message = f"fold plan repetition {r}: fold {f} is empty"
+        return run(plan=FoldPlan(reps[:r] + (folds,) + reps[r + 1:])), (ValueError, message), None
+    if kind == "no_method":
+        return run(chosen=[]), (ValueError, "need at least one method"), None
+    if kind == "repeated_method":
+        twice = chosen + [draw(st.sampled_from(chosen))]
+        return run(chosen=twice), (ValueError, "duplicate method names"), None
+    if kind in ("train_config", "oversample_config"):
+        # a field the config rejects when it is built, so run_cv never starts
+        fields = {"train_config": ["epochs", "batch_size", "seed"],
+                  "oversample_config": ["k_clusters", "m_neighbors", "seed"]}[kind]
+        name = draw(st.sampled_from(fields))
+        value = draw(st.sampled_from([2.5, True, -1] if name == "seed" else [2.5, True]))
+        message = (f"seed must be >= 0, got {value}" if value == -1
+                   else f"{name} must be an integer, got {value!r}")
+        if kind == "train_config":
+            return ((lambda: run_cv(ds, chosen, plan, replace(train_cfg, **{name: value}))),
+                    (TrainingError, message), None)
+        return ((lambda: run_cv(ds, [replace(m, oversample=replace(m.oversample, **{name: value}))
+                                     for m in chosen], plan, train_cfg)),
+                (OversampleError, message), None)
+    if kind == "k_past_fold":
+        # uclso, added if absent, asks for more clusters than some training fold's rows
+        big = min(rows) + draw(st.integers(1, 3))
+        chosen = [replace(m, oversample=replace(m.oversample, k_clusters=big)) for m in chosen]
+        if all(m.name != "uclso" for m in chosen):
+            chosen.append(MethodSpec("uclso", replace(chosen[0].oversample, mode="uclso")))
+        return run(chosen=chosen), (ClusteringError, f"k={big} must be in [1, {min(rows)}]"), None
+    # one row, alone on the first axis, at a norm just or well past the training range
+    limit = norm_limit(train_cfg, 2 * max(rows))
+    row = draw(st.integers(0, ds.n - 1))
+    norm = draw(st.sampled_from([math.nextafter(limit, math.inf), 2 * limit]))
+    features = ds.features.copy()
+    features[row] = 0.0
+    features[row, 0] = norm
+    message = MESSAGE.format(row=row, norm=norm, limit=limit)
+    return run(ds=replace(ds, features=features)), (DatasetError, message), None
+
+class TestCorruptedRunCv:
+    @pytest.mark.parametrize("kind", CORRUPTIONS)
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_corrupted_input_fails_before_any_compute(self, kind, data):
+        # one corruption of a valid problem raises its documented error
+        # before anything is clustered, drawn or trained; none runs to the end
+        run, error, cells = data.draw(corrupted_cv_problems(kind))
+        with mock.patch.object(experiment, "kmeans", wraps=kmeans) as clustered, \
+                mock.patch.object(experiment, "augment", wraps=augment) as drawn, \
+                mock.patch.object(experiment, "fit_lockstep", wraps=fit_lockstep) as fit:
+            if error is None:
+                for report in run().values():
+                    assert [(c.rep, c.fold) for c in report.cells] == cells
+                assert fit.call_count > 0
+                return
+            with pytest.raises(error[0]) as err:
+                run()
+        assert (type(err.value), str(err.value)) == error
+        assert clustered.call_count == drawn.call_count == fit.call_count == 0
 
 
 class TestAucDefined:

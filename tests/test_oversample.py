@@ -3,7 +3,9 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -801,6 +803,38 @@ class TestNonFiniteFeatures:
         )):
             make_ds(features, [[1], [0], [1], [0]])
 
+
+
+class TestDistanceLimit:
+    """augment, and so every library augmenter, refuses pools whose
+    squared distances could overflow before it draws a point: at 1e160,
+    smote once drew its 70 points with overflow warnings and other
+    parents than on the unscaled rows. Label l0's pools are rows 50 to 64,
+    whose squared norms all overflow: the first, row 50, is named."""
+
+    @pytest.mark.parametrize("entry", ["smote_augment", "uclso_augment", "iter_augments"])
+    def test_rows_past_the_distance_limit_are_refused(self, two_blob_features, entry):
+        labels = np.zeros((100, 1), dtype=int)
+        labels[50:65, 0] = 1
+        ds = make_ds(two_blob_features * 1e160, labels)
+        assign = kmeans(two_blob_features, 2, seed=5)  # the unscaled rows' clusters
+        cfg = OversampleConfig(k_clusters=2, seed=1, mode="smote" if entry == "smote_augment"
+                               else "uclso")
+        call = {
+            "smote_augment": lambda: smote_augment(ds, 0, cfg),
+            "uclso_augment": lambda: uclso_augment(ds, assign, 0, cfg),
+            "iter_augments": lambda: list(iter_augments(ds, cfg, assign)),
+        }[entry]
+        message = (f"row 50 has norm {math.hypot(*ds.features[50])!r}, past "
+                   "4.740375954054588e+153, the largest whose squared distances stay "
+                   "finite: rescale the features, for example by scale: minmax")
+        with warnings.catch_warnings(), \
+                mock.patch.object(oversample, "_synthesize", wraps=oversample._synthesize) as drawn:
+            warnings.simplefilter("error")
+            with pytest.raises(DatasetError) as err:
+                call()
+        assert str(err.value) == message
+        assert drawn.call_count == 0
 
 @st.composite
 def tiny_pools(draw):
