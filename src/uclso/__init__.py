@@ -16,7 +16,7 @@ from .dataset import (
     scale_min_max,
 )
 from .experiment import MethodSpec, MetricReport, run_cv
-from .linear import TrainConfig, score
+from .linear import TrainConfig
 from .metrics import ConfusionCounts, auc_label, confusion, f1_label, macro_average
 from .oversample import (
     AugmentedDataset,
@@ -68,7 +68,6 @@ __all__ = [
     "quota",
     "run_cv",
     "scale_min_max",
-    "score",
     "smote_augment",
     "uclso_augment",
     "write_mulan",

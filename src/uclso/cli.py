@@ -61,7 +61,7 @@ def _csv_rows(fh, header: list[str], rows) -> None:
 
 def _write_rows(path: str, cfg: ExperimentConfig, header: list[str], rows) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(f"# config_hash={cfg.config_hash()} seed={cfg.seed}\n")
+        fh.write(f"# config_hash={cfg.config_hash} seed={cfg.seed}\n")
         _csv_rows(fh, header, rows)
 
 
@@ -268,7 +268,7 @@ def cmd_experiment(cfg: ExperimentConfig) -> int:
                     report.rows(),
                 )
                 summary = report.summary()
-                summary["config_hash"] = cfg.config_hash()
+                summary["config_hash"] = cfg.config_hash
                 summary["dataset"] = source.name
                 with open(
                     os.path.join(out, f"{base}__summary.json"), "w", encoding="utf-8"

@@ -6,7 +6,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import yaml
 
@@ -54,15 +54,7 @@ class ExperimentConfig:
     max_ir: float
     min_pos: int
     scale: str  # none | minmax
-    raw: dict = field(compare=False, default_factory=dict)
-
-    def config_hash(self) -> str:
-        # the output directory has no effect on results, so it is excluded
-        # from the canonical hash
-        hashed = {k: v for k, v in self.raw.items() if k != "out"}
-        return hashlib.sha256(
-            json.dumps(hashed, sort_keys=True).encode()
-        ).hexdigest()[:16]
+    config_hash: str  # 16 hex digits of the canonical hash (see load_config)
 
     def prepare(self, ds: MultiLabelDataset) -> MultiLabelDataset:
         """Apply the configured scaling and label filtering."""
@@ -325,5 +317,9 @@ def load_config(
         max_ir=max_ir,
         min_pos=min_pos,
         scale=scale,
-        raw=data,
+        # the output directory has no effect on results, so it is excluded
+        # from the canonical hash
+        config_hash=hashlib.sha256(json.dumps(
+            {k: v for k, v in data.items() if k != "out"}, sort_keys=True
+        ).encode()).hexdigest()[:16],
     )

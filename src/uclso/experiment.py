@@ -22,7 +22,7 @@ import numpy as np
 
 from .clustering import check_k, kmeans
 from .dataset import FoldPlan, MultiLabelDataset, check_row_norms
-from .linear import TrainConfig, fit_lockstep, norm_limit, score
+from .linear import TrainConfig, fit_lockstep, index_dtype, norm_limit
 from .metrics import auc_label, confusion, f1_label, macro_average
 from .oversample import OversampleConfig, augment, label_draws, synthetic_count
 
@@ -94,10 +94,10 @@ class MetricReport:
         """Flat (rep, fold, label, metric, value) rows for CSV export."""
         out = []
         for c in self.cells:
-            for l, name in enumerate(self.label_names):
-                out.append((c.rep, c.fold, name, "f1", c.f1[l]))
-                if c.auc_defined[l]:
-                    out.append((c.rep, c.fold, name, "auc", c.auc[l]))
+            for name, f1, auc in zip(self.label_names, c.f1, c.auc, strict=True):
+                out.append((c.rep, c.fold, name, "f1", f1))
+                if not math.isnan(auc):
+                    out.append((c.rep, c.fold, name, "auc", auc))
         return out
 
 
@@ -139,15 +139,14 @@ def _score_cell(
     rep: int,
     fold: int,
 ) -> FoldCell:
-    """Score label l's model, weights[l] and bias[l], on the test rows."""
-    X_test = ds.features[test_idx]
-    y_test = ds.labels[test_idx]
+    """Score label l's model, weights[l] and bias[l], on the test rows:
+    one product gives every label's decision values, a column each."""
+    scores = ds.features[test_idx] @ weights.T
+    scores += bias  # in place: one test rows x q array, not two
     f1s, aucs = [], []
-    for l, (w, b) in enumerate(zip(weights, bias)):
-        scores = score(w, b, X_test)
-        col = y_test[:, l]
-        f1s.append(f1_label(confusion(col, (scores > 0.0).astype(int))))
-        aucs.append(auc_label(scores, col) if 0 < col.sum() < col.size else math.nan)
+    for s, col in zip(scores.T, ds.labels[test_idx].T):
+        f1s.append(f1_label(confusion(col, (s > 0.0).astype(int))))
+        aucs.append(auc_label(s, col) if 0 < col.sum() < col.size else math.nan)
     return FoldCell(
         rep=rep,
         fold=fold,
@@ -220,7 +219,7 @@ def _fit_group(
     matrix is float32: base rows and synthetic points are each rounded to
     it once, and the models train in float32, in range by check_plan."""
     X = np.empty((size, ds.d), dtype=np.float32)
-    index = np.int32 if size <= np.iinfo(np.int32).max else np.intp  # as fit_lockstep's
+    index = index_dtype(size)  # fit_lockstep's, so it copies no row array
     rows, targets, seeds = [], [], []
     end = 0
     for unit in group:

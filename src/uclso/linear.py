@@ -91,6 +91,12 @@ def norm_limit(cfg: TrainConfig, rows: int) -> float:
     return min(math.sqrt(room / reach), quarter / cfg.batch_size)
 
 
+def index_dtype(rows: int) -> type:
+    """The dtype of indices into a matrix of `rows` rows: int32 where it
+    holds them, as its gathers then read half the index bytes, else intp."""
+    return np.int32 if rows <= np.iinfo(np.int32).max else np.intp
+
+
 def fit_lockstep(
     X: np.ndarray,
     rows: Sequence[np.ndarray],
@@ -159,7 +165,7 @@ def fit_lockstep(
     # `cols` with row 0 and target 0: a padding slot has margin 0 and adds
     # nothing to a gradient. Every minibatch slot is B wide, also when all
     # models have fewer rows, so no model's arithmetic depends on another's.
-    index = np.int32 if X.shape[0] <= np.iinfo(np.int32).max else np.intp
+    index = index_dtype(X.shape[0])
     rows_e = np.zeros((M, cols), dtype=index)
     s_e = np.zeros((M, cols), dtype=np.int8)
     models = [(np.random.default_rng(seeds[i]), np.asarray(rows[i], dtype=index),
@@ -231,14 +237,3 @@ def fit_lockstep(
     weights[order] = wb[:, :d]
     bias[order] = wb[:, d]
     return weights, bias, constant
-
-
-def score(weights: np.ndarray, bias: float, X: np.ndarray) -> np.ndarray:
-    """Decision values of one model, its weight row and bias, on X's rows."""
-    X = np.asarray(X, dtype=float)
-    if X.shape[1] != weights.shape[0]:
-        raise TrainingError(
-            f"feature dimension {X.shape[1]} does not match model "
-            f"({weights.shape[0]})"
-        )
-    return X @ weights + bias

@@ -17,13 +17,15 @@ import pytest
 import uclso
 import uclso.arff_io
 import uclso.cli
+from uclso.config import ExperimentConfig
 from uclso.experiment import FoldCell
 from uclso.linear import TrainingError
 from uclso.oversample import OversampleError
 
 # the exports, in full: a name removed from the package, such as the
-# single-label fit and cell entry points run_cv's path replaced, or the
-# per-model class the lockstep weight matrix replaced, must not come back,
+# single-label fit and cell entry points run_cv's path replaced, the
+# per-model class the lockstep weight matrix replaced, or the one-model
+# score that a unit's one product replaced, must not come back,
 # and a new export is added here on purpose
 EXPORTS = {
     "ArffError", "AugmentedDataset", "ClusterAssignment", "ConfusionCounts",
@@ -33,7 +35,7 @@ EXPORTS = {
     "auc_label", "average_ranks", "compute_stats", "confusion", "f1_label",
     "filter_labels", "friedman", "generate_toy", "interpolate", "kmeans",
     "load_mulan", "macro_average", "make_fold_plan", "minority_class", "quota",
-    "run_cv", "scale_min_max", "score", "smote_augment", "uclso_augment",
+    "run_cv", "scale_min_max", "smote_augment", "uclso_augment",
     "write_mulan",
 }
 
@@ -86,12 +88,15 @@ def test_benchmark_calls_work_as_made():
 
 def test_records_hold_only_what_they_cannot_derive():
     # a fold plan is its folds, and a cell and a clustering compute their
-    # summaries from what they hold, so no record can contradict itself
-    records = (uclso.FoldPlan, FoldCell, uclso.ClusterAssignment)
+    # summaries from what they hold, so no record can contradict itself; a
+    # loaded config keeps its settings' hash, not the YAML they came from
+    records = (uclso.FoldPlan, FoldCell, uclso.ClusterAssignment, ExperimentConfig)
     assert [tuple(f.name for f in dataclasses.fields(r)) for r in records] == [
         ("assignments",),
         ("rep", "fold", "f1", "auc", "constant_labels"),
         ("assignment", "centroids", "inertia_history"),
+        ("seed", "out_dir", "datasets", "methods", "oversample", "train", "cv_reps",
+         "cv_folds", "filter_enabled", "max_ir", "min_pos", "scale", "config_hash"),
     ]
     cell = FoldCell(0, 1, (0.5, 1.0, 0.0), (math.nan, 0.75, 0.25), ())
     assert cell.auc_defined == (False, True, True)

@@ -213,6 +213,7 @@ EDGE_VALUES = [
 ROWS = arff_io._BLOCK_ROWS
 
 
+@pytest.mark.seeds
 @given(a=npst.arrays(
     np.float64,
     st.tuples(st.sampled_from([0, 1, 2, ROWS - 1, ROWS, ROWS + 1, 2 * ROWS + 1]),
@@ -376,6 +377,7 @@ def dense_blocks(draw):
     return "\n".join(lines) + "\n"
 
 
+@pytest.mark.seeds
 @given(text=dense_blocks())
 @settings(max_examples=300, deadline=None)
 def test_vectorised_pass_matches_line_parser(text):
@@ -402,6 +404,7 @@ def test_vectorised_pass_keeps_special_values(tmp_path):
     assert raw.tobytes() == np.array(expected).tobytes()
 
 
+@pytest.mark.seeds
 @given(line=st.text(st.sampled_from([",", " ", "\t", "\x0b", "\x0c", "\x1c", "\u2028", "\u3000",
                                       "0", "1", "-", ".", "e", "N", "a", "{", "}", "%", "?"]),
                    max_size=40))
@@ -698,6 +701,7 @@ def json_blocks(draw):
     return "".join(line + end for line, end in zip(lines, ends)), clean
 
 
+@pytest.mark.seeds
 @given(block=json_blocks(), chunk=st.integers(1, 200))
 @example(block=("@relation r\n@attribute a numeric\n@data\n1\n-0\n", False), chunk=64)
 @example(block=("@relation r\n@attribute a {0,1}\n@data\n1\n1.0\n", False), chunk=64)

@@ -378,7 +378,7 @@ def _synthetic_references(config, mode, augments):
         ]
         assert rows
         reference = io.StringIO()
-        reference.write(f"# config_hash={cfg.config_hash()} seed={cfg.seed}\n")
+        reference.write(f"# config_hash={cfg.config_hash} seed={cfg.seed}\n")
         writer = csv.writer(reference, lineterminator="\n")
         writer.writerow(header)
         writer.writerows([_fmt(v) for v in row] for row in rows)
@@ -1212,5 +1212,16 @@ def test_seed_override_changes_hash(config_path):
 
     a = load_config(config)
     b = load_config(config, seed_override=99)
-    assert a.config_hash() != b.config_hash()
+    assert a.config_hash != b.config_hash
     assert b.seed == 99
+
+
+def test_config_hash_is_pinned(config_path, tmp_path):
+    # the hash every output's # config_hash= line carries: CONFIG's mapping
+    # without out, after the overrides, as sorted JSON; out has no effect
+    config, out = config_path
+    assert load_config(config).config_hash == "86d451e2ec107a79"
+    assert load_config(config, out_override=str(tmp_path / "elsewhere")).config_hash == (
+        "86d451e2ec107a79"
+    )
+    assert load_config(config, seed_override=99).config_hash == "aa579ea203f42685"

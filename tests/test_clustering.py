@@ -170,6 +170,7 @@ class TestKmeansProperties:
         if k == X.shape[0]:
             assert res.inertia == pytest.approx(0.0, abs=1e-9)
 
+    @pytest.mark.seeds
     @given(seed=st.integers(0, 2**32 - 1), exponent=st.integers(-150, 150),
            n=st.integers(1, 60), d=st.integers(1, 6), k=st.integers(1, 8))
     @settings(max_examples=100, deadline=None)
@@ -193,6 +194,7 @@ class TestKmeansProperties:
         assert got.inertia_history == want.inertia_history
         assert got.iterations_run == want.iterations_run
 
+    @pytest.mark.seeds
     @given(data=duplicated_points() | scaled_grids(), seed=st.integers(0, 2**16))
     @settings(max_examples=200, deadline=None)
     def test_gathered_update_bits_equal_the_masked_mean(self, data, seed):

@@ -104,6 +104,7 @@ MATRICES = hnp.arrays(float, hnp.array_shapes(min_dims=2, max_dims=2, max_side=6
                       elements=FINITE)
 
 
+@pytest.mark.seeds
 class TestFiniteFeaturesProperty:
     @given(features=MATRICES)
     @settings(max_examples=200, deadline=None)

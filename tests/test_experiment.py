@@ -10,7 +10,15 @@ from hypothesis import strategies as st
 from uclso import experiment
 from uclso.clustering import ClusteringError, kmeans
 from uclso.dataset import DatasetError, FoldPlan, MultiLabelDataset, make_fold_plan
-from uclso.experiment import MethodSpec, _cell_seed, auc_defined, check_plan, run_cv
+from uclso.experiment import (
+    FoldCell,
+    MethodSpec,
+    MetricReport,
+    _cell_seed,
+    auc_defined,
+    check_plan,
+    run_cv,
+)
 from uclso.linear import (
     F32_MAX,
     REG_C_FLOOR,
@@ -568,6 +576,7 @@ def cv_problems(draw):
     return ds, chosen, plan, train_cfg
 
 
+@pytest.mark.seeds
 class TestRunCvProperties:
     @given(problem=cv_problems())
     @settings(max_examples=60, deadline=None)
@@ -728,6 +737,7 @@ def corrupted_cv_problems(draw, kind):
     message = MESSAGE.format(row=row, norm=norm, limit=limit)
     return run(ds=replace(ds, features=features)), (DatasetError, message), None
 
+@pytest.mark.seeds
 class TestCorruptedRunCv:
     @pytest.mark.parametrize("kind", CORRUPTIONS)
     @given(data=st.data())
@@ -748,6 +758,30 @@ class TestCorruptedRunCv:
                 run()
         assert (type(err.value), str(err.value)) == error
         assert clustered.call_count == drawn.call_count == fit.call_count == 0
+
+
+class TestMetricReportRows:
+    def test_cells_table_reads_each_cell_once(self, monkeypatch):
+        # the table leaves out every undefined AUC, and reads at most one
+        # auc_defined per cell, which builds a tuple of all q labels
+        reads = []
+        derived = FoldCell.auc_defined.fget
+        monkeypatch.setattr(FoldCell, "auc_defined",
+                            property(lambda c: reads.append(c) or derived(c)))
+        cells = (FoldCell(0, 0, (0.5, 1.0, 0.0), (math.nan, 0.75, 0.25), ()),
+                 FoldCell(0, 1, (0.25, 0.0, 1.0), (0.5, math.nan, math.nan), ("b",)))
+        assert cells[1].auc_defined == (True, False, False) and len(reads) == 1
+        reads.clear()
+        report = MetricReport("uclso", ("a", "b", "c"), cells, seed=3)
+        assert report.rows() == [
+            (0, 0, "a", "f1", 0.5),
+            (0, 0, "b", "f1", 1.0), (0, 0, "b", "auc", 0.75),
+            (0, 0, "c", "f1", 0.0), (0, 0, "c", "auc", 0.25),
+            (0, 1, "a", "f1", 0.25), (0, 1, "a", "auc", 0.5),
+            (0, 1, "b", "f1", 0.0),
+            (0, 1, "c", "f1", 1.0),
+        ]
+        assert len(reads) <= len(cells)
 
 
 class TestAucDefined:

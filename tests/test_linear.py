@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -8,9 +9,10 @@ from hypothesis import strategies as st
 from uclso import experiment
 from uclso.clustering import kmeans
 from uclso.dataset import MultiLabelDataset, make_fold_plan
-from uclso.experiment import MethodSpec, _score_cell, run_cv
+from uclso.experiment import FoldCell, MethodSpec, _score_cell, run_cv
 from uclso.linear import (F32_MAX, REG_C_FLOOR, TrainConfig, TrainingError, fit_lockstep,
-                          norm_limit, score)
+                          norm_limit)
+from uclso.metrics import auc_label, confusion, f1_label
 from uclso.oversample import OversampleConfig, iter_augments
 
 
@@ -65,7 +67,7 @@ def objective(w, b, X, y, cfg):
 
 
 def predict(w, b, X):
-    return (score(w, b, X) > 0.0).astype(int)
+    return (X @ w + b > 0.0).astype(int)
 
 
 def fit_cell(ds, os_cfg, train_cfg, assign=None):
@@ -141,21 +143,6 @@ class TestTrainLinear:
 
 
 class TestScorePredict:
-    def test_constant_bias(self):
-        assert np.allclose(score(np.zeros(3), 0.7, np.ones((4, 3))), 0.7)
-
-    def test_dot_product(self):
-        assert score(np.array([1.0, 0.0]), 0.5, np.array([[3.0, 9.0]]))[0] == (
-            pytest.approx(3.5)
-        )
-
-    def test_zero_padding_invariance(self):
-        X, y = blobs_2d(seed=8)
-        w, b = fit_one(X, y, TrainConfig(seed=1))
-        X_pad = np.hstack([X, np.ones((X.shape[0], 1))])
-        padded = score(np.concatenate([w, [0.0]]), b, X_pad)
-        assert np.abs(score(w, b, X) - padded).max() < 1e-12
-
     def test_threshold_strict_and_monotone(self):
         # scores -1, 0 and 2: a cell's F1 is 1 only if a score of exactly 0
         # predicts 0 and every other score predicts by its sign
@@ -168,9 +155,29 @@ class TestScorePredict:
         shifted = _score_cell(ds, np.arange(3), weights, np.array([1e-9]), (), 0, 0)
         assert shifted.f1[0] < 1.0
 
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError, match="dimension"):
-            score(np.zeros(3), 0.0, np.zeros((2, 2)))
+    def test_one_product_equals_each_labels_own_scores(self):
+        # label a's model is constant (zero weights: every score ties at its
+        # bias), test row 2 scores exactly 0 under label b's and label c has
+        # one class among the test rows, so its AUC is undefined
+        X = np.array([[0.0, 0.0], [1.0, 1.0], [2.0, 0.0], [3.0, 1.0], [4.0, 0.0],
+                      [1.0, 2.0]])
+        labels = np.array([[0, 0, 0], [1, 0, 1], [0, 1, 1], [1, 1, 1], [0, 1, 1],
+                           [1, 0, 0]])
+        ds = MultiLabelDataset(X, labels, ("x0", "x1"), ("a", "b", "c"))
+        weights = np.array([[0.0, 0.0], [1.0, 0.0], [0.5, -1.0]])
+        bias = np.array([-1.0, -2.0, 0.25])
+        test_idx = np.array([4, 1, 2, 3])
+        cell = _score_cell(ds, test_idx, weights, bias, ("a",), 1, 0)
+
+        f1s, aucs = [], []
+        for w, b, col in zip(weights, bias, labels[test_idx].T):
+            s = X[test_idx] @ w + b
+            f1s.append(f1_label(confusion(col, (s > 0.0).astype(int))))
+            aucs.append(auc_label(s, col) if 0 < col.sum() < col.size else math.nan)
+        reference = FoldCell(1, 0, tuple(f1s), tuple(aucs), ("a",))
+        assert repr(cell) == repr(reference)
+        assert cell.f1 == (0.0, 0.8, 6 / 7)
+        assert cell.auc[:2] == (0.5, 1.0) and math.isnan(cell.auc[2])
 
 
 class TestBrFit:
@@ -388,6 +395,7 @@ class TestLockstep:
 
 
 class TestNormLimit:
+    @pytest.mark.seeds
     @given(log_r=st.floats(-2, 37.5), log_c=st.floats(0, 300) | st.none(),
            epochs=st.integers(1, 3), batch_size=st.integers(1, 64), n=st.integers(2, 48),
            d=st.integers(1, 4), aligned=st.booleans(), seed=st.integers(0, 2**32 - 1))

@@ -107,6 +107,7 @@ def midrank_auc(scores, truth):
     return (pos_rank_sum - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg)
 
 
+@pytest.mark.seeds
 class TestAucProperty:
     @given(st.lists(st.tuples(st.one_of(TIED_VALUES, st.floats(allow_nan=False)),
                               st.booleans()), min_size=2, max_size=300))

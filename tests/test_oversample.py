@@ -513,6 +513,7 @@ print(digest.hexdigest())
 """
 
 
+@pytest.mark.seeds
 class TestNeighbours:
     @given(pool=neighbour_pools(), data=st.data())
     @settings(max_examples=60, deadline=None)
@@ -638,6 +639,7 @@ class TestFilterOrder:
     """Rows whose filter gaps decide their order skip the difference form;
     the lists stay those of the full sort."""
 
+    @pytest.mark.seeds
     @given(pool=gap_edge_pools())
     @settings(max_examples=80, deadline=None)
     def test_gap_edge_pools_equal_full_sort(self, pool):
@@ -666,6 +668,7 @@ class TestFilterOrder:
         assert np.array_equal(got, brute_force_neighbours(points, 5))
 
 
+@pytest.mark.seeds
 class TestSynthesisPaths:
     @given(pool=neighbour_pools())
     @settings(max_examples=100, deadline=None)
